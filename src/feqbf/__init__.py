@@ -44,6 +44,7 @@ from .reductions import (
 from .solver import (
     FalseCertificate,
     SolverConfig,
+    SolverInvariantError,
     SolverStats,
     core_projection,
     greedy_disjoint,
@@ -70,6 +71,7 @@ __all__ = [
     "ReductionError",
     "ReductionOutput",
     "SolverConfig",
+    "SolverInvariantError",
     "SolverStats",
     "apply_assignment_cnf",
     "apply_assignment_dnf",

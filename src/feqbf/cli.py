@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -26,7 +25,15 @@ from .reductions import (
     reduce_dnf_to_4qbf,
     reduce_dnf_to_fe_dqbf,
 )
-from .solver import SolverConfig, ae_blocks, solve, stats_csv_header, stats_csv_row
+from .solver import (
+    SolverConfig,
+    ae_blocks,
+    leaf_bound_log2,
+    solve,
+    stats_csv_header,
+    stats_csv_row,
+    threshold,
+)
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
@@ -71,17 +78,15 @@ def _result_line(value: bool) -> int:
 
 def cmd_solve(args) -> int:
     instance = _load_qbf(args.path)
-    config = SolverConfig(
-        threshold_override=args.threshold_override,
-        parallel_branching=args.parallel,
-    )
+    config = SolverConfig(threshold_override=args.threshold_override)
     start = time.perf_counter()
     result, stats = solve(instance, config)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.stats_csv:
         _, existential = ae_blocks(instance)
-        d = instance.matrix.max_arity()
-        row = stats_csv_row(Path(args.path).stem, len(existential), d, result, stats, elapsed_ms)
+        row = stats_csv_row(
+            Path(args.path).stem, len(existential), stats.d, result, stats, elapsed_ms
+        )
         Path(args.stats_csv).write_text(stats_csv_header() + "\n" + row + "\n")
     return _result_line(result)
 
@@ -204,14 +209,12 @@ def cmd_bench(args) -> int:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         _, existential = ae_blocks(instance)
         k = len(existential)
-        d = instance.matrix.max_arity()
         try:
             agreement = int(result == eval_qbf(instance, var_bound=args.oracle_bound))
         except OracleLimitError:
             agreement = ""
-        bound_log2 = (
-            d * d * ((2**d) * d * math.log(k)) * k ** (d - 1) if k >= 2 and d >= 1 else 0.0
-        )
+        d = stats.d
+        bound_log2 = leaf_bound_log2(k, d, threshold(k, d)) if k >= 2 and d >= 1 else 0.0
         row = stats_csv_row(path.stem, k, d, result, stats, elapsed_ms)
         rows.append(f"{row},{agreement},{bound_log2:.3f}")
     Path(args.out).write_text("\n".join(rows) + "\n")
@@ -238,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide a forall-exists QDIMACS instance")
     p_solve.add_argument("path")
     p_solve.add_argument("--threshold-override", type=float, default=None)
-    p_solve.add_argument("--parallel", action="store_true")
     p_solve.add_argument("--stats-csv", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -1,9 +1,14 @@
-"""Ground-truth brute-force evaluation of QBF and DNF validity.
+"""Ground-truth evaluation of QBF and DNF validity.
 
-Everything here is deliberately naive so it can be trusted: QBF is decided by
-walking the full game tree, DNF validity by enumerating all assignments.  A
-configurable variable bound turns oversized inputs into errors rather than
-silently approximating.
+Clauses and terms are encoded as ``(pos, neg)`` bitmasks, as defined by
+``clause_masks``.  QBF is decided by a pruned backtracking engine over that
+encoding: it skips variables absent from the matrix and abandons a branch as
+soon as a clause is falsified.  The solver's core SAT check runs the same
+engine with every variable existential.  DNF validity is decided by
+enumerating all assignments.  The tests check both against the unpruned
+dictionary-based evaluators in ``tests/oracle_helpers.py``.  A configurable
+variable bound turns oversized inputs into errors rather than silently
+approximating.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ class OracleLimitError(ValueError):
     """Raised when an input exceeds the configured brute-force bound."""
 
 
-def _clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
+def clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
+    """Encode each clause or term as ``(pos, neg)``: bit ``bit_of[v]`` of
+    ``pos`` is set for a literal v, of ``neg`` for a literal -v."""
     masks = []
     for clause in clauses:
         pos = neg = 0
@@ -41,13 +48,19 @@ def _clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
     return masks
 
 
+def some_term_holds(assignment: int, term_masks) -> bool:
+    """True iff the assignment (bit i holds variable i's value) satisfies
+    some ``(pos, neg)``-encoded term."""
+    return any(assignment & pos == pos and assignment & neg == 0 for pos, neg in term_masks)
+
+
 def eval_qbf(
     instance: QbfInstance,
     partial: Assignment | None = None,
     *,
     var_bound: int = DEFAULT_VARIABLE_BOUND,
 ) -> bool:
-    """Evaluate a prenex QBF by exhaustive game-tree search.
+    """Evaluate a prenex QBF by pruned game-tree search.
 
     ``partial`` may pre-assign an outermost stretch of the prefix (every
     assigned variable must precede every unassigned one); the game is then
@@ -78,6 +91,7 @@ def eval_qbf(
         )
 
     bit_of = {var: i for i, (var, _) in enumerate(remaining)}
+    # Not clause_masks: folding `partial` in this same pass keeps verify faster.
     clauses: list[tuple[int, int]] = []
     for clause in instance.matrix.clauses:
         pos = neg = 0
@@ -102,6 +116,8 @@ def eval_qbf(
 
 
 def _game(clauses: list[tuple[int, int]], quantifiers: list[str], index: int) -> bool:
+    """Play the QBF game on mask-encoded clauses from bit ``index`` onwards;
+    ``quantifiers[i]`` quantifies bit i.  No clause may be empty."""
     if not clauses:
         return True
     occupied = 0
@@ -144,21 +160,8 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
         raise OracleLimitError(f"{n} variables exceed the brute-force bound {var_bound}")
     if any(not term for term in formula.terms):
         return True
-    term_masks = []
-    for term in formula.terms:
-        pos = neg = 0
-        for lit in term:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
-            else:
-                neg |= 1 << (-lit - 1)
-        term_masks.append((pos, neg))
-    for assignment in range(1 << n):
-        if not any(
-            assignment & pos == pos and assignment & neg == 0 for pos, neg in term_masks
-        ):
-            return False
-    return True
+    term_masks = clause_masks(formula.terms, {var: var - 1 for var in range(1, n + 1)})
+    return all(some_term_holds(assignment, term_masks) for assignment in range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -279,22 +282,11 @@ def check_equivalence(
         def evaluate(sigma):
             return eval_qbf(phi, sigma, var_bound=var_bound)
 
-    term_masks = []
-    for term in psi.terms:
-        pos = neg = 0
-        for lit in term:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
-            else:
-                neg |= 1 << (-lit - 1)
-        term_masks.append((pos, neg))
-
+    term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
     mismatched: list[dict[int, bool]] = []
     mismatch_count = 0
     for encoding in range(1 << n):
-        psi_true = any(
-            encoding & pos == pos and encoding & neg == 0 for pos, neg in term_masks
-        )
+        psi_true = some_term_holds(encoding, term_masks)
         sigma = {x_ids[i]: bool(encoding >> i & 1) for i in range(n)}
         phi_true = evaluate(sigma)
         if psi_true != phi_true:

@@ -31,6 +31,7 @@ from .formulas import (
     normalize_prefix,
     split_clause_to_arity,
 )
+from .oracle import clause_masks, some_term_holds
 
 
 class ReductionError(ValueError):
@@ -264,24 +265,11 @@ def _base_case(terms, universe, ids, level):
     """Brute-force conversion: one clause per falsifying assignment, split to
     arity 4 with fresh innermost existential variables."""
     n = len(universe)
-    position = {var: i for i, var in enumerate(universe)}
-    term_masks = []
-    for term in terms:
-        pos = neg = 0
-        for lit in term:
-            if lit > 0:
-                pos |= 1 << position[lit]
-            else:
-                neg |= 1 << position[-lit]
-        term_masks.append((pos, neg))
-
+    term_masks = clause_masks(terms, {var: i for i, var in enumerate(universe)})
     clauses: list[Clause] = []
     fresh: list[int] = []
     for assignment in range(1 << n):
-        satisfied = any(
-            assignment & pos == pos and assignment & neg == 0 for pos, neg in term_masks
-        )
-        if satisfied:
+        if some_term_holds(assignment, term_masks):
             continue
         long_clause = frozenset(
             var if not assignment >> i & 1 else -var for i, var in enumerate(universe)

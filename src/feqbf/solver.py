@@ -13,7 +13,6 @@ bounds the recursion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .formulas import (
@@ -26,7 +25,11 @@ from .formulas import (
     is_tautological,
     literal_sort_key,
 )
-from .oracle import DEFAULT_VARIABLE_BOUND, eval_qbf
+from .oracle import _game, clause_masks, eval_qbf
+
+
+class SolverInvariantError(RuntimeError):
+    """Raised when the search breaks a property its correctness rests on."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,6 @@ class HittingSet:
 class SolverConfig:
     threshold_override: float | None = None
     small_k_cutoff: int = 2
-    parallel_branching: bool = False
-    oracle_var_bound: int = DEFAULT_VARIABLE_BOUND
 
     def __post_init__(self) -> None:
         if self.small_k_cutoff < 1:
@@ -70,11 +71,15 @@ class SolverConfig:
 
 @dataclass
 class SolverStats:
+    """Run statistics.  ``d`` is the arity of the matrix left by ``preprocess``
+    (at least 1), or 0 when a false certificate decided the run."""
+
     leaves: int = 0
     max_depth: int = 0
     branches: int = 0
     weight_trace: tuple[int, ...] = ()
     base_case_hits: int = 0
+    d: int = 0
 
 
 STATS_CSV_COLUMNS = (
@@ -191,24 +196,14 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
 
 
 def sat_check_core(core_matrix: CnfMatrix, existential_vars) -> bool:
-    """Exhaustive 2^k satisfiability check over the existential variables."""
-    variables = tuple(existential_vars)
-    bit_of = {v: i for i, v in enumerate(variables)}
-    masks = []
-    for clause in core_matrix.clauses:
-        if not clause:
-            return False
-        pos = neg = 0
-        for lit in clause:
-            if lit > 0:
-                pos |= 1 << bit_of[lit]
-            else:
-                neg |= 1 << bit_of[-lit]
-        masks.append((pos, neg))
-    for assignment in range(1 << len(variables)):
-        if all((assignment & pos) != 0 or (neg & ~assignment) != 0 for pos, neg in masks):
-            return True
-    return False
+    """Satisfiability of the core matrix over the existential variables,
+    decided by the oracle's backtracking engine with every variable
+    existential."""
+    bit_of = {v: i for i, v in enumerate(existential_vars)}
+    masks = clause_masks(core_matrix.clauses, bit_of)
+    if (0, 0) in masks:
+        return False  # an empty clause; the engine requires none
+    return _game(masks, [EXISTS] * len(bit_of), 0)
 
 
 def weight(matrix: CnfMatrix, existential_vars: frozenset[int]) -> int:
@@ -221,20 +216,21 @@ def weight(matrix: CnfMatrix, existential_vars: frozenset[int]) -> int:
 class _Search:
     """One solver run: fixed threshold and variable split, accumulated stats."""
 
-    def __init__(self, existential: tuple[int, ...], x_threshold: float, parallel: bool):
+    def __init__(self, existential: tuple[int, ...], x_threshold: float):
         self.existential = existential
         self.e_set = frozenset(existential)
         self.x_threshold = x_threshold
-        self.parallel = parallel
         self.stats = SolverStats()
         self._trace: list[int] = []
         self._best_trace: tuple[int, ...] = ()
 
     def decide(self, matrix: CnfMatrix, depth: int) -> bool:
         groups = partition_groups(matrix, self.e_set)
-        assert frozenset() not in groups, "universal-only clause reached the recursion"
+        if frozenset() in groups:
+            raise SolverInvariantError("universal-only clause reached the recursion")
         w = sum(max(len(p) for p in entry.parts) for entry in groups.values())
-        assert not self._trace or w < self._trace[-1], "weight failed to decrease"
+        if self._trace and w >= self._trace[-1]:
+            raise SolverInvariantError("weight failed to decrease")
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
@@ -246,10 +242,11 @@ class _Search:
                     continue
                 found = greedy_disjoint(entry.parts, self.x_threshold)
                 if isinstance(found, HittingSet):
-                    assert all(
+                    if not all(
                         any(abs(lit) in found.variables for lit in part)
                         for part in entry.parts
-                    ), "hitting set misses a universal part"
+                    ):
+                        raise SolverInvariantError("hitting set misses a universal part")
                     return self._branch(matrix, found.variables, depth)
             return self._base_case(matrix)
         finally:
@@ -257,37 +254,12 @@ class _Search:
 
     def _branch(self, matrix: CnfMatrix, hitting: frozenset[int], depth: int) -> bool:
         variables = sorted(hitting)
-        if self.parallel and depth == 0:
-            return self._branch_parallel(matrix, variables, depth)
         for encoding in range(1 << len(variables)):
             sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(variables)}
             self.stats.branches += 1
             if not self.decide(apply_assignment_cnf(matrix, sigma), depth + 1):
                 return False
         return True
-
-    def _branch_parallel(self, matrix: CnfMatrix, variables: list[int], depth: int) -> bool:
-        # All siblings are evaluated (no short-circuit) so the result and the
-        # aggregated counters are independent of the schedule.
-        searches = []
-        jobs = []
-        for encoding in range(1 << len(variables)):
-            sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(variables)}
-            sub = _Search(self.existential, self.x_threshold, parallel=False)
-            sub._trace = list(self._trace)
-            searches.append(sub)
-            jobs.append((sub, apply_assignment_cnf(matrix, sigma)))
-        with ThreadPoolExecutor() as pool:
-            futures = [pool.submit(sub.decide, child, depth + 1) for sub, child in jobs]
-            outcomes = [f.result() for f in futures]
-        for sub in searches:
-            self.stats.branches += 1 + sub.stats.branches
-            self.stats.leaves += sub.stats.leaves
-            self.stats.base_case_hits += sub.stats.base_case_hits
-            self.stats.max_depth = max(self.stats.max_depth, sub.stats.max_depth)
-            if len(sub._best_trace) > len(self._best_trace):
-                self._best_trace = sub._best_trace
-        return all(outcomes)
 
     def _base_case(self, matrix: CnfMatrix) -> bool:
         self.stats.base_case_hits += 1
@@ -297,33 +269,35 @@ class _Search:
         return sat_check_core(core_projection(matrix, self.e_set), self.existential)
 
 
+def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
+    """log2 of the bound d^2 * X * k^(d-1) on the search tree's leaf count."""
+    return d * d * x_threshold * k ** (d - 1)
+
+
 def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bool, SolverStats]:
     """Decide a forall-exists QBF; returns the truth value and run statistics."""
     cfg = config or SolverConfig()
-    outcome = preprocess(instance)
-    stats = SolverStats()
-    if isinstance(outcome, FalseCertificate):
-        stats.leaves = 1
-        return False, stats
-    prepared = outcome
+    prepared = preprocess(instance)
+    if isinstance(prepared, FalseCertificate):
+        return False, SolverStats(leaves=1)
     _, existential = ae_blocks(prepared)
     k = len(existential)
-    if k <= cfg.small_k_cutoff:
-        stats.leaves = 1
-        return eval_qbf(prepared, var_bound=cfg.oracle_var_bound), stats
     d = max(prepared.matrix.max_arity(), 1)
+    if k <= cfg.small_k_cutoff:
+        return eval_qbf(prepared), SolverStats(d=d, leaves=1)
     if cfg.threshold_override is not None:
         x_threshold = cfg.threshold_override
     else:
         x_threshold = threshold(k, d)
-    search = _Search(existential, x_threshold, cfg.parallel_branching)
+    search = _Search(existential, x_threshold)
     result = search.decide(prepared.matrix, depth=0)
     stats = search.stats
     stats.weight_trace = search._best_trace
-    assert stats.max_depth <= d * k ** (d - 1), "recursion exceeded the initial weight bound"
-    assert math.log2(max(stats.leaves, 1)) <= d * d * x_threshold * k ** (d - 1) + 1e-9, (
-        "leaf count exceeded the recursion-tree bound"
-    )
+    stats.d = d
+    if stats.max_depth > d * k ** (d - 1):
+        raise SolverInvariantError("recursion exceeded the initial weight bound")
+    if math.log2(max(stats.leaves, 1)) > leaf_bound_log2(k, d, x_threshold) + 1e-9:
+        raise SolverInvariantError("leaf count exceeded the recursion-tree bound")
     return result, stats
 
 

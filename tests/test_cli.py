@@ -51,6 +51,19 @@ class TestSolveCommand:
         assert lines[0].startswith("instance_id,k,d,result")
         assert lines[1].startswith("t,1,2,TRUE")
 
+    def test_stats_report_arity_after_preprocess(self, workdir):
+        # The width-6 tautology is dropped by preprocess, leaving arity 2.
+        text = "p cnf 6 2\na 1 2 3 4 0\ne 5 6 0\n1 -1 2 3 4 5 0\n1 5 0\n"
+        path = write(workdir / "t.qdimacs", text)
+        stats = workdir / "stats.csv"
+        assert main(["solve", path, "--stats-csv", str(stats)]) == 10
+        assert stats.read_text().splitlines()[1].startswith("t,2,2,TRUE")
+        bench = workdir / "bench.csv"
+        assert main(["bench", "--corpus", str(workdir), "--out", str(bench)]) == 0
+        fields = bench.read_text().splitlines()[1].split(",")
+        assert fields[:3] == ["t", "2", "2"]
+        assert float(fields[-1]) == pytest.approx(4 * (4 * 2 * math.log(2)) * 2, abs=1e-3)
+
 
 class TestOracleCommand:
     def test_false_instance(self, workdir, capsys):

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from feqbf.solver import (
     FalseCertificate,
     HittingSet,
     SolverConfig,
+    SolverInvariantError,
     core_projection,
     greedy_disjoint,
     partition_groups,
@@ -28,7 +33,7 @@ from feqbf.solver import (
     threshold,
     weight,
 )
-from oracle_helpers import cnf_satisfiable
+from oracle_helpers import cnf_satisfiable, qbf_eval_reference
 
 
 def F(*lits):
@@ -158,6 +163,11 @@ class TestSatCheckCore:
     def test_empty_clause(self):
         assert sat_check_core(CnfMatrix((F(),), 1), (1,)) is False
 
+    def test_early_conflict_beyond_enumeration(self):
+        # 2^40 assignments are out of reach; the conflict on x1 is found at once.
+        clauses = [F(v) for v in range(1, 40)] + [F(-1)]
+        assert sat_check_core(CnfMatrix(tuple(clauses), 40), tuple(range(1, 41))) is False
+
     def test_matches_brute_force_on_random_cnf(self):
         rng = random.Random(17)
         for _ in range(40):
@@ -271,12 +281,25 @@ class TestSolve:
         assert stats.leaves == 1
         assert stats.branches == 0
 
-    def test_parallel_matches_sequential(self):
-        rng = random.Random(29)
-        for instance in corpus(rng, 15, arity=3, max_universal=5, max_clauses=10):
-            sequential, _ = solve(instance)
-            parallel, _ = solve(instance, SolverConfig(parallel_branching=True))
-            assert sequential == parallel
+    def test_agrees_with_reference_on_core_instances(self):
+        # Every clause keeps an existential literal, so preprocess passes each
+        # instance to the search; the reference shares no code with the solver.
+        rng = random.Random(31)
+        leaves = 0
+        for _ in range(60):
+            n, k = rng.randint(1, 4), rng.randint(3, 5)
+            clauses = []
+            for _ in range(rng.randint(1, 10)):
+                width = rng.randint(1, 3)
+                vars_ = [rng.randint(n + 1, n + k)]
+                vars_ += rng.sample([v for v in range(1, n + k + 1) if v != vars_[0]], width - 1)
+                clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
+            instance = make([(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))],
+                            clauses, n + k)
+            result, stats = solve(instance)
+            assert result == qbf_eval_reference(instance), emit_failure(instance)
+            leaves += stats.leaves
+        assert leaves > 60
 
     def test_empty_matrix_is_true(self):
         instance = make([(FORALL, (1,)), (EXISTS, (2, 3, 4))], [], 4)
@@ -286,6 +309,32 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(small_k_cutoff=0)
+
+
+class TestInvariants:
+    def test_hitting_set_missing_a_part_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            "feqbf.solver.greedy_disjoint",
+            lambda parts, x_threshold: HittingSet(frozenset()),
+        )
+        # One group (core x2) whose universal parts {x1} and {-x1} need a hitting set.
+        instance = make([(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1)], 4)
+        with pytest.raises(SolverInvariantError, match="hitting set misses a universal part"):
+            solve(instance)
+
+    def test_hitting_set_check_survives_optimized_mode(self):
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestInvariants::test_hitting_set_missing_a_part_raises"],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stdout + completed.stderr
+        assert "1 passed" in completed.stdout
 
 
 def emit_failure(instance):
