@@ -8,6 +8,10 @@ some group admits a small hitting set of universal variables and the solver
 branches over all of its assignments.  A weight measure (the sum over groups
 of the largest universal part) strictly decreases along every branch, which
 bounds the recursion.
+
+The search branches on universal variables only, so no core ever changes:
+the partition is computed once, at the root, and each branch restricts the
+universal parts of its parent's groups (``restrict_groups``).
 """
 
 from __future__ import annotations
@@ -18,14 +22,17 @@ from dataclasses import dataclass
 from .formulas import (
     EXISTS,
     FORALL,
+    Assignment,
     Clause,
     CnfMatrix,
     QbfInstance,
-    apply_assignment_cnf,
+    apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps solver.apply_assignment_cnf
     is_tautological,
     literal_sort_key,
 )
 from .oracle import _game, clause_masks, eval_qbf
+
+Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 
 
 class SolverInvariantError(RuntimeError):
@@ -38,15 +45,6 @@ class FalseCertificate:
     it, so the instance is False without any search."""
 
     clause: Clause
-
-
-@dataclass(frozen=True)
-class GroupEntry:
-    """One group of the clause partition: the clauses sharing an existential
-    core, plus their deduplicated universal parts."""
-
-    clause_indices: tuple[int, ...]
-    parts: tuple[Clause, ...]
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,20 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.small_k_cutoff < 1:
             raise ValueError("small_k_cutoff must be at least 1")
+        override = self.threshold_override
+        if override is not None and not (math.isfinite(override) and override >= 1):
+            raise ValueError(f"threshold_override must be finite and at least 1, got {override}")
 
 
 @dataclass
 class SolverStats:
     """Run statistics.  ``d`` is the arity of the matrix left by ``preprocess``
-    (at least 1), or 0 when a false certificate decided the run."""
+    (at least 1), or 0 when a false certificate decided the run.
+    ``weight0_leaves`` counts the search leaves of weight 0, where every
+    clause left is all-existential."""
 
     leaves: int = 0
+    weight0_leaves: int = 0
     max_depth: int = 0
     branches: int = 0
     weight_trace: tuple[int, ...] = ()
@@ -129,29 +133,36 @@ def _core_key(core: Clause) -> tuple[tuple[int, bool], ...]:
     return tuple(sorted(literal_sort_key(lit) for lit in core))
 
 
-def partition_groups(
-    matrix: CnfMatrix, existential_vars: frozenset[int]
-) -> dict[Clause, GroupEntry]:
-    """Partition clauses by existential core; universal parts are deduplicated
-    in first-occurrence order.  A purely existential clause contributes the
-    empty universal part."""
-    indices: dict[Clause, list[int]] = {}
-    parts: dict[Clause, list[Clause]] = {}
-    seen: dict[Clause, set[Clause]] = {}
-    for idx, clause in enumerate(matrix.clauses):
+def partition_groups(matrix: CnfMatrix, existential_vars: frozenset[int]) -> Groups:
+    """Map each existential core to the universal parts of its clauses.  Cores
+    and the deduplicated parts keep first-occurrence order.  A purely
+    existential clause contributes the empty universal part."""
+    parts: dict[Clause, dict[Clause, None]] = {}
+    for clause in matrix.clauses:
         core = frozenset(lit for lit in clause if abs(lit) in existential_vars)
-        part = frozenset(lit for lit in clause if abs(lit) not in existential_vars)
-        if core not in indices:
-            indices[core] = []
-            parts[core] = []
-            seen[core] = set()
-        indices[core].append(idx)
-        if part not in seen[core]:
-            seen[core].add(part)
-            parts[core].append(part)
-    return {
-        core: GroupEntry(tuple(indices[core]), tuple(parts[core])) for core in indices
-    }
+        parts.setdefault(core, {})[clause - core] = None
+    return {core: tuple(seen) for core, seen in parts.items()}
+
+
+def restrict_groups(groups: Groups, sigma: Assignment) -> Groups:
+    """The partition of the matrix simplified under ``sigma``, an assignment to
+    universal variables: satisfied parts are dropped, falsified literals
+    removed from the others, parts deduplicated in order, and a group left
+    without parts dropped.  Cores are untouched, so groups keep their order."""
+    true_lits = {v if value else -v for v, value in sigma.items()}
+    false_lits = {-lit for lit in true_lits}
+    restricted = {}
+    for core, parts in groups.items():
+        kept = dict.fromkeys(part - false_lits for part in parts if part.isdisjoint(true_lits))
+        if kept:
+            restricted[core] = tuple(kept)
+    return restricted
+
+
+def group_weight(groups: Groups) -> int:
+    """Sum over groups of the largest universal part; the solver's strictly
+    decreasing progress measure."""
+    return sum(max(len(p) for p in parts) for parts in groups.values())
 
 
 def threshold(k: int, d: int) -> float:
@@ -185,14 +196,7 @@ def greedy_disjoint(parts, x_threshold: float) -> DisjointFamily | HittingSet:
 def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfMatrix:
     """Replace every clause by its existential core, keeping one copy of each
     resulting clause (first-occurrence order)."""
-    seen: set[Clause] = set()
-    projected = []
-    for clause in matrix.clauses:
-        core = frozenset(lit for lit in clause if abs(lit) in existential_vars)
-        if core not in seen:
-            seen.add(core)
-            projected.append(core)
-    return CnfMatrix(tuple(projected), matrix.num_vars)
+    return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
 
 
 def sat_check_core(core_matrix: CnfMatrix, existential_vars) -> bool:
@@ -207,66 +211,65 @@ def sat_check_core(core_matrix: CnfMatrix, existential_vars) -> bool:
 
 
 def weight(matrix: CnfMatrix, existential_vars: frozenset[int]) -> int:
-    """Sum over groups of the largest universal part; the solver's strictly
-    decreasing progress measure."""
-    groups = partition_groups(matrix, existential_vars)
-    return sum(max(len(p) for p in entry.parts) for entry in groups.values())
+    """``group_weight`` of the matrix's partition."""
+    return group_weight(partition_groups(matrix, existential_vars))
 
 
 class _Search:
-    """One solver run: fixed threshold and variable split, accumulated stats."""
+    """One solver run: fixed threshold and variable split, accumulated stats.
+    A node is the clause partition, ordered by core once at the root."""
 
-    def __init__(self, existential: tuple[int, ...], x_threshold: float):
+    def __init__(self, existential: tuple[int, ...], num_vars: int, x_threshold: float):
         self.existential = existential
-        self.e_set = frozenset(existential)
+        self.num_vars = num_vars
         self.x_threshold = x_threshold
         self.stats = SolverStats()
         self._trace: list[int] = []
         self._best_trace: tuple[int, ...] = ()
 
-    def decide(self, matrix: CnfMatrix, depth: int) -> bool:
-        groups = partition_groups(matrix, self.e_set)
+    def decide(self, groups: Groups, depth: int) -> bool:
         if frozenset() in groups:
             raise SolverInvariantError("universal-only clause reached the recursion")
-        w = sum(max(len(p) for p in entry.parts) for entry in groups.values())
+        w = group_weight(groups)
         if self._trace and w >= self._trace[-1]:
             raise SolverInvariantError("weight failed to decrease")
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
-            for core in sorted(groups, key=_core_key):
-                entry = groups[core]
-                if any(not part for part in entry.parts):
+            for parts in groups.values():
+                if any(not part for part in parts):
                     # The bare core survives every universal assignment, so the
                     # group needs no disjoint family and cannot be hit.
                     continue
-                found = greedy_disjoint(entry.parts, self.x_threshold)
+                found = greedy_disjoint(parts, self.x_threshold)
                 if isinstance(found, HittingSet):
                     if not all(
-                        any(abs(lit) in found.variables for lit in part)
-                        for part in entry.parts
+                        any(abs(lit) in found.variables for lit in part) for part in parts
                     ):
                         raise SolverInvariantError("hitting set misses a universal part")
-                    return self._branch(matrix, found.variables, depth)
-            return self._base_case(matrix)
+                    return self._branch(groups, found.variables, depth)
+            return self._base_case(groups, w)
         finally:
             self._trace.pop()
 
-    def _branch(self, matrix: CnfMatrix, hitting: frozenset[int], depth: int) -> bool:
+    def _branch(self, groups: Groups, hitting: frozenset[int], depth: int) -> bool:
         variables = sorted(hitting)
         for encoding in range(1 << len(variables)):
             sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(variables)}
             self.stats.branches += 1
-            if not self.decide(apply_assignment_cnf(matrix, sigma), depth + 1):
+            if not self.decide(restrict_groups(groups, sigma), depth + 1):
                 return False
         return True
 
-    def _base_case(self, matrix: CnfMatrix) -> bool:
+    def _base_case(self, groups: Groups, w: int) -> bool:
         self.stats.base_case_hits += 1
         self.stats.leaves += 1
+        if w == 0:
+            self.stats.weight0_leaves += 1
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
-        return sat_check_core(core_projection(matrix, self.e_set), self.existential)
+        # The cores are the core projection of the restricted matrix.
+        return sat_check_core(CnfMatrix(tuple(groups), self.num_vars), self.existential)
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -289,8 +292,9 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
         x_threshold = cfg.threshold_override
     else:
         x_threshold = threshold(k, d)
-    search = _Search(existential, x_threshold)
-    result = search.decide(prepared.matrix, depth=0)
+    groups = partition_groups(prepared.matrix, frozenset(existential))
+    search = _Search(existential, prepared.matrix.num_vars, x_threshold)
+    result = search.decide({core: groups[core] for core in sorted(groups, key=_core_key)}, 0)
     stats = search.stats
     stats.weight_trace = search._best_trace
     stats.d = d

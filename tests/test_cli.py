@@ -43,6 +43,12 @@ class TestSolveCommand:
     def test_missing_file_errors(self):
         assert main(["solve", "/nonexistent/file.qdimacs"]) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    def test_bad_threshold_override_errors(self, workdir, capsys, value):
+        path = write(workdir / "t.qdimacs", TRUE_INSTANCE)
+        assert main(["solve", path, "--threshold-override", value]) == 1
+        assert "error: threshold_override" in capsys.readouterr().err
+
     def test_stats_csv_written(self, workdir):
         path = write(workdir / "t.qdimacs", TRUE_INSTANCE)
         out = workdir / "stats.csv"

@@ -12,6 +12,7 @@ from feqbf.formulas import (
     EXISTS,
     FORALL,
     QbfInstance,
+    apply_assignment_cnf,
     normalize_prefix,
 )
 from feqbf.generate import random_forall_exists
@@ -26,6 +27,7 @@ from feqbf.solver import (
     greedy_disjoint,
     partition_groups,
     preprocess,
+    restrict_groups,
     sat_check_core,
     solve,
     stats_csv_header,
@@ -77,21 +79,52 @@ class TestPartitionGroups:
         # existential x1 is variable 3; universals y1=1, y2=2
         matrix = CnfMatrix((F(3, 1), F(3, -2), F(-3, 1)), 3)
         groups = partition_groups(matrix, frozenset({3}))
-        assert groups[F(3)].clause_indices == (0, 1)
-        assert groups[F(3)].parts == (F(1), F(-2))
-        assert groups[F(-3)].clause_indices == (2,)
-        assert groups[F(-3)].parts == (F(1),)
+        assert groups[F(3)] == (F(1), F(-2))
+        assert groups[F(-3)] == (F(1),)
 
     def test_purely_existential_clause_has_empty_part(self):
         matrix = CnfMatrix((F(1, 2),), 2)
         groups = partition_groups(matrix, frozenset({1, 2}))
-        assert groups[F(1, 2)].parts == (F(),)
+        assert groups[F(1, 2)] == (F(),)
 
     def test_duplicate_universal_parts_collapse(self):
         matrix = CnfMatrix((F(3, 1), F(3, 1)), 3)
         groups = partition_groups(matrix, frozenset({3}))
-        assert groups[F(3)].clause_indices == (0, 1)
-        assert groups[F(3)].parts == (F(1),)
+        assert groups[F(3)] == (F(1),)
+
+
+def core_matrix(rng, n, k):
+    """A random matrix over universals 1..n and existentials n+1..n+k in which
+    every clause has an existential literal."""
+    clauses = []
+    for _ in range(rng.randint(1, 12)):
+        vars_ = [rng.randint(n + 1, n + k)]
+        others = [v for v in range(1, n + k + 1) if v != vars_[0]]
+        vars_ += rng.sample(others, rng.randint(0, min(2, len(others))))
+        clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
+    return CnfMatrix(tuple(clauses), n + k)
+
+
+class TestRestrictGroups:
+    def test_matches_partition_of_simplified_matrix(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            n, k = rng.randint(1, 5), rng.randint(1, 3)
+            matrix = core_matrix(rng, n, k)
+            existential = frozenset(range(n + 1, n + k + 1))
+            sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            groups = partition_groups(matrix, existential)
+            restricted = restrict_groups(groups, sigma)
+            expected = partition_groups(apply_assignment_cnf(matrix, sigma), existential)
+            # Same groups with the same parts in the same order; the groups
+            # keep the order they had before the restriction.
+            assert restricted == expected
+            assert list(restricted) == [core for core in groups if core in expected]
+
+    def test_drops_satisfied_groups_and_falsified_literals(self):
+        groups = {F(5): (F(1, 2), F(-1, 3), F(3)), F(6): (F(1),)}
+        assert restrict_groups(groups, {1: True}) == {F(5): (F(3),)}
+        assert restrict_groups(groups, {1: False}) == {F(5): (F(2), F(3)), F(6): (F(),)}
 
 
 class TestThreshold:
@@ -309,6 +342,28 @@ class TestSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(small_k_cutoff=0)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 0.5, math.inf, math.nan])
+    def test_rejects_bad_threshold_override(self, value):
+        with pytest.raises(ValueError, match="threshold_override"):
+            SolverConfig(threshold_override=value)
+
+    @pytest.mark.parametrize("value", [None, 1.0, 17.5])
+    def test_accepts_threshold_override(self, value):
+        assert SolverConfig(threshold_override=value).threshold_override == value
+
+    def test_counts_weight0_leaves(self):
+        # Branching on y1 (core x1 has parts {y1}, {-y1}): y1 = True satisfies
+        # both parts of core x2 and leaves weight 0; y1 = False leaves core x2
+        # the disjoint parts {y2}, {y3}, which collapse at threshold 2.
+        instance = make(
+            [(FORALL, (1, 2, 3)), (EXISTS, (4, 5, 6))],
+            [F(4, 1), F(4, -1), F(5, 1, 2), F(5, 1, 3)],
+            6,
+        )
+        result, stats = solve(instance, SolverConfig(threshold_override=2.0))
+        assert result is True
+        assert (stats.branches, stats.leaves, stats.weight0_leaves) == (2, 2, 1)
 
 
 class TestInvariants:
