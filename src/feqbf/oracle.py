@@ -1,14 +1,15 @@
 """Ground-truth evaluation of QBF and DNF validity.
 
-Clauses and terms are encoded as ``(pos, neg)`` bitmasks, as defined by
-``clause_masks``.  QBF is decided by a pruned backtracking engine over that
-encoding: it skips variables absent from the matrix and abandons a branch as
-soon as a clause is falsified.  The solver's core SAT check runs the same
-engine with every variable existential.  DNF validity is decided by
-enumerating all assignments.  The tests check both against the unpruned
-dictionary-based evaluators in ``tests/oracle_helpers.py``.  A configurable
-variable bound turns oversized inputs into errors rather than silently
-approximating.
+Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
+the package's only such encoder.  ``eval_qbf``, ``check_equivalence`` and the
+solver's core SAT check encode a matrix once, fix an outermost stretch of its
+bits (``_play``) and play the QBF game on the rest: backtracking with unit
+propagation (Davis, Logemann and Loveland, 1962).  A clause reduced to one
+existential literal forces it; one reduced to a universal literal is False,
+as the universal player falsifies it.  DNF validity is decided by enumerating
+all assignments.  The tests check both against the unpruned evaluators in
+``tests/oracle_helpers.py``.  A configurable variable bound turns oversized
+inputs into errors rather than silently approximating.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .formulas import (
     Assignment,
     DnfFormula,
     QbfInstance,
-    apply_assignment_cnf,
-    normalize_prefix,
+    apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps oracle.apply_assignment_cnf
 )
 
 DEFAULT_VARIABLE_BOUND = 24
@@ -60,7 +60,7 @@ def eval_qbf(
     *,
     var_bound: int = DEFAULT_VARIABLE_BOUND,
 ) -> bool:
-    """Evaluate a prenex QBF by pruned game-tree search.
+    """Evaluate a prenex QBF by game-tree search with unit propagation.
 
     ``partial`` may pre-assign an outermost stretch of the prefix (every
     assigned variable must precede every unassigned one); the game is then
@@ -90,66 +90,83 @@ def eval_qbf(
             f"{len(remaining)} unassigned variables exceed the brute-force bound {var_bound}"
         )
 
-    bit_of = {var: i for i, (var, _) in enumerate(remaining)}
-    # Not clause_masks: folding `partial` in this same pass keeps verify faster.
-    clauses: list[tuple[int, int]] = []
-    for clause in instance.matrix.clauses:
-        pos = neg = 0
-        satisfied = False
-        for lit in clause:
-            var = abs(lit)
-            if var in partial:
-                if partial[var] == (lit > 0):
-                    satisfied = True
-                    break
-            elif lit > 0:
-                pos |= 1 << bit_of[var]
-            else:
-                neg |= 1 << bit_of[var]
-        if satisfied:
-            continue
-        if pos == 0 and neg == 0:
+    # The assigned variables come first in the prefix, so they take the low bits.
+    bit_of = {var: i for i, (var, _) in enumerate(sequence)}
+    masks = clause_masks(instance.matrix.clauses, bit_of)
+    fixed = sum(1 << bit_of[var] for var, value in partial.items() if value)
+    return _play(masks, _universal_mask(q for _, q in sequence), len(partial), fixed)
+
+
+def _universal_mask(quantifiers) -> int:
+    """The bits quantified universally, given each bit's quantifier in order."""
+    return sum(1 << i for i, q in enumerate(quantifiers) if q == FORALL)
+
+
+def _play(masks, universal: int, shift: int, fixed: int) -> bool:
+    """Fix bits ``0..shift-1`` to those of ``fixed`` (which has no higher bit),
+    then play the QBF game on the rest; the bits set in ``universal`` are
+    universal, the others existential.  An emptied clause, even one empty
+    from the start, makes the result False."""
+    clauses = _assign_bits(masks, (1 << shift) - 1, fixed)
+    return clauses is not None and _game(clauses, universal, shift)
+
+
+def _game(clauses: list[tuple[int, int]], universal: int, index: int) -> bool:
+    """Play the QBF game on mask-encoded clauses from bit ``index`` onwards.
+    No clause may be empty.
+
+    Unit clauses are propagated first.  A unit's value is forced in the whole
+    subtree whatever its depth in the prefix: the existential player must make
+    it true, and the universal player makes it false and wins.  A tautology
+    over one variable, x | -x, is not a unit; branching on x drops it."""
+    while True:
+        if not clauses:
+            return True
+        occupied = true_units = false_units = 0
+        for pos, neg in clauses:
+            lits = pos | neg
+            occupied |= lits
+            if not lits & (lits - 1) and not pos & neg:
+                true_units |= pos
+                false_units |= neg
+        units = true_units | false_units
+        if not units:
+            break
+        if units & universal:
             return False
-        clauses.append((pos, neg))
-    quantifiers = [q for _, q in remaining]
-    return _game(clauses, quantifiers, 0)
-
-
-def _game(clauses: list[tuple[int, int]], quantifiers: list[str], index: int) -> bool:
-    """Play the QBF game on mask-encoded clauses from bit ``index`` onwards;
-    ``quantifiers[i]`` quantifies bit i.  No clause may be empty."""
-    if not clauses:
-        return True
-    occupied = 0
-    for pos, neg in clauses:
-        occupied |= pos | neg
-    while index < len(quantifiers) and not (occupied >> index) & 1:
+        # Units x and -x together leave an emptied clause, hence None.
+        clauses = _assign_bits(clauses, units, true_units)
+        if clauses is None:
+            return False
+    while not (occupied >> index) & 1:
         index += 1  # variable absent from the matrix: both branches coincide
     bit = 1 << index
-    first = _assign_bit(clauses, bit, False)
-    if quantifiers[index] == FORALL:
-        if first is None or not _game(first, quantifiers, index + 1):
+    first = _assign_bits(clauses, bit, 0)
+    if universal & bit:
+        if first is None or not _game(first, universal, index + 1):
             return False
-        second = _assign_bit(clauses, bit, True)
-        return second is not None and _game(second, quantifiers, index + 1)
-    if first is not None and _game(first, quantifiers, index + 1):
+        second = _assign_bits(clauses, bit, bit)
+        return second is not None and _game(second, universal, index + 1)
+    if first is not None and _game(first, universal, index + 1):
         return True
-    second = _assign_bit(clauses, bit, True)
-    return second is not None and _game(second, quantifiers, index + 1)
+    second = _assign_bits(clauses, bit, bit)
+    return second is not None and _game(second, universal, index + 1)
 
 
-def _assign_bit(clauses, bit: int, value: bool):
-    """Simplify mask-encoded clauses; None signals an empty (falsified) clause."""
-    satisfied_mask, falsified_mask = (bit, 0) if value else (0, bit)
+def _assign_bits(clauses, bits: int, true_bits: int):
+    """Simplify mask-encoded clauses under the assignment of ``bits``, those in
+    ``true_bits`` true and the others false; None signals an emptied clause."""
+    false_bits = bits & ~true_bits
+    keep = ~bits
     result = []
     for pos, neg in clauses:
-        if pos & satisfied_mask or neg & falsified_mask:
+        if pos & true_bits or neg & false_bits:
             continue
-        new_pos = pos & ~bit
-        new_neg = neg & ~bit
-        if new_pos == 0 and new_neg == 0:
+        pos &= keep
+        neg &= keep
+        if not pos and not neg:
             return None
-        result.append((new_pos, new_neg))
+        result.append((pos, neg))
     return result
 
 
@@ -253,43 +270,26 @@ def check_equivalence(
                     f"mapped variables {sorted(missing)} are not in the outermost universal block"
                 )
     if mode == "forall_exists":
-        extra_outer = len(phi.prefix[0].vars) - n if phi.prefix else 0
-        suffix_ok = extra_outer == 0 and len(phi.prefix) <= 2
-        if suffix_ok and len(phi.prefix) == 2:
-            suffix_ok = phi.prefix[1].quantifier == EXISTS
-        if not suffix_ok:
+        # Without source variables there is no universal x: all of the prefix is suffix.
+        suffix = [b.quantifier for b in (phi.prefix[1:] if n else phi.prefix)]
+        if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
     remaining = sum(len(b.vars) for b in phi.prefix) - n
     if remaining > var_bound:
         raise OracleLimitError(
             f"{remaining} quantified variables remain after the shared block; bound is {var_bound}"
         )
-    if x_map is not None and tuple(x_map) != phi.prefix[0].vars[: len(x_map)]:
-        # An arbitrary image inside the block breaks the prefix-order rule of
-        # partial evaluation, so strip the mapped variables up front instead.
-        stripped = tuple(v for v in phi.prefix[0].vars if v not in set(x_map))
-        tail_prefix = ((FORALL, stripped),) + tuple(
-            (b.quantifier, b.vars) for b in phi.prefix[1:]
-        )
-
-        def evaluate(sigma):
-            simplified = apply_assignment_cnf(phi.matrix, sigma)
-            reduced = QbfInstance(normalize_prefix(tail_prefix), simplified)
-            return eval_qbf(reduced, var_bound=var_bound)
-
-    else:
-
-        def evaluate(sigma):
-            return eval_qbf(phi, sigma, var_bound=var_bound)
-
+    # The mapped variables take bits 0..n-1.  They all lie in the outermost
+    # universal block, whose variables commute, so this reordering is sound.
+    quantifier_of = {v: b.quantifier for b in phi.prefix for v in b.vars}
+    order = list(x_ids) + [v for v in quantifier_of if v not in x_ids]
+    universal = _universal_mask(quantifier_of[v] for v in order)
+    masks = clause_masks(phi.matrix.clauses, {v: i for i, v in enumerate(order)})
     term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
     mismatched: list[dict[int, bool]] = []
     mismatch_count = 0
     for encoding in range(1 << n):
-        psi_true = some_term_holds(encoding, term_masks)
-        sigma = {x_ids[i]: bool(encoding >> i & 1) for i in range(n)}
-        phi_true = evaluate(sigma)
-        if psi_true != phi_true:
+        if some_term_holds(encoding, term_masks) != _play(masks, universal, n, encoding):
             mismatch_count += 1
             if len(mismatched) < max_mismatches:
                 mismatched.append({i + 1: bool(encoding >> i & 1) for i in range(n)})

@@ -30,7 +30,7 @@ from .formulas import (
     is_tautological,
     literal_sort_key,
 )
-from .oracle import _game, clause_masks, eval_qbf
+from .oracle import _play, clause_masks, eval_qbf
 
 Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 
@@ -201,13 +201,10 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
 
 def sat_check_core(core_matrix: CnfMatrix, existential_vars) -> bool:
     """Satisfiability of the core matrix over the existential variables,
-    decided by the oracle's backtracking engine with every variable
-    existential."""
+    decided by the oracle's engine (backtracking with unit propagation) with
+    every variable existential.  An empty clause makes it False."""
     bit_of = {v: i for i, v in enumerate(existential_vars)}
-    masks = clause_masks(core_matrix.clauses, bit_of)
-    if (0, 0) in masks:
-        return False  # an empty clause; the engine requires none
-    return _game(masks, [EXISTS] * len(bit_of), 0)
+    return _play(clause_masks(core_matrix.clauses, bit_of), 0, 0, 0)
 
 
 def weight(matrix: CnfMatrix, existential_vars: frozenset[int]) -> int:

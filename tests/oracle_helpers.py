@@ -42,17 +42,18 @@ def cnf_satisfiable(clauses, variables):
     return any(cnf_true_under(clauses, sigma) for sigma in all_assignments(variables))
 
 
-def qbf_eval_reference(instance: QbfInstance) -> bool:
-    """Plain game-tree evaluation over assignment dictionaries; no pruning."""
+def qbf_eval_reference(instance: QbfInstance, fixed=None) -> bool:
+    """Plain game-tree evaluation over assignment dictionaries; no pruning.
+    ``fixed`` pins variables to values wherever they sit in the prefix."""
     order = [(v, b.quantifier) for b in instance.prefix for v in b.vars]
+    fixed = fixed or {}
 
     def walk(index: int, sigma: dict) -> bool:
         if index == len(order):
             return cnf_true_under(instance.matrix.clauses, sigma)
         var, quant = order[index]
-        branches = (
-            walk(index + 1, {**sigma, var: value}) for value in (False, True)
-        )
+        values = (fixed[var],) if var in fixed else (False, True)
+        branches = (walk(index + 1, {**sigma, var: value}) for value in values)
         return all(branches) if quant == FORALL else any(branches)
 
     return walk(0, {})

@@ -77,6 +77,13 @@ class TestOracleCommand:
         assert main(["oracle", path]) == 20
         assert capsys.readouterr().out.strip() == "FALSE"
 
+    def test_tautology_is_true(self, workdir, capsys):
+        # The oracle reads the matrix as written, without preprocess.
+        path = write(workdir / "t.qdimacs", "p cnf 2 2\na 1 0\ne 2 0\n1 -1 2 0\n-2 0\n")
+        assert main(["oracle", path]) == 10
+        assert capsys.readouterr().out.strip() == "TRUE"
+        assert main(["solve", path]) == 10
+
     def test_over_bound_errors(self, workdir):
         clauses = "\n".join(f"{v} 0" for v in range(1, 26))
         path = write(workdir / "big.qdimacs", f"p cnf 25 25\n{clauses}\n")

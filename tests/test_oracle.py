@@ -10,6 +10,7 @@ from feqbf.formulas import (
     QbfInstance,
     normalize_prefix,
 )
+from feqbf import oracle
 from feqbf.generate import random_forall_exists
 from feqbf.oracle import (
     OracleLimitError,
@@ -17,7 +18,8 @@ from feqbf.oracle import (
     eval_qbf,
     is_dnf_valid,
 )
-from oracle_helpers import cnf_satisfiable, qbf_eval_reference
+from feqbf.reductions import reduce_dnf_to_fe_dqbf
+from oracle_helpers import cnf_satisfiable, dnf_true_under, qbf_eval_reference
 
 
 def F(*lits):
@@ -28,16 +30,31 @@ def make(prefix, clauses, num_vars):
     return QbfInstance(normalize_prefix(prefix), CnfMatrix(tuple(clauses), num_vars))
 
 
-def random_mixed_qbf(rng, max_vars=9, max_clauses=10):
+def random_clauses(rng, n, count, widths=None, tautologies=0.0):
+    """Random clauses over 1..n.  A width is drawn from ``widths`` (capped at
+    n), or uniformly from 1..min(3, n) without it.  With probability
+    ``tautologies`` a clause also gets the negation of its first literal."""
+    clauses = []
+    for _ in range(count):
+        width = rng.randint(1, min(3, n)) if widths is None else min(rng.choice(widths), n)
+        vars_ = rng.sample(range(1, n + 1), width)
+        clause = [v if rng.random() < 0.5 else -v for v in vars_]
+        if tautologies and rng.random() < tautologies:
+            clause.append(-clause[0])
+        clauses.append(F(*clause))
+    return clauses
+
+
+def random_mixed_qbf(rng, max_vars=9, max_clauses=10, widths=None, tautologies=0.0):
     n = rng.randint(1, max_vars)
     quants = [rng.choice((FORALL, EXISTS)) for _ in range(n)]
-    clauses = []
-    for _ in range(rng.randint(1, max_clauses)):
-        width = rng.randint(1, min(3, n))
-        vars_ = rng.sample(range(1, n + 1), width)
-        clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
+    clauses = random_clauses(rng, n, rng.randint(1, max_clauses), widths, tautologies)
     prefix = normalize_prefix([(q, (v,)) for v, q in zip(range(1, n + 1), quants)])
     return QbfInstance(prefix, CnfMatrix(tuple(clauses), n))
+
+
+# Unit and binary clauses are what propagation acts on.
+UNIT_HEAVY = (1, 1, 2, 2, 2, 3)
 
 
 class TestEvalQbf:
@@ -94,6 +111,30 @@ class TestEvalQbf:
             instance = random_mixed_qbf(rng, max_vars=7)
             assert eval_qbf(instance) == qbf_eval_reference(instance)
 
+    def test_matches_reference_on_unit_heavy_instances(self):
+        rng = random.Random(8)
+        for _ in range(1200):
+            instance = random_mixed_qbf(rng, widths=UNIT_HEAVY, tautologies=0.1)
+            assert eval_qbf(instance) == qbf_eval_reference(instance), instance
+            # Pre-assign an outermost stretch of the prefix.
+            order = instance.prefix_vars()
+            partial = {v: rng.random() < 0.5 for v in order[: rng.randint(0, len(order))]}
+            assert eval_qbf(instance, partial) == qbf_eval_reference(instance, partial), (
+                instance,
+                partial,
+            )
+
+    def test_tautological_clauses_are_satisfied(self):
+        # x | -x holds whoever picks x, and is not a unit clause.
+        assert eval_qbf(make([(FORALL, (1,))], [F(1, -1)], 1)) is True
+        assert eval_qbf(make([(EXISTS, (1,))], [F(1, -1), F(-1)], 1)) is True
+        # Propagating (-2) first leaves 1 | -1 of the wider tautology.
+        wider = make([(EXISTS, (2,)), (FORALL, (1,))], [F(1, -1, 2), F(-2)], 2)
+        assert eval_qbf(wider) is True
+        # So does fixing 2 false in the partial assignment.
+        fixed = make([(FORALL, (2, 1))], [F(1, -1, 2)], 2)
+        assert eval_qbf(fixed, {2: False}) is True
+
     def test_weakening_exists_to_forall_is_antitone(self):
         rng = random.Random(7)
         checked = 0
@@ -111,6 +152,36 @@ class TestEvalQbf:
             if not eval_qbf(instance):
                 assert not eval_qbf(flipped)
             checked += 1
+
+
+class TestUnitPropagation:
+    CHAIN = [F(i, i + 1) for i in range(1, 40)]  # satisfiable in many ways
+
+    @pytest.fixture
+    def limited(self, monkeypatch):
+        """Make more than 1000 assignment passes fail the test."""
+        calls = []
+        original = oracle._assign_bits
+
+        def counting(*args):
+            calls.append(args)
+            if len(calls) > 1000:
+                raise AssertionError("more than 1000 assignment passes")
+            return original(*args)
+
+        monkeypatch.setattr(oracle, "_assign_bits", counting)
+        return calls
+
+    def test_existential_units_refute_without_search(self, limited):
+        clauses = self.CHAIN + [F(41), F(-41, 42), F(-42)]
+        instance = make([(EXISTS, tuple(range(1, 43)))], clauses, 42)
+        assert eval_qbf(instance, var_bound=64) is False
+        assert len(limited) <= 3  # the fixing pass and two rounds of units
+
+    def test_universal_unit_under_outer_existential(self, limited):
+        instance = make([(EXISTS, tuple(range(1, 41))), (FORALL, (41,))], self.CHAIN + [F(41)], 41)
+        assert eval_qbf(instance, var_bound=64) is False
+        assert len(limited) == 1  # the fixing pass only
 
 
 class TestIsDnfValid:
@@ -196,6 +267,48 @@ class TestCheckEquivalence:
         phi = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(2), F(-1), F(3)], 3)
         assert not check_equivalence(psi, phi).passed
         assert check_equivalence(psi, phi, x_map=(2, 1)).passed
+
+    def test_explicit_map_matches_per_assignment_reference(self):
+        rng = random.Random(9)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(1, 4)
+            outer = rng.randint(n, n + 2)
+            total = outer + rng.randint(0, 9 - outer)
+            inner = [(rng.choice((FORALL, EXISTS)), (v,)) for v in range(outer + 1, total + 1)]
+            prefix = normalize_prefix([(FORALL, tuple(range(1, outer + 1)))] + inner)
+            x_map = tuple(rng.sample(prefix[0].vars, n))
+            if x_map == prefix[0].vars[:n]:
+                continue  # the positional mapping
+            clauses = random_clauses(rng, total, rng.randint(1, 8), UNIT_HEAVY, 0.1)
+            phi = QbfInstance(prefix, CnfMatrix(tuple(clauses), total))
+            psi = DnfFormula(tuple(random_clauses(rng, n, rng.randint(0, 4))), n)
+            expected = []
+            for encoding in range(1 << n):
+                bits = [bool(encoding >> i & 1) for i in range(n)]
+                psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
+                if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
+                    expected.append(encoding)
+            report = check_equivalence(psi, phi, x_map=x_map)
+            assert report.mismatch_count == len(expected), (psi, phi, x_map)
+            assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+            checked += 1
+
+    def test_tautological_clause_under_source_assignment(self):
+        # At x1 = 0 the first clause becomes 2 | -2, which (-2) must not refute.
+        psi = DnfFormula((F(1), F(-1)), 1)
+        phi = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2, -2), F(-2)], 2)
+        report = check_equivalence(psi, phi)
+        assert report.passed and report.mismatch_count == 0
+
+    def test_forall_exists_mode_accepts_variable_free_dnf(self):
+        psi = DnfFormula((F(),), 0)
+        phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        assert [b.quantifier for b in phi.prefix] == [EXISTS]
+        report = check_equivalence(psi, phi, mode="forall_exists")
+        assert report.passed and report.total_assignments == 1
+        with pytest.raises(ValueError, match="forall_exists"):
+            check_equivalence(psi, make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2), mode="forall_exists")
 
     def test_explicit_map_validation(self):
         psi = DnfFormula((F(1, 2),), 2)
