@@ -16,7 +16,6 @@ from .formulas import (
     QbfInstance,
     QuantifierBlock,
     apply_assignment_cnf,
-    apply_assignment_dnf,
     base_clause,
     binary_clause,
     normalize_prefix,
@@ -53,7 +52,6 @@ from .solver import (
     sat_check_core,
     solve,
     threshold,
-    weight,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "SolverInvariantError",
     "SolverStats",
     "apply_assignment_cnf",
-    "apply_assignment_dnf",
     "base_clause",
     "binary_clause",
     "check_equivalence",
@@ -100,5 +97,4 @@ __all__ = [
     "solve",
     "split_clause_to_arity",
     "threshold",
-    "weight",
 ]

@@ -138,15 +138,6 @@ class QbfInstance:
                 if abs(lit) not in seen:
                     raise ValueError(f"matrix variable {abs(lit)} is not bound by the prefix")
 
-    def prefix_vars(self) -> tuple[int, ...]:
-        return tuple(v for block in self.prefix for v in block.vars)
-
-    def quantifier_of(self, var: int) -> str:
-        for block in self.prefix:
-            if var in block.vars:
-                return block.quantifier
-        raise KeyError(var)
-
 
 def apply_assignment_cnf(matrix: CnfMatrix, sigma: Assignment) -> CnfMatrix:
     """Simplify a CNF under a partial assignment.
@@ -169,26 +160,6 @@ def apply_assignment_cnf(matrix: CnfMatrix, sigma: Assignment) -> CnfMatrix:
         if not satisfied:
             result.append(frozenset(kept))
     return CnfMatrix(tuple(result), matrix.num_vars)
-
-
-def apply_assignment_dnf(formula: DnfFormula, sigma: Assignment) -> DnfFormula:
-    """Dual simplification: a falsified literal kills its term, a satisfied
-    literal is dropped from it, and an emptied term denotes True."""
-    _check_domain(sigma, formula.num_vars)
-    result = []
-    for term in formula.terms:
-        kept = []
-        falsified = False
-        for lit in term:
-            value = sigma.get(abs(lit))
-            if value is None:
-                kept.append(lit)
-            elif value != (lit > 0):
-                falsified = True
-                break
-        if not falsified:
-            result.append(frozenset(kept))
-    return DnfFormula(tuple(result), formula.num_vars)
 
 
 def _check_domain(sigma: Assignment, num_vars: int) -> None:

@@ -2,14 +2,15 @@
 
 Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
 the package's only such encoder.  ``eval_qbf``, ``check_equivalence`` and the
-solver's core SAT check encode a matrix once, fix an outermost stretch of its
-bits (``_play``) and play the QBF game on the rest: backtracking with unit
-propagation (Davis, Logemann and Loveland, 1962).  A clause reduced to one
-existential literal forces it; one reduced to a universal literal is False,
-as the universal player falsifies it.  DNF validity is decided by enumerating
-all assignments.  The tests check both against the unpruned evaluators in
-``tests/oracle_helpers.py``.  A configurable variable bound turns oversized
-inputs into errors rather than silently approximating.
+solver's core SAT check encode a matrix once and play the QBF game on it
+(``_play``): backtracking with unit propagation (Davis, Logemann and Loveland,
+1962).  ``check_equivalence`` first fixes the bits of the source variables, an
+outermost stretch of the prefix, to each source assignment in turn.  A clause
+reduced to one existential literal forces it; one reduced to a universal
+literal is False, as the universal player falsifies it.  DNF validity is
+decided by enumerating all assignments.  The tests check both against the
+unpruned evaluators in ``tests/oracle_helpers.py``.  A configurable variable
+bound turns oversized inputs into errors rather than silently approximating.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Sequence
 from .formulas import (
     EXISTS,
     FORALL,
-    Assignment,
     DnfFormula,
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps oracle.apply_assignment_cnf
@@ -54,47 +54,16 @@ def some_term_holds(assignment: int, term_masks) -> bool:
     return any(assignment & pos == pos and assignment & neg == 0 for pos, neg in term_masks)
 
 
-def eval_qbf(
-    instance: QbfInstance,
-    partial: Assignment | None = None,
-    *,
-    var_bound: int = DEFAULT_VARIABLE_BOUND,
-) -> bool:
+def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
     """Evaluate a prenex QBF by game-tree search with unit propagation.
-
-    ``partial`` may pre-assign an outermost stretch of the prefix (every
-    assigned variable must precede every unassigned one); the game is then
-    played over the remaining variables.  Universal variables take the AND of
-    both branches, existential ones the OR.
-    """
-    partial = dict(partial or {})
+    Universal variables take the AND of both branches, existential ones the OR."""
     sequence = [(v, block.quantifier) for block in instance.prefix for v in block.vars]
-    prefix_vars = {v for v, _ in sequence}
-    for var in partial:
-        if var not in prefix_vars:
-            raise ValueError(f"partial assignment mentions unbound variable {var}")
-    seen_unassigned = False
-    remaining: list[tuple[int, str]] = []
-    for var, quant in sequence:
-        if var in partial:
-            if seen_unassigned:
-                raise ValueError(
-                    f"partial assignment out of prefix order: variable {var} is assigned "
-                    "but an earlier prefix variable is not"
-                )
-        else:
-            seen_unassigned = True
-            remaining.append((var, quant))
-    if len(remaining) > var_bound:
+    if len(sequence) > var_bound:
         raise OracleLimitError(
-            f"{len(remaining)} unassigned variables exceed the brute-force bound {var_bound}"
+            f"{len(sequence)} variables exceed the brute-force bound {var_bound}"
         )
-
-    # The assigned variables come first in the prefix, so they take the low bits.
-    bit_of = {var: i for i, (var, _) in enumerate(sequence)}
-    masks = clause_masks(instance.matrix.clauses, bit_of)
-    fixed = sum(1 << bit_of[var] for var, value in partial.items() if value)
-    return _play(masks, _universal_mask(q for _, q in sequence), len(partial), fixed)
+    masks = clause_masks(instance.matrix.clauses, {var: i for i, (var, _) in enumerate(sequence)})
+    return _play(masks, _universal_mask(q for _, q in sequence), 0, 0)
 
 
 def _universal_mask(quantifiers) -> int:

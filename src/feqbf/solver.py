@@ -29,6 +29,7 @@ from .formulas import (
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps solver.apply_assignment_cnf
     is_tautological,
     literal_sort_key,
+    normalize_prefix,
 )
 from .oracle import _play, clause_masks, eval_qbf
 
@@ -100,24 +101,33 @@ STATS_CSV_COLUMNS = (
 
 
 def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a forall-exists prefix into (universal, existential) variables."""
-    quants = [b.quantifier for b in instance.prefix]
+    """Split a forall-exists prefix into (universal, existential) variables.
+    An outermost existential block whose variables occur in no clause, such as
+    the one ``parse_qdimacs`` binds free variables in, is ignored."""
+    prefix = instance.prefix
+    if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
+        occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
+        if occurring.isdisjoint(prefix[0].vars):
+            prefix = prefix[1:]
+    quants = [b.quantifier for b in prefix]
     if quants == []:
         return (), ()
     if quants == [FORALL]:
-        return instance.prefix[0].vars, ()
+        return prefix[0].vars, ()
     if quants == [EXISTS]:
-        return (), instance.prefix[0].vars
+        return (), prefix[0].vars
     if quants == [FORALL, EXISTS]:
-        return instance.prefix[0].vars, instance.prefix[1].vars
+        return prefix[0].vars, prefix[1].vars
     raise ValueError("prefix must be one universal block followed by one existential block")
 
 
 def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     """Drop tautological clauses; report False if an all-universal clause
     remains (the universal player falsifies it).  Afterwards every clause has
-    a non-empty existential core."""
-    _, existential = ae_blocks(instance)
+    a non-empty existential core, and the prefix is the one ``ae_blocks``
+    reads: an outer block it ignores is dropped, so that block's variables do
+    not count towards the bound of the small-k route's oracle."""
+    universal, existential = ae_blocks(instance)
     e_set = set(existential)
     kept = []
     for clause in instance.matrix.clauses:
@@ -126,7 +136,8 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
         if not any(abs(lit) in e_set for lit in clause):
             return FalseCertificate(clause)
         kept.append(clause)
-    return QbfInstance(instance.prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
+    prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
+    return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
 
 
 def _core_key(core: Clause) -> tuple[tuple[int, bool], ...]:
@@ -199,26 +210,21 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
 
 
-def sat_check_core(core_matrix: CnfMatrix, existential_vars) -> bool:
-    """Satisfiability of the core matrix over the existential variables,
-    decided by the oracle's engine (backtracking with unit propagation) with
-    every variable existential.  An empty clause makes it False."""
+def sat_check_core(cores, existential_vars) -> bool:
+    """Satisfiability of the clauses ``cores`` (any iterable of clauses over
+    the existential variables), decided by the oracle's engine (backtracking
+    with unit propagation) with every variable existential.  An empty clause
+    makes it False."""
     bit_of = {v: i for i, v in enumerate(existential_vars)}
-    return _play(clause_masks(core_matrix.clauses, bit_of), 0, 0, 0)
-
-
-def weight(matrix: CnfMatrix, existential_vars: frozenset[int]) -> int:
-    """``group_weight`` of the matrix's partition."""
-    return group_weight(partition_groups(matrix, existential_vars))
+    return _play(clause_masks(cores, bit_of), 0, 0, 0)
 
 
 class _Search:
     """One solver run: fixed threshold and variable split, accumulated stats.
     A node is the clause partition, ordered by core once at the root."""
 
-    def __init__(self, existential: tuple[int, ...], num_vars: int, x_threshold: float):
+    def __init__(self, existential: tuple[int, ...], x_threshold: float):
         self.existential = existential
-        self.num_vars = num_vars
         self.x_threshold = x_threshold
         self.stats = SolverStats()
         self._trace: list[int] = []
@@ -266,7 +272,7 @@ class _Search:
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
         # The cores are the core projection of the restricted matrix.
-        return sat_check_core(CnfMatrix(tuple(groups), self.num_vars), self.existential)
+        return sat_check_core(groups, self.existential)
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -290,7 +296,7 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     else:
         x_threshold = threshold(k, d)
     groups = partition_groups(prepared.matrix, frozenset(existential))
-    search = _Search(existential, prepared.matrix.num_vars, x_threshold)
+    search = _Search(existential, x_threshold)
     result = search.decide({core: groups[core] for core in sorted(groups, key=_core_key)}, 0)
     stats = search.stats
     stats.weight_trace = search._best_trace

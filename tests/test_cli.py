@@ -40,6 +40,19 @@ class TestSolveCommand:
         path = write(workdir / "ea.qdimacs", "p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n")
         assert main(["solve", path]) == 1
 
+    @pytest.mark.parametrize("num_vars", [3, 30])
+    def test_unused_free_variables_are_ignored(self, workdir, capsys, num_vars):
+        # parse_qdimacs binds the free variables 3.. in an outer existential
+        # block; 30 variables exceed the bound of the oracle that k=1 goes to.
+        path = write(workdir / "free.qdimacs", f"p cnf {num_vars} 1\na 1 0\ne 2 0\n1 2 0\n")
+        assert main(["solve", path]) == 10
+        assert capsys.readouterr().out.strip() == "TRUE"
+
+    def test_free_variable_in_a_clause_errors(self, workdir, capsys):
+        path = write(workdir / "free.qdimacs", "p cnf 3 1\na 1 0\ne 2 0\n1 2 3 0\n")
+        assert main(["solve", path]) == 1
+        assert "prefix must be one universal block" in capsys.readouterr().err
+
     def test_missing_file_errors(self):
         assert main(["solve", "/nonexistent/file.qdimacs"]) == 1
 

@@ -9,7 +9,6 @@ from feqbf.formulas import (
     QbfInstance,
     QuantifierBlock,
     apply_assignment_cnf,
-    apply_assignment_dnf,
     base_clause,
     binary_clause,
     is_tautological,
@@ -59,22 +58,6 @@ class TestApplyAssignmentCnf:
     def test_rejects_foreign_variable(self):
         with pytest.raises(ValueError):
             apply_assignment_cnf(CnfMatrix((F(1),), 1), {2: True})
-
-
-class TestApplyAssignmentDnf:
-    def test_dual_rule(self):
-        formula = DnfFormula((F(1, 2), F(-1, 3)), 3)
-        result = apply_assignment_dnf(formula, {1: True})
-        assert result.terms == (F(2),)
-
-    def test_empty_assignment_is_identity(self):
-        formula = DnfFormula((F(1, 2),), 2)
-        assert apply_assignment_dnf(formula, {}) == formula
-
-    def test_fully_satisfied_term_becomes_empty(self):
-        formula = DnfFormula((F(1, 2),), 2)
-        result = apply_assignment_dnf(formula, {1: True, 2: True})
-        assert result.terms == (F(),)
 
 
 class TestBinaryClause:

@@ -73,23 +73,6 @@ class TestEvalQbf:
         )
         assert eval_qbf(instance) is False
 
-    def test_partial_assignment(self):
-        instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
-        assert eval_qbf(instance, {1: False}) is True
-        assert eval_qbf(instance, {1: True}) is True
-        contradiction = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1), F(2)], 2)
-        assert eval_qbf(contradiction, {1: False}) is False
-
-    def test_partial_must_respect_prefix_order(self):
-        instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
-        with pytest.raises(ValueError, match="prefix order"):
-            eval_qbf(instance, {2: True})
-
-    def test_partial_rejects_unbound_variable(self):
-        instance = make([(EXISTS, (1,))], [F(1)], 1)
-        with pytest.raises(ValueError, match="unbound"):
-            eval_qbf(instance, {5: True})
-
     def test_variable_bound_is_enforced(self):
         instance = make([(EXISTS, tuple(range(1, 26)))], [F(1)], 25)
         with pytest.raises(OracleLimitError):
@@ -116,13 +99,6 @@ class TestEvalQbf:
         for _ in range(1200):
             instance = random_mixed_qbf(rng, widths=UNIT_HEAVY, tautologies=0.1)
             assert eval_qbf(instance) == qbf_eval_reference(instance), instance
-            # Pre-assign an outermost stretch of the prefix.
-            order = instance.prefix_vars()
-            partial = {v: rng.random() < 0.5 for v in order[: rng.randint(0, len(order))]}
-            assert eval_qbf(instance, partial) == qbf_eval_reference(instance, partial), (
-                instance,
-                partial,
-            )
 
     def test_tautological_clauses_are_satisfied(self):
         # x | -x holds whoever picks x, and is not a unit clause.
@@ -131,9 +107,6 @@ class TestEvalQbf:
         # Propagating (-2) first leaves 1 | -1 of the wider tautology.
         wider = make([(EXISTS, (2,)), (FORALL, (1,))], [F(1, -1, 2), F(-2)], 2)
         assert eval_qbf(wider) is True
-        # So does fixing 2 false in the partial assignment.
-        fixed = make([(FORALL, (2, 1))], [F(1, -1, 2)], 2)
-        assert eval_qbf(fixed, {2: False}) is True
 
     def test_weakening_exists_to_forall_is_antitone(self):
         rng = random.Random(7)
