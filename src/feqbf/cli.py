@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .formulas import DnfFormula, QbfInstance
 from .generate import random_dnf, random_forall_exists
-from .oracle import DEFAULT_VARIABLE_BOUND, OracleLimitError, check_equivalence, eval_qbf
+from .oracle import DEFAULT_VARIABLE_BOUND, check_equivalence, eval_qbf
 from .qdimacs import emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
 from .reductions import (
     ReductionOutput,
@@ -25,15 +25,7 @@ from .reductions import (
     reduce_dnf_to_4qbf,
     reduce_dnf_to_fe_dqbf,
 )
-from .solver import (
-    SolverConfig,
-    ae_blocks,
-    leaf_bound_log2,
-    solve,
-    stats_csv_header,
-    stats_csv_row,
-    threshold,
-)
+from .solver import ae_blocks, solve, stats_csv_header, stats_csv_row
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
@@ -78,9 +70,8 @@ def _result_line(value: bool) -> int:
 
 def cmd_solve(args) -> int:
     instance = _load_qbf(args.path)
-    config = SolverConfig(threshold_override=args.threshold_override)
     start = time.perf_counter()
-    result, stats = solve(instance, config)
+    result, stats = solve(instance)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.stats_csv:
         _, existential = ae_blocks(instance)
@@ -196,40 +187,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    corpus = Path(args.corpus)
-    if not corpus.is_dir():
-        raise ValueError(f"corpus directory {args.corpus} is not readable")
-    header = stats_csv_header() + ",agreement,leaf_bound_log2"
-    rows = [header]
-    for path in sorted(corpus.glob("*.qdimacs")):
-        instance = parse_qdimacs(path.read_text())
-        start = time.perf_counter()
-        result, stats = solve(instance)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        _, existential = ae_blocks(instance)
-        k = len(existential)
-        try:
-            agreement = int(result == eval_qbf(instance, var_bound=args.oracle_bound))
-        except OracleLimitError:
-            agreement = ""
-        d = stats.d
-        bound_log2 = leaf_bound_log2(k, d, threshold(k, d)) if k >= 2 and d >= 1 else 0.0
-        row = stats_csv_row(path.stem, k, d, result, stats, elapsed_ms)
-        rows.append(f"{row},{agreement},{bound_log2:.3f}")
-    Path(args.out).write_text("\n".join(rows) + "\n")
-    _write_manifest(
-        args.manifest,
-        RunManifest(
-            command="bench",
-            seed=None,
-            inputs=(args.corpus,),
-            config={"oracle_bound": args.oracle_bound},
-        ),
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feqbf",
@@ -240,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide a forall-exists QDIMACS instance")
     p_solve.add_argument("path")
-    p_solve.add_argument("--threshold-override", type=float, default=None)
     p_solve.add_argument("--stats-csv", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
@@ -283,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--manifest", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="run the solver over a directory of instances")
-    p_bench.add_argument("--corpus", required=True)
-    p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--oracle-bound", type=int, default=DEFAULT_VARIABLE_BOUND)
-    p_bench.add_argument("--manifest", default=None)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -56,8 +56,13 @@ def some_term_holds(assignment: int, term_masks) -> bool:
 
 def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
     """Evaluate a prenex QBF by game-tree search with unit propagation.
-    Universal variables take the AND of both branches, existential ones the OR."""
-    sequence = [(v, block.quantifier) for block in instance.prefix for v in block.vars]
+    Universal variables take the AND of both branches, existential ones the OR.
+    Only the variables that occur in some clause count against ``var_bound``;
+    the game never branches on the others."""
+    occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
+    sequence = [
+        (v, block.quantifier) for block in instance.prefix for v in block.vars if v in occurring
+    ]
     if len(sequence) > var_bound:
         raise OracleLimitError(
             f"{len(sequence)} variables exceed the brute-force bound {var_bound}"

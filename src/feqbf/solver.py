@@ -60,15 +60,11 @@ class HittingSet:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    threshold_override: float | None = None
     small_k_cutoff: int = 2
 
     def __post_init__(self) -> None:
         if self.small_k_cutoff < 1:
             raise ValueError("small_k_cutoff must be at least 1")
-        override = self.threshold_override
-        if override is not None and not (math.isfinite(override) and override >= 1):
-            raise ValueError(f"threshold_override must be finite and at least 1, got {override}")
 
 
 @dataclass
@@ -83,7 +79,6 @@ class SolverStats:
     max_depth: int = 0
     branches: int = 0
     weight_trace: tuple[int, ...] = ()
-    base_case_hits: int = 0
     d: int = 0
 
 
@@ -95,7 +90,6 @@ STATS_CSV_COLUMNS = (
     "leaves",
     "max_depth",
     "branches",
-    "base_case_hits",
     "wall_time_ms",
 )
 
@@ -125,8 +119,8 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     """Drop tautological clauses; report False if an all-universal clause
     remains (the universal player falsifies it).  Afterwards every clause has
     a non-empty existential core, and the prefix is the one ``ae_blocks``
-    reads: an outer block it ignores is dropped, so that block's variables do
-    not count towards the bound of the small-k route's oracle."""
+    reads: an outer block it ignores is dropped, so every route after it sees
+    one universal block followed by one existential block."""
     universal, existential = ae_blocks(instance)
     e_set = set(existential)
     kept = []
@@ -177,7 +171,9 @@ def group_weight(groups: Groups) -> int:
 
 
 def threshold(k: int, d: int) -> float:
-    """Disjoint-family size threshold 2^d * d * ln(k)."""
+    """Disjoint-family size threshold 2^d * d * ln(k).  The collapse needs it:
+    at this size a union bound over the cores shows that one universal
+    assignment falsifies a part in every group."""
     if k < 2:
         raise ValueError("threshold is undefined for k < 2; route small k to the oracle")
     if d < 1:
@@ -265,7 +261,6 @@ class _Search:
         return True
 
     def _base_case(self, groups: Groups, w: int) -> bool:
-        self.stats.base_case_hits += 1
         self.stats.leaves += 1
         if w == 0:
             self.stats.weight0_leaves += 1
@@ -291,10 +286,7 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     d = max(prepared.matrix.max_arity(), 1)
     if k <= cfg.small_k_cutoff:
         return eval_qbf(prepared), SolverStats(d=d, leaves=1)
-    if cfg.threshold_override is not None:
-        x_threshold = cfg.threshold_override
-    else:
-        x_threshold = threshold(k, d)
+    x_threshold = threshold(k, d)
     groups = partition_groups(prepared.matrix, frozenset(existential))
     search = _Search(existential, x_threshold)
     result = search.decide({core: groups[core] for core in sorted(groups, key=_core_key)}, 0)
@@ -328,7 +320,6 @@ def stats_csv_row(
         stats.leaves,
         stats.max_depth,
         stats.branches,
-        stats.base_case_hits,
         f"{wall_time_ms:.3f}",
     )
     return ",".join(str(v) for v in values)

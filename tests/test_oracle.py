@@ -74,7 +74,8 @@ class TestEvalQbf:
         assert eval_qbf(instance) is False
 
     def test_variable_bound_is_enforced(self):
-        instance = make([(EXISTS, tuple(range(1, 26)))], [F(1)], 25)
+        # 25 variables, each occurring in a clause.
+        instance = make([(EXISTS, tuple(range(1, 26)))], [F(v) for v in range(1, 26)], 25)
         with pytest.raises(OracleLimitError):
             eval_qbf(instance)
         assert eval_qbf(instance, var_bound=25) is True

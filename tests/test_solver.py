@@ -26,6 +26,7 @@ from feqbf.solver import (
     core_projection,
     greedy_disjoint,
     group_weight,
+    leaf_bound_log2,
     partition_groups,
     preprocess,
     restrict_groups,
@@ -44,6 +45,14 @@ def F(*lits):
 
 def make(prefix, clauses, num_vars):
     return QbfInstance(normalize_prefix(prefix), CnfMatrix(tuple(clauses), num_vars))
+
+
+def threshold_instance(n):
+    """forall x1..xn exists e1 e2 e3. (xi | e1) for each i, (-e1), (e2 | e3):
+    d = 2 and k = 3, so the collapse needs ceil(8 ln 3) = 9 disjoint parts."""
+    e1, e2, e3 = n + 1, n + 2, n + 3
+    clauses = [F(x, e1) for x in range(1, n + 1)] + [F(-e1), F(e2, e3)]
+    return make([(FORALL, range(1, n + 1)), (EXISTS, (e1, e2, e3))], clauses, n + 3)
 
 
 class TestPreprocess:
@@ -139,6 +148,13 @@ class TestThreshold:
     def test_rejects_k_below_two(self):
         with pytest.raises(ValueError):
             threshold(1, 3)
+
+    def test_leaf_bound_formula(self):
+        # log2 of d^2 * X * k^(d-1) leaves.
+        assert leaf_bound_log2(3, 2, 9.0) == 4 * 9.0 * 3
+        assert leaf_bound_log2(14, 3, threshold(14, 3)) == pytest.approx(
+            9 * threshold(14, 3) * 14**2
+        )
 
 
 class TestGreedyDisjoint:
@@ -291,20 +307,20 @@ class TestSolve:
         clauses.append(F(15, -16))
         instance = make([(FORALL, universals), (EXISTS, (14, 15, 16))], clauses, 16)
         result, stats = solve(instance)
-        assert stats.base_case_hits == 1
+        assert stats.leaves == 1
         assert stats.branches == 0
         assert result is True
         assert eval_qbf(instance) == result
 
-    def test_threshold_override_forces_projection(self):
-        instance = make(
-            [(FORALL, (1, 2)), (EXISTS, (3, 4, 5))],
-            [F(3, 1), F(4, 2), F(5)],
-            5,
-        )
-        result, stats = solve(instance, SolverConfig(threshold_override=1.0))
-        assert stats.base_case_hits == 1
-        assert result is True
+    def test_paper_threshold_collapses_to_false(self):
+        # d = 2, k = 3 needs ceil(8 ln 3) = 9 disjoint parts: core e1 has the
+        # parts x1..x9, so the root collapses, and the cores e1, -e1, e2|e3 are
+        # unsatisfiable (all xi false forces e1).
+        instance = threshold_instance(9)
+        result, stats = solve(instance)
+        assert result is False
+        assert (stats.leaves, stats.branches) == (1, 0)
+        assert eval_qbf(instance) is False
 
     def test_small_k_routes_to_oracle(self):
         instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
@@ -342,27 +358,15 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(small_k_cutoff=0)
 
-    @pytest.mark.parametrize("value", [-1.0, 0.0, 0.5, math.inf, math.nan])
-    def test_rejects_bad_threshold_override(self, value):
-        with pytest.raises(ValueError, match="threshold_override"):
-            SolverConfig(threshold_override=value)
-
-    @pytest.mark.parametrize("value", [None, 1.0, 17.5])
-    def test_accepts_threshold_override(self, value):
-        assert SolverConfig(threshold_override=value).threshold_override == value
-
     def test_counts_weight0_leaves(self):
-        # Branching on y1 (core x1 has parts {y1}, {-y1}): y1 = True satisfies
-        # both parts of core x2 and leaves weight 0; y1 = False leaves core x2
-        # the disjoint parts {y2}, {y3}, which collapse at threshold 2.
-        instance = make(
-            [(FORALL, (1, 2, 3)), (EXISTS, (4, 5, 6))],
-            [F(4, 1), F(4, -1), F(5, 1, 2), F(5, 1, 3)],
-            6,
-        )
-        result, stats = solve(instance, SolverConfig(threshold_override=2.0))
-        assert result is True
-        assert (stats.branches, stats.leaves, stats.weight0_leaves) == (2, 2, 1)
+        # Eight parts fall short of the nine needed, so the search branches on
+        # x1..x8; the first branch (all false) empties every part of core e1,
+        # leaving weight 0, and its unsatisfiable cores end the search.
+        instance = threshold_instance(8)
+        result, stats = solve(instance)
+        assert result is False
+        assert (stats.leaves, stats.branches, stats.weight0_leaves) == (1, 1, 1)
+        assert eval_qbf(instance) is False
 
 
 class TestInvariants:
@@ -408,7 +412,6 @@ class TestStatsCsv:
             "leaves",
             "max_depth",
             "branches",
-            "base_case_hits",
             "wall_time_ms",
         ]
         instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
