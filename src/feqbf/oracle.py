@@ -4,10 +4,12 @@ Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
 the package's only such encoder.  ``eval_qbf``, ``check_equivalence`` and the
 solver's core SAT check encode a matrix once and play the QBF game on it
 (``_play``): backtracking with unit propagation (Davis, Logemann and Loveland,
-1962).  ``check_equivalence`` first fixes the bits of the source variables, an
-outermost stretch of the prefix, to each source assignment in turn.  A clause
-reduced to one existential literal forces it; one reduced to a universal
-literal is False, as the universal player falsifies it.  DNF validity is
+1962).  A clause reduced to one existential literal forces it; one reduced to
+a universal literal is False, as the universal player falsifies it.
+``check_equivalence`` splits each clause into its part over the source
+variables, an outermost stretch of the prefix, and its residual over the
+rest; it plays one game per distinct set of residuals that some source
+assignment leaves, not one per source assignment.  DNF validity is
 decided by enumerating all assignments.  The tests check both against the
 unpruned evaluators in ``tests/oracle_helpers.py``.  A configurable variable
 bound turns oversized inputs into errors rather than silently approximating.
@@ -68,7 +70,7 @@ def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) 
             f"{len(sequence)} variables exceed the brute-force bound {var_bound}"
         )
     masks = clause_masks(instance.matrix.clauses, {var: i for i, (var, _) in enumerate(sequence)})
-    return _play(masks, _universal_mask(q for _, q in sequence), 0, 0)
+    return _play(masks, _universal_mask(q for _, q in sequence))
 
 
 def _universal_mask(quantifiers) -> int:
@@ -76,13 +78,11 @@ def _universal_mask(quantifiers) -> int:
     return sum(1 << i for i, q in enumerate(quantifiers) if q == FORALL)
 
 
-def _play(masks, universal: int, shift: int, fixed: int) -> bool:
-    """Fix bits ``0..shift-1`` to those of ``fixed`` (which has no higher bit),
-    then play the QBF game on the rest; the bits set in ``universal`` are
-    universal, the others existential.  An emptied clause, even one empty
-    from the start, makes the result False."""
-    clauses = _assign_bits(masks, (1 << shift) - 1, fixed)
-    return clauses is not None and _game(clauses, universal, shift)
+def _play(masks, universal: int) -> bool:
+    """Play the QBF game on mask-encoded clauses; the bits set in ``universal``
+    are universal, the others existential.  An empty clause makes the result
+    False."""
+    return (0, 0) not in masks and _game(masks, universal, 0)
 
 
 def _game(clauses: list[tuple[int, int]], universal: int, index: int) -> bool:
@@ -211,6 +211,12 @@ def check_equivalence(
     outermost universal block, in any order).  In ``forall_exists`` mode the
     remainder of the prefix must be exactly one existential block; ``general``
     mode allows any suffix.
+
+    phi(sigma) is decided by one QBF game per distinct set of residual
+    clauses, the parts over the non-source variables of the clauses that
+    sigma leaves unsatisfied, rather than one game per sigma.  ``var_bound``
+    limits the source variables and, separately, the non-source variables
+    that occur in some clause.
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -248,22 +254,26 @@ def check_equivalence(
         suffix = [b.quantifier for b in (phi.prefix[1:] if n else phi.prefix)]
         if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
-    remaining = sum(len(b.vars) for b in phi.prefix) - n
-    if remaining > var_bound:
+    # Only the variables that occur in some clause count against the bound;
+    # the games never branch on the others.
+    sources = set(x_ids)
+    occurring = {abs(lit) for clause in phi.matrix.clauses for lit in clause}
+    rest = [v for b in phi.prefix for v in b.vars if v in occurring and v not in sources]
+    if len(rest) > var_bound:
         raise OracleLimitError(
-            f"{remaining} quantified variables remain after the shared block; bound is {var_bound}"
+            f"{len(rest)} quantified variables remain after the shared block; bound is {var_bound}"
         )
     # The mapped variables take bits 0..n-1.  They all lie in the outermost
     # universal block, whose variables commute, so this reordering is sound.
+    order = list(x_ids) + rest
     quantifier_of = {v: b.quantifier for b in phi.prefix for v in b.vars}
-    order = list(x_ids) + [v for v in quantifier_of if v not in x_ids]
     universal = _universal_mask(quantifier_of[v] for v in order)
     masks = clause_masks(phi.matrix.clauses, {v: i for i, v in enumerate(order)})
     term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
     mismatched: list[dict[int, bool]] = []
     mismatch_count = 0
-    for encoding in range(1 << n):
-        if some_term_holds(encoding, term_masks) != _play(masks, universal, n, encoding):
+    for encoding, value in enumerate(_residual_games(masks, universal, n)):
+        if some_term_holds(encoding, term_masks) != value:
             mismatch_count += 1
             if len(mismatched) < max_mismatches:
                 mismatched.append({i + 1: bool(encoding >> i & 1) for i in range(n)})
@@ -273,3 +283,38 @@ def check_equivalence(
         mismatches=tuple(mismatched),
         passed=mismatch_count == 0,
     )
+
+
+def _residual_games(masks, universal: int, n: int) -> list[bool]:
+    """The game's value after fixing bits ``0..n-1`` to each encoding in turn.
+
+    Each clause splits into its source part, over bits ``0..n-1``, and its
+    residual over the rest.  An encoding leaves exactly the residuals of the
+    clauses whose source part it falsifies, so the game is played once per
+    distinct set of residuals left; the residual ``(0, 0)`` of a clause with
+    only source literals makes that set False without a game."""
+    src = (1 << n) - 1
+    residual_ids: dict[tuple[int, int], int] = {}
+    # The residuals left behind by each distinct source part, as a bit set.
+    parts: dict[tuple[int, int], int] = {}
+    for pos, neg in masks:
+        residual = residual_ids.setdefault((pos & ~src, neg & ~src), len(residual_ids))
+        source = (pos & src, neg & src)
+        parts[source] = parts.get(source, 0) | 1 << residual
+    residuals = list(residual_ids)
+    emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
+    values: dict[int, bool] = {}
+    result = []
+    for encoding in range(1 << n):
+        key = 0
+        for (pos, neg), bits in parts.items():
+            if not encoding & pos and encoding & neg == neg:
+                key |= bits
+        value = values.get(key)
+        if value is None:
+            value = not (key & emptied) and _game(
+                [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
+            )
+            values[key] = value
+        result.append(value)
+    return result

@@ -212,7 +212,7 @@ def sat_check_core(cores, existential_vars) -> bool:
     with unit propagation) with every variable existential.  An empty clause
     makes it False."""
     bit_of = {v: i for i, v in enumerate(existential_vars)}
-    return _play(clause_masks(cores, bit_of), 0, 0, 0)
+    return _play(clause_masks(cores, bit_of), 0)
 
 
 class _Search:

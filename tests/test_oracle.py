@@ -8,10 +8,11 @@ from feqbf.formulas import (
     EXISTS,
     FORALL,
     QbfInstance,
+    apply_assignment_cnf,
     normalize_prefix,
 )
 from feqbf import oracle
-from feqbf.generate import random_forall_exists
+from feqbf.generate import random_dnf, random_forall_exists
 from feqbf.oracle import (
     OracleLimitError,
     check_equivalence,
@@ -150,12 +151,12 @@ class TestUnitPropagation:
         clauses = self.CHAIN + [F(41), F(-41, 42), F(-42)]
         instance = make([(EXISTS, tuple(range(1, 43)))], clauses, 42)
         assert eval_qbf(instance, var_bound=64) is False
-        assert len(limited) <= 3  # the fixing pass and two rounds of units
+        assert len(limited) <= 2  # two rounds of units
 
     def test_universal_unit_under_outer_existential(self, limited):
         instance = make([(EXISTS, tuple(range(1, 41))), (FORALL, (41,))], self.CHAIN + [F(41)], 41)
         assert eval_qbf(instance, var_bound=64) is False
-        assert len(limited) == 1  # the fixing pass only
+        assert len(limited) == 0  # refuted before any assignment pass
 
 
 class TestIsDnfValid:
@@ -301,3 +302,92 @@ class TestCheckEquivalence:
         passing = check_equivalence(psi, make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2), F(1, -2)], 2))
         assert "PASSED" in passing.summary()
         assert passing.to_csv() == "sigma_encoding\n"
+
+    def test_unused_variables_do_not_count_against_the_bound(self):
+        # 28 declared existentials never occur in a clause.
+        psi = DnfFormula((F(1),), 1)
+        phi = make([(FORALL, (1,)), (EXISTS, tuple(range(2, 31)))], [F(1, 2), F(1, -2)], 30)
+        report = check_equivalence(psi, phi, mode="forall_exists")
+        assert report.passed and report.total_assignments == 2
+
+    def test_occurring_variables_over_the_bound_raise(self):
+        psi = DnfFormula((F(1), F(-1)), 1)  # phi is true at both values of x1
+        clauses = [F(1, v) for v in range(2, 27)]
+        phi = make([(FORALL, (1,)), (EXISTS, tuple(range(2, 27)))], clauses, 26)
+        with pytest.raises(OracleLimitError, match="25 quantified variables remain"):
+            check_equivalence(psi, phi, mode="forall_exists")
+        assert check_equivalence(psi, phi, mode="forall_exists", var_bound=25).passed
+
+
+def shared_residual_pair(rng, forall_exists, positional):
+    """A random psi/phi pair whose clauses draw their non-source parts from a
+    pool of three, so several clauses share one residual; the empty part in
+    the pool makes some clauses source-only.  Returns psi, phi and the
+    variables of phi that psi's variables map to."""
+    n = rng.randint(1, 4)
+    outer = n if forall_exists else rng.randint(n, n + 2)
+    total = outer + rng.randint(1, 8 - outer)
+    if forall_exists:
+        inner = [(EXISTS, tuple(range(outer + 1, total + 1)))]
+    else:
+        inner = [(rng.choice((FORALL, EXISTS)), (v,)) for v in range(outer + 1, total + 1)]
+    prefix = normalize_prefix([(FORALL, tuple(range(1, outer + 1)))] + inner)
+    x_map = prefix[0].vars[:n] if positional else tuple(rng.sample(prefix[0].vars, n))
+    others = [v for v in range(1, total + 1) if v not in x_map]
+
+    def clause_over(variables):
+        return F(*(v if rng.random() < 0.5 else -v for v in variables))
+
+    pool = [frozenset()]
+    pool += [clause_over(rng.sample(others, rng.randint(1, min(2, len(others))))) for _ in range(2)]
+    clauses = [
+        clause_over(rng.sample(x_map, rng.randint(1, min(2, n)))) | rng.choice(pool)
+        for _ in range(rng.randint(2, 9))
+    ]
+    phi = QbfInstance(prefix, CnfMatrix(tuple(clauses), total))
+    psi = DnfFormula(tuple(random_clauses(rng, n, rng.randint(0, 4))), n)
+    return psi, phi, x_map
+
+
+class TestSharedResidualGames:
+    """check_equivalence plays one game per distinct residual set; these
+    tests pin its answers and its game count."""
+
+    @pytest.mark.parametrize("mode", ["general", "forall_exists"])
+    @pytest.mark.parametrize("positional", [True, False])
+    def test_matches_per_assignment_reference(self, mode, positional):
+        rng = random.Random(f"{mode}:{positional}")
+        for _ in range(150):
+            psi, phi, x_map = shared_residual_pair(rng, mode == "forall_exists", positional)
+            expected = []
+            for encoding in range(1 << psi.num_vars):
+                bits = [bool(encoding >> i & 1) for i in range(psi.num_vars)]
+                psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
+                if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
+                    expected.append(encoding)
+            report = check_equivalence(psi, phi, mode, x_map=None if positional else x_map)
+            assert report.mismatch_count == len(expected), (psi, phi, x_map)
+            assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+
+    def test_one_root_game_per_distinct_residual_set(self, monkeypatch):
+        psi = random_dnf(10, 20, seed=11)
+        phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        sources = phi.prefix[0].vars
+        root_games = []
+        original = oracle._game
+
+        def counting(clauses, universal, index):
+            if index == psi.num_vars:
+                root_games.append(clauses)
+            return original(clauses, universal, index)
+
+        monkeypatch.setattr(oracle, "_game", counting)
+        assert check_equivalence(psi, phi, mode="forall_exists").passed
+        surviving = set()
+        for encoding in range(1 << psi.num_vars):
+            sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(sources)}
+            clauses = apply_assignment_cnf(phi.matrix, sigma).clauses
+            if frozenset() not in clauses:
+                surviving.add(frozenset(clauses))
+        assert len(root_games) == len(surviving)
+        assert len(root_games) < 1 << psi.num_vars
