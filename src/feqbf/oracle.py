@@ -87,7 +87,7 @@ def _play(masks, universal: int) -> bool:
 
 def _game(clauses: list[tuple[int, int]], universal: int, index: int) -> bool:
     """Play the QBF game on mask-encoded clauses from bit ``index`` onwards.
-    No clause may be empty.
+    An empty clause makes the result False.
 
     Unit clauses are propagated first.  A unit's value is forced in the whole
     subtree whatever its depth in the prefix: the existential player must make
@@ -112,6 +112,8 @@ def _game(clauses: list[tuple[int, int]], universal: int, index: int) -> bool:
         clauses = _assign_bits(clauses, units, true_units)
         if clauses is None:
             return False
+    if not occupied:
+        return False  # every clause left is empty
     while not (occupied >> index) & 1:
         index += 1  # variable absent from the matrix: both branches coincide
     bit = 1 << index

@@ -10,19 +10,24 @@ of the largest universal part) strictly decreases along every branch, which
 bounds the recursion.
 
 The search branches on universal variables only, so no core ever changes:
-the partition is computed once, at the root, and each branch restricts the
-universal parts of its parent's groups (``restrict_groups``).
+the partition is computed once, at the root, and encoded once with
+``oracle.clause_masks``.  A search node is a list of ``(core, parts)``
+pairs: each core is a ``(pos, neg)`` mask over the existential bits, each
+universal part one over the universal bits, which follow sorted variable
+order.  Each branch restricts its parent's node (``restrict_groups``) and
+weighs the result in the same pass; a leaf hands the core masks to the SAT
+check as they are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .formulas import (
     EXISTS,
     FORALL,
-    Assignment,
     Clause,
     CnfMatrix,
     QbfInstance,
@@ -34,6 +39,8 @@ from .formulas import (
 from .oracle import _play, clause_masks, eval_qbf
 
 Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
+Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
+Node = list[tuple[Mask, tuple[Mask, ...]]]  # (core, universal parts) per group
 
 
 class SolverInvariantError(RuntimeError):
@@ -50,12 +57,12 @@ class FalseCertificate:
 
 @dataclass(frozen=True)
 class DisjointFamily:
-    clauses: tuple[Clause, ...]
+    parts: tuple[Mask, ...]
 
 
 @dataclass(frozen=True)
 class HittingSet:
-    variables: frozenset[int]
+    mask: int  # the universal bits of the hitting variables
 
 
 @dataclass(frozen=True)
@@ -149,25 +156,51 @@ def partition_groups(matrix: CnfMatrix, existential_vars: frozenset[int]) -> Gro
     return {core: tuple(seen) for core, seen in parts.items()}
 
 
-def restrict_groups(groups: Groups, sigma: Assignment) -> Groups:
-    """The partition of the matrix simplified under ``sigma``, an assignment to
-    universal variables: satisfied parts are dropped, falsified literals
-    removed from the others, parts deduplicated in order, and a group left
-    without parts dropped.  Cores are untouched, so groups keep their order."""
-    true_lits = {v if value else -v for v, value in sigma.items()}
-    false_lits = {-lit for lit in true_lits}
-    restricted = {}
-    for core, parts in groups.items():
-        kept = dict.fromkeys(part - false_lits for part in parts if part.isdisjoint(true_lits))
+def encode_groups(
+    groups: Groups, universal_bit: dict[int, int], existential_bit: dict[int, int]
+) -> Node:
+    """The search node of ``groups``, in their order: each core encoded over
+    ``existential_bit``, each universal part over ``universal_bit``."""
+    cores = list(groups)
+    return [
+        (core_mask, tuple(clause_masks(groups[core], universal_bit)))
+        for core, core_mask in zip(cores, clause_masks(cores, existential_bit))
+    ]
+
+
+def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
+    """The node simplified under the assignment of the universal ``bits``,
+    those in ``true_bits`` true and the others false, and its weight.
+    Satisfied parts are dropped, falsified literals removed from the others
+    (a part may become the bare core ``(0, 0)``), parts deduplicated in order,
+    and a group left without parts dropped.  Cores are untouched, so groups
+    keep their order."""
+    false_bits = bits & ~true_bits
+    keep = ~bits
+    restricted = []
+    weight = 0
+    for core, parts in node:
+        kept = {}
+        heaviest = 0
+        for pos, neg in parts:
+            if pos & true_bits or neg & false_bits:
+                continue
+            pos &= keep
+            neg &= keep
+            kept[pos, neg] = None
+            size = (pos | neg).bit_count()
+            if size > heaviest:
+                heaviest = size
         if kept:
-            restricted[core] = tuple(kept)
-    return restricted
+            restricted.append((core, tuple(kept)))
+            weight += heaviest
+    return restricted, weight
 
 
-def group_weight(groups: Groups) -> int:
+def group_weight(node: Node) -> int:
     """Sum over groups of the largest universal part; the solver's strictly
     decreasing progress measure."""
-    return sum(max(len(p) for p in parts) for parts in groups.values())
+    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts in node)
 
 
 def threshold(k: int, d: int) -> float:
@@ -181,23 +214,24 @@ def threshold(k: int, d: int) -> float:
     return (2**d) * d * math.log(k)
 
 
-def greedy_disjoint(parts, x_threshold: float) -> DisjointFamily | HittingSet:
+def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFamily | HittingSet:
     """Greedily collect pairwise variable-disjoint universal parts in input
     order.  Success means ceil(x_threshold) of them; otherwise the variables
     of the maximal family hit every part and come back as a hitting set."""
-    if any(not part for part in parts):
+    if (0, 0) in parts:
         raise ValueError("greedy search is undefined on groups with an empty universal part")
     need = math.ceil(x_threshold)
-    chosen: list[Clause] = []
-    used: set[int] = set()
-    for part in parts:
-        if any(abs(lit) in used for lit in part):
+    chosen: list[Mask] = []
+    used = 0
+    for pos, neg in parts:
+        variables = pos | neg
+        if variables & used:
             continue
-        chosen.append(part)
-        used.update(abs(lit) for lit in part)
+        chosen.append((pos, neg))
+        used |= variables
         if len(chosen) >= need:
             return DisjointFamily(tuple(chosen))
-    return HittingSet(frozenset(used))
+    return HittingSet(used)
 
 
 def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfMatrix:
@@ -206,68 +240,68 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
 
 
-def sat_check_core(cores, existential_vars) -> bool:
-    """Satisfiability of the clauses ``cores`` (any iterable of clauses over
-    the existential variables), decided by the oracle's engine (backtracking
-    with unit propagation) with every variable existential.  An empty clause
-    makes it False."""
-    bit_of = {v: i for i, v in enumerate(existential_vars)}
-    return _play(clause_masks(cores, bit_of), 0)
+def sat_check_core(cores: Sequence[Mask]) -> bool:
+    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``, decided
+    by the oracle's engine (backtracking with unit propagation) with every
+    variable existential.  An empty clause makes it False."""
+    return _play(cores, 0)
 
 
 class _Search:
-    """One solver run: fixed threshold and variable split, accumulated stats.
-    A node is the clause partition, ordered by core once at the root."""
+    """One solver run: fixed threshold, accumulated stats.  A node is the
+    encoded partition, ordered by core once at the root."""
 
-    def __init__(self, existential: tuple[int, ...], x_threshold: float):
-        self.existential = existential
+    def __init__(self, x_threshold: float):
         self.x_threshold = x_threshold
         self.stats = SolverStats()
         self._trace: list[int] = []
         self._best_trace: tuple[int, ...] = ()
 
-    def decide(self, groups: Groups, depth: int) -> bool:
-        if frozenset() in groups:
-            raise SolverInvariantError("universal-only clause reached the recursion")
-        w = group_weight(groups)
+    def decide(self, node: Node, w: int, depth: int) -> bool:
+        for core, _ in node:
+            if core == (0, 0):
+                raise SolverInvariantError("universal-only clause reached the recursion")
         if self._trace and w >= self._trace[-1]:
             raise SolverInvariantError("weight failed to decrease")
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
-            for parts in groups.values():
-                if any(not part for part in parts):
+            for _, parts in node:
+                if (0, 0) in parts:
                     # The bare core survives every universal assignment, so the
                     # group needs no disjoint family and cannot be hit.
                     continue
                 found = greedy_disjoint(parts, self.x_threshold)
                 if isinstance(found, HittingSet):
-                    if not all(
-                        any(abs(lit) in found.variables for lit in part) for part in parts
-                    ):
-                        raise SolverInvariantError("hitting set misses a universal part")
-                    return self._branch(groups, found.variables, depth)
-            return self._base_case(groups, w)
+                    hitting = found.mask
+                    for pos, neg in parts:
+                        if not (pos | neg) & hitting:
+                            raise SolverInvariantError("hitting set misses a universal part")
+                    return self._branch(node, hitting, depth)
+            return self._base_case(node, w)
         finally:
             self._trace.pop()
 
-    def _branch(self, groups: Groups, hitting: frozenset[int], depth: int) -> bool:
-        variables = sorted(hitting)
-        for encoding in range(1 << len(variables)):
-            sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(variables)}
+    def _branch(self, node: Node, hitting: int, depth: int) -> bool:
+        # The assignments to the hitting bits, as submasks of ``hitting`` in
+        # increasing order: the lowest bit, the smallest variable, flips first.
+        true_bits = 0
+        while True:
             self.stats.branches += 1
-            if not self.decide(restrict_groups(groups, sigma), depth + 1):
+            if not self.decide(*restrict_groups(node, hitting, true_bits), depth + 1):
                 return False
-        return True
+            if true_bits == hitting:
+                return True
+            true_bits = (true_bits - hitting) & hitting
 
-    def _base_case(self, groups: Groups, w: int) -> bool:
+    def _base_case(self, node: Node, w: int) -> bool:
         self.stats.leaves += 1
         if w == 0:
             self.stats.weight0_leaves += 1
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
         # The cores are the core projection of the restricted matrix.
-        return sat_check_core(groups, self.existential)
+        return sat_check_core([core for core, _ in node])
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -281,15 +315,20 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     prepared = preprocess(instance)
     if isinstance(prepared, FalseCertificate):
         return False, SolverStats(leaves=1)
-    _, existential = ae_blocks(prepared)
+    universal, existential = ae_blocks(prepared)
     k = len(existential)
     d = max(prepared.matrix.max_arity(), 1)
     if k <= cfg.small_k_cutoff:
         return eval_qbf(prepared), SolverStats(d=d, leaves=1)
     x_threshold = threshold(k, d)
     groups = partition_groups(prepared.matrix, frozenset(existential))
-    search = _Search(existential, x_threshold)
-    result = search.decide({core: groups[core] for core in sorted(groups, key=_core_key)}, 0)
+    node = encode_groups(
+        {core: groups[core] for core in sorted(groups, key=_core_key)},
+        {v: i for i, v in enumerate(sorted(universal))},
+        {v: i for i, v in enumerate(existential)},
+    )
+    search = _Search(x_threshold)
+    result = search.decide(node, group_weight(node), 0)
     stats = search.stats
     stats.weight_trace = search._best_trace
     stats.d = d

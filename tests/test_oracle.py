@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,29 @@ class TestUnitPropagation:
         instance = make([(EXISTS, tuple(range(1, 41))), (FORALL, (41,))], self.CHAIN + [F(41)], 41)
         assert eval_qbf(instance, var_bound=64) is False
         assert len(limited) == 0  # refuted before any assignment pass
+
+
+class TestGame:
+    def test_only_empty_clauses_are_false_and_return(self):
+        # A child process, so that a hang fails the test at the timeout
+        # instead of stalling the suite.
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "from feqbf.oracle import _game; "
+             "print(_game([(0, 0)], 0, 0), _game([(0, 0), (0, 0)], 1, 0))"],
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["False", "False"]
+
+    def test_empty_clause_beside_others_is_false(self):
+        assert oracle._game([(0, 0), (0b1, 0)], 0, 0) is False
+        assert oracle._game([(0, 0), (0b11, 0)], 0b1, 0) is False
 
 
 class TestIsDnfValid:

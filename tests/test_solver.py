@@ -16,7 +16,7 @@ from feqbf.formulas import (
     normalize_prefix,
 )
 from feqbf.generate import random_forall_exists
-from feqbf.oracle import eval_qbf
+from feqbf.oracle import clause_masks, eval_qbf
 from feqbf.solver import (
     DisjointFamily,
     FalseCertificate,
@@ -24,6 +24,7 @@ from feqbf.solver import (
     SolverConfig,
     SolverInvariantError,
     core_projection,
+    encode_groups,
     greedy_disjoint,
     group_weight,
     leaf_bound_log2,
@@ -45,6 +46,27 @@ def F(*lits):
 
 def make(prefix, clauses, num_vars):
     return QbfInstance(normalize_prefix(prefix), CnfMatrix(tuple(clauses), num_vars))
+
+
+def M(*clauses):
+    """Encode clauses as ``(pos, neg)`` masks with variable v at bit v - 1."""
+    return tuple(clause_masks(clauses, {v: v - 1 for v in range(1, 64)}))
+
+
+def encode(groups, universal, existential):
+    """The search node of ``groups``, with bits in the order of the given
+    universal and existential variables."""
+    return encode_groups(
+        groups,
+        {v: i for i, v in enumerate(universal)},
+        {v: i for i, v in enumerate(existential)},
+    )
+
+
+def sigma_bits(sigma):
+    """``(bits, true_bits)`` of an assignment to universals, v at bit v - 1."""
+    bits = sum(1 << (v - 1) for v in sigma)
+    return bits, sum(1 << (v - 1) for v, value in sigma.items() if value)
 
 
 def threshold_instance(n):
@@ -120,20 +142,50 @@ class TestRestrictGroups:
         for _ in range(300):
             n, k = rng.randint(1, 5), rng.randint(1, 3)
             matrix = core_matrix(rng, n, k)
-            existential = frozenset(range(n + 1, n + k + 1))
+            universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
             sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
-            groups = partition_groups(matrix, existential)
-            restricted = restrict_groups(groups, sigma)
-            expected = partition_groups(apply_assignment_cnf(matrix, sigma), existential)
+            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+            restricted, _ = restrict_groups(node, *sigma_bits(sigma))
+            expected = encode(
+                partition_groups(apply_assignment_cnf(matrix, sigma), frozenset(existential)),
+                universal,
+                existential,
+            )
             # Same groups with the same parts in the same order; the groups
             # keep the order they had before the restriction.
-            assert restricted == expected
-            assert list(restricted) == [core for core in groups if core in expected]
+            assert sorted(restricted) == sorted(expected)
+            expected_cores = {core for core, _ in expected}
+            assert [core for core, _ in restricted] == [
+                core for core, _ in node if core in expected_cores
+            ]
+
+    def test_weight_equals_group_weight_of_result(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            n, k = rng.randint(1, 8), rng.randint(1, 4)
+            matrix = core_matrix(rng, n, k)
+            universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
+            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+            # Restrict twice, so that the second pass starts from restricted parts.
+            for _ in range(2):
+                sigma = {v: rng.random() < 0.5 for v in rng.sample(universal, rng.randint(0, n))}
+                node, weight = restrict_groups(node, *sigma_bits(sigma))
+                assert weight == group_weight(node)
 
     def test_drops_satisfied_groups_and_falsified_literals(self):
         groups = {F(5): (F(1, 2), F(-1, 3), F(3)), F(6): (F(1),)}
-        assert restrict_groups(groups, {1: True}) == {F(5): (F(3),)}
-        assert restrict_groups(groups, {1: False}) == {F(5): (F(2), F(3)), F(6): (F(),)}
+        node = encode(groups, (1, 2, 3), (5, 6))
+        core5, core6 = (0b01, 0), (0b10, 0)
+        assert restrict_groups(node, *sigma_bits({1: True})) == ([(core5, M(F(3)))], 1)
+        assert restrict_groups(node, *sigma_bits({1: False})) == (
+            [(core5, M(F(2), F(3))), (core6, M(F()))],
+            1,
+        )
+
+    def test_deduplicates_parts_in_order(self):
+        # x1 false turns (1, 2) into (2), a copy of the third part.
+        node = encode({F(5): (F(1, 2), F(3), F(2))}, (1, 2, 3), (5,))
+        assert restrict_groups(node, *sigma_bits({1: False})) == ([((1, 0), M(F(2), F(3)))], 1)
 
 
 class TestThreshold:
@@ -159,31 +211,31 @@ class TestThreshold:
 
 class TestGreedyDisjoint:
     def test_family_found(self):
-        parts = (F(1, 2), F(2, 3), F(4))
+        parts = M(F(1, 2), F(2, 3), F(4))
         result = greedy_disjoint(parts, 2)
         assert isinstance(result, DisjointFamily)
-        assert result.clauses == (F(1, 2), F(4))
+        assert result.parts == M(F(1, 2), F(4))
 
     def test_hitting_set_on_failure(self):
-        parts = (F(1, 2), F(2, 3))
+        parts = M(F(1, 2), F(2, 3))
         result = greedy_disjoint(parts, 2)
         assert isinstance(result, HittingSet)
-        assert result.variables == frozenset({1, 2})
-        assert all(any(abs(l) in result.variables for l in p) for p in parts)
+        assert result.mask == 0b11  # variables 1 and 2
+        assert all((pos | neg) & result.mask for pos, neg in parts)
 
     def test_single_clause_family(self):
-        result = greedy_disjoint((F(1),), 1)
+        result = greedy_disjoint(M(F(1)), 1)
         assert isinstance(result, DisjointFamily)
-        assert result.clauses == (F(1),)
+        assert result.parts == M(F(1))
 
     def test_rejects_empty_part(self):
         with pytest.raises(ValueError):
-            greedy_disjoint((F(),), 1)
+            greedy_disjoint(M(F()), 1)
 
     def test_fractional_threshold_uses_ceiling(self):
-        parts = (F(1), F(2))
+        parts = M(F(1), F(2))
         assert isinstance(greedy_disjoint(parts, 1.2), DisjointFamily)
-        assert len(greedy_disjoint(parts, 1.2).clauses) == 2
+        assert len(greedy_disjoint(parts, 1.2).parts) == 2
 
 
 class TestCoreProjection:
@@ -204,18 +256,18 @@ class TestCoreProjection:
 
 class TestSatCheckCore:
     def test_contradiction(self):
-        assert sat_check_core((F(1), F(-1)), (1,)) is False
+        assert sat_check_core(M(F(1), F(-1))) is False
 
     def test_satisfiable(self):
-        assert sat_check_core((F(1, 2), F(-1, 2)), (1, 2)) is True
+        assert sat_check_core(M(F(1, 2), F(-1, 2))) is True
 
     def test_empty_clause(self):
-        assert sat_check_core((F(),), (1,)) is False
+        assert sat_check_core(M(F())) is False
 
     def test_early_conflict_beyond_enumeration(self):
         # 2^40 assignments are out of reach; the conflict on x1 is found at once.
         clauses = [F(v) for v in range(1, 40)] + [F(-1)]
-        assert sat_check_core(tuple(clauses), tuple(range(1, 41))) is False
+        assert sat_check_core(M(*clauses)) is False
 
     def test_matches_brute_force_on_random_cnf(self):
         rng = random.Random(17)
@@ -227,18 +279,19 @@ class TestSatCheckCore:
                 vars_ = rng.sample(range(1, k + 1), width)
                 clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
             expected = cnf_satisfiable(clauses, range(1, k + 1))
-            assert sat_check_core(tuple(clauses), tuple(range(1, k + 1))) == expected
+            assert sat_check_core(M(*clauses)) == expected
 
 
 class TestWeight:
     def test_sums_group_maxima(self):
         # cores {x1}={5}: parts (1,2) and (3); {-x2}={-6}: part (1)
         matrix = CnfMatrix((F(5, 1, 2), F(5, 3), F(-6, 1)), 6)
-        assert group_weight(partition_groups(matrix, frozenset({5, 6}))) == 3
+        node = encode(partition_groups(matrix, frozenset({5, 6})), (1, 2, 3), (5, 6))
+        assert group_weight(node) == 3
 
     def test_purely_existential_weighs_nothing(self):
         matrix = CnfMatrix((F(1, 2), F(-2)), 2)
-        assert group_weight(partition_groups(matrix, frozenset({1, 2}))) == 0
+        assert group_weight(encode(partition_groups(matrix, frozenset({1, 2})), (), (1, 2))) == 0
 
 
 def corpus(rng, count, *, arity, max_universal=7, max_existential=5, max_clauses=14):
@@ -369,11 +422,46 @@ class TestSolve:
         assert eval_qbf(instance) is False
 
 
+class TestSearchShape:
+    # (result, leaves, branches, max_depth, weight0_leaves, weight_trace) of
+    # the instances below, recorded from the search on frozenset groups before
+    # the search state became bitmasks; the branch order must not change.
+    PINNED = (
+        (False, 1, 1, 1, 1, (1, 0)),
+        (False, 3, 6, 3, 3, (5, 3, 2, 0)),
+        (True, 2, 2, 1, 0, (2, 1)),
+        (False, 1, 1, 1, 0, (4, 3)),
+        (False, 1, 1, 1, 0, (4, 1)),
+        (True, 16, 28, 3, 16, (5, 2, 1, 0)),
+        (False, 1, 3, 3, 1, (4, 3, 1, 0)),
+        (False, 1, 3, 3, 1, (8, 7, 2, 0)),
+        (True, 4, 4, 1, 4, (2, 0)),
+        (False, 1, 2, 2, 0, (7, 3, 2)),
+    )
+
+    def test_matches_pinned_shapes(self):
+        rng = random.Random(7)
+        shapes = []
+        for _ in self.PINNED:
+            n, k = rng.randint(6, 10), rng.randint(3, 6)
+            matrix = core_matrix(rng, n, k)
+            instance = make(
+                [(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))],
+                matrix.clauses,
+                n + k,
+            )
+            result, s = solve(instance)
+            shapes.append(
+                (result, s.leaves, s.branches, s.max_depth, s.weight0_leaves, s.weight_trace)
+            )
+        assert tuple(shapes) == self.PINNED
+
+
 class TestInvariants:
     def test_hitting_set_missing_a_part_raises(self, monkeypatch):
         monkeypatch.setattr(
             "feqbf.solver.greedy_disjoint",
-            lambda parts, x_threshold: HittingSet(frozenset()),
+            lambda parts, x_threshold: HittingSet(0),
         )
         # One group (core x2) whose universal parts {x1} and {-x1} need a hitting set.
         instance = make([(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1)], 4)
