@@ -1,16 +1,24 @@
 """Ground-truth evaluation of QBF and DNF validity.
 
 Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
-the package's only such encoder.  ``eval_qbf``, ``check_equivalence`` and the
-solver's core SAT check encode a matrix once and play the QBF game on it
-(``_play``): backtracking with unit propagation (Davis, Logemann and Loveland,
-1962).  A clause reduced to one existential literal forces it; one reduced to
-a universal literal is False, as the universal player falsifies it.
+the package's only such encoder.  ``eval_qbf`` and ``check_equivalence``
+encode a matrix once and play the QBF game on it (``_play``): backtracking
+with unit propagation (Davis, Logemann and Loveland, 1962).  A clause reduced
+to one existential literal forces it; one reduced to a universal literal is
+False, as the universal player falsifies it.
+
+A purely existential clause set over at most ``TABLE_BITS`` bits is decided
+from truth tables instead: ``satisfying_sets`` maps each clause to the
+2^width-bit int of the assignments that satisfy it, and the set is
+satisfiable iff the AND of those ints is nonzero (``sets_intersect``).  The
+solver's core SAT check and ``check_equivalence`` use them below the cap and
+the game above it.
+
 ``check_equivalence`` splits each clause into its part over the source
 variables, an outermost stretch of the prefix, and its residual over the
-rest; it plays one game per distinct set of residuals that some source
-assignment leaves, not one per source assignment.  DNF validity is
-decided by enumerating all assignments.  The tests check both against the
+rest; it decides each distinct set of residuals that some source assignment
+leaves once, not once per source assignment.  DNF validity is decided by
+enumerating all assignments.  The tests check both against the
 unpruned evaluators in ``tests/oracle_helpers.py``.  A configurable variable
 bound turns oversized inputs into errors rather than silently approximating.
 """
@@ -29,6 +37,9 @@ from .formulas import (
 )
 
 DEFAULT_VARIABLE_BOUND = 24
+# The widest pure-existential clause set decided from truth tables: one set
+# over 16 bits is a 2^16-bit int, 8 KB.  Wider sets go to the game.
+TABLE_BITS = 16
 
 
 class OracleLimitError(ValueError):
@@ -144,6 +155,52 @@ def _assign_bits(clauses, bits: int, true_bits: int):
             return None
         result.append((pos, neg))
     return result
+
+
+def satisfying_sets(masks, shift: int, width: int) -> list[int]:
+    """The satisfying set of each ``(pos, neg)``-encoded clause over bits
+    ``shift .. shift + width - 1``, as a 2^width-bit int: bit tau is set iff
+    the assignment tau (bit i of tau holds bit ``shift + i``) satisfies the
+    clause.  The empty clause maps to 0, and clauses are satisfiable together
+    iff the AND of their sets is nonzero (``sets_intersect``).  Clauses must
+    have no bits above the window."""
+    if width > TABLE_BITS:
+        raise ValueError(f"a truth table over {width} bits exceeds TABLE_BITS = {TABLE_BITS}")
+    full = (1 << (1 << width)) - 1
+    size = 1 << max(width - 3, 0)  # bytes per table
+    true_of = []
+    for i in range(width):
+        # Bit tau of the table for bit i is bit i of tau.  For i < 3 the
+        # pattern repeats within each byte; above, it alternates runs of
+        # 2^(i-3) zero bytes and 2^(i-3) 0xff bytes.
+        if i < 3:
+            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size
+        else:
+            half = 1 << (i - 3)
+            pattern = (bytes(half) + b"\xff" * half) * (size // (2 * half))
+        true_of.append(int.from_bytes(pattern, "little") & full)
+    false_of = [full ^ table for table in true_of]
+    sets = []
+    for pos, neg in masks:
+        satisfied = 0
+        for bits, tables in ((pos >> shift, true_of), (neg >> shift, false_of)):
+            while bits:
+                low = bits & -bits
+                satisfied |= tables[low.bit_length() - 1]
+                bits ^= low
+        sets.append(satisfied)
+    return sets
+
+
+def sets_intersect(sets) -> bool:
+    """True iff some assignment lies in every one of the satisfying sets
+    ``sets``: their AND is nonzero.  With no sets it is True."""
+    common = -1  # every bit set
+    for satisfied in sets:
+        common &= satisfied
+        if not common:
+            return False
+    return True
 
 
 def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
@@ -292,9 +349,13 @@ def _residual_games(masks, universal: int, n: int) -> list[bool]:
 
     Each clause splits into its source part, over bits ``0..n-1``, and its
     residual over the rest.  An encoding leaves exactly the residuals of the
-    clauses whose source part it falsifies, so the game is played once per
-    distinct set of residuals left; the residual ``(0, 0)`` of a clause with
-    only source literals makes that set False without a game."""
+    clauses whose source part it falsifies, so each distinct set of residuals
+    left is decided once.  When no residual bit is universal and the
+    residuals span at most ``TABLE_BITS`` bits, a set is decided by the AND
+    of its members' satisfying sets, built once per call; the residual
+    ``(0, 0)`` of a clause with only source literals has the set 0.
+    Otherwise a game is played per set, and that residual makes a set False
+    without one."""
     src = (1 << n) - 1
     residual_ids: dict[tuple[int, int], int] = {}
     # The residuals left behind by each distinct source part, as a bit set.
@@ -304,6 +365,13 @@ def _residual_games(masks, universal: int, n: int) -> list[bool]:
         source = (pos & src, neg & src)
         parts[source] = parts.get(source, 0) | 1 << residual
     residuals = list(residual_ids)
+    occupied = 0
+    for pos, neg in residuals:
+        occupied |= pos | neg
+    width = max(occupied.bit_length() - n, 0)
+    tables = None
+    if not universal >> n and width <= TABLE_BITS:
+        tables = satisfying_sets(residuals, n, width)
     emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
     values: dict[int, bool] = {}
     result = []
@@ -314,9 +382,12 @@ def _residual_games(masks, universal: int, n: int) -> list[bool]:
                 key |= bits
         value = values.get(key)
         if value is None:
-            value = not (key & emptied) and _game(
-                [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
-            )
+            if tables is not None:
+                value = sets_intersect(t for i, t in enumerate(tables) if key >> i & 1)
+            else:
+                value = not (key & emptied) and _game(
+                    [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
+                )
             values[key] = value
         result.append(value)
     return result

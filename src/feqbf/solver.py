@@ -15,8 +15,13 @@ the partition is computed once, at the root, and encoded once with
 pairs: each core is a ``(pos, neg)`` mask over the existential bits, each
 universal part one over the universal bits, which follow sorted variable
 order.  Each branch restricts its parent's node (``restrict_groups``) and
-weighs the result in the same pass; a leaf hands the core masks to the SAT
-check as they are.
+weighs the result in the same pass.
+
+When the k existential variables number at most ``oracle.TABLE_BITS``, the
+root also maps each core to its satisfying set, a 2^k-bit int
+(``oracle.satisfying_sets``), and a leaf's SAT check is the AND of its
+cores' sets.  Above the cap a leaf hands the core masks to the oracle's game
+as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .formulas import (
     literal_sort_key,
     normalize_prefix,
 )
-from .oracle import _play, clause_masks, eval_qbf
+from .oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets, sets_intersect
 
 Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
@@ -240,19 +245,26 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
 
 
-def sat_check_core(cores: Sequence[Mask]) -> bool:
-    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``, decided
-    by the oracle's engine (backtracking with unit propagation) with every
+def sat_check_core(cores: Sequence[Mask], sets: dict[Mask, int] | None = None) -> bool:
+    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``.  Given
+    ``sets``, each core's satisfying set from ``oracle.satisfying_sets``, it
+    is whether the AND of the cores' sets is nonzero.  Without it the
+    oracle's engine decides (backtracking with unit propagation) with every
     variable existential.  An empty clause makes it False."""
-    return _play(cores, 0)
+    if sets is None:
+        return _play(cores, 0)
+    return sets_intersect(sets[core] for core in cores)
 
 
 class _Search:
     """One solver run: fixed threshold, accumulated stats.  A node is the
-    encoded partition, ordered by core once at the root."""
+    encoded partition, ordered by core once at the root.  ``sets`` maps each
+    root core to its satisfying set, or is None when the existential bits
+    are too many for truth tables."""
 
-    def __init__(self, x_threshold: float):
+    def __init__(self, x_threshold: float, sets: dict[Mask, int] | None):
         self.x_threshold = x_threshold
+        self.sets = sets
         self.stats = SolverStats()
         self._trace: list[int] = []
         self._best_trace: tuple[int, ...] = ()
@@ -301,7 +313,7 @@ class _Search:
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
         # The cores are the core projection of the restricted matrix.
-        return sat_check_core([core for core, _ in node])
+        return sat_check_core([core for core, _ in node], self.sets)
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -327,7 +339,10 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
         {v: i for i, v in enumerate(sorted(universal))},
         {v: i for i, v in enumerate(existential)},
     )
-    search = _Search(x_threshold)
+    # Cores never change below the root, so their satisfying sets are built once.
+    cores = [core for core, _ in node]
+    sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
+    search = _Search(x_threshold, sets)
     result = search.decide(node, group_weight(node), 0)
     stats = search.stats
     stats.weight_trace = search._best_trace

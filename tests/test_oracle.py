@@ -186,6 +186,43 @@ class TestGame:
         assert oracle._game([(0, 0), (0b11, 0)], 0b1, 0) is False
 
 
+class TestSatisfyingSets:
+    def test_matches_clause_evaluation(self):
+        # Each bit of each set against the clause evaluated under that
+        # assignment, with the window shifted above some bits left unused.
+        rng = random.Random(41)
+        for width in range(0, 9):
+            shift = rng.randint(0, 3)
+            masks = [(0, 0)]
+            for _ in range(6):
+                pos = neg = 0
+                for i in rng.sample(range(width), rng.randint(0, min(3, width))):
+                    if rng.random() < 0.5:
+                        pos |= 1 << (shift + i)
+                    else:
+                        neg |= 1 << (shift + i)
+                masks.append((pos, neg))
+            for (pos, neg), satisfied in zip(masks, oracle.satisfying_sets(masks, shift, width)):
+                assert satisfied >> (1 << width) == 0
+                for tau in range(1 << width):
+                    value = tau << shift
+                    assert (satisfied >> tau & 1) == bool(value & pos or ~value & neg)
+
+    def test_tautology_is_every_assignment(self):
+        assert oracle.satisfying_sets([(0b1, 0b1)], 0, 5) == [(1 << 32) - 1]
+
+    def test_sets_intersect(self):
+        assert oracle.sets_intersect([]) is True
+        assert oracle.sets_intersect([0]) is False
+        assert oracle.sets_intersect([0b0110, 0b1100]) is True
+        assert oracle.sets_intersect([0b0110, 0b1001]) is False
+
+    def test_width_above_the_cap_raises(self):
+        with pytest.raises(ValueError, match="TABLE_BITS"):
+            oracle.satisfying_sets([(0b1, 0)], 0, oracle.TABLE_BITS + 1)
+        assert len(oracle.satisfying_sets([(0b1, 0)], 0, oracle.TABLE_BITS)) == 1
+
+
 class TestIsDnfValid:
     def test_tautology(self):
         assert is_dnf_valid(DnfFormula((F(1), F(-1)), 1)) is True
@@ -376,30 +413,67 @@ def shared_residual_pair(rng, forall_exists, positional):
     return psi, phi, x_map
 
 
+def check_against_reference(mode, positional):
+    """Run check_equivalence on 150 random shared-residual pairs and compare
+    each report with the per-assignment reference."""
+    rng = random.Random(f"{mode}:{positional}")
+    for _ in range(150):
+        psi, phi, x_map = shared_residual_pair(rng, mode == "forall_exists", positional)
+        expected = []
+        for encoding in range(1 << psi.num_vars):
+            bits = [bool(encoding >> i & 1) for i in range(psi.num_vars)]
+            psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
+            if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
+                expected.append(encoding)
+        report = check_equivalence(psi, phi, mode, x_map=None if positional else x_map)
+        assert report.mismatch_count == len(expected), (psi, phi, x_map)
+        assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+
+
+def surviving_residual_sets(psi, phi):
+    """The distinct clause sets that the source assignments leave without an
+    emptied clause, computed clause by clause."""
+    sources = phi.prefix[0].vars
+    surviving = set()
+    for encoding in range(1 << psi.num_vars):
+        sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(sources)}
+        clauses = apply_assignment_cnf(phi.matrix, sigma).clauses
+        if frozenset() not in clauses:
+            surviving.add(frozenset(clauses))
+    return surviving
+
+
 class TestSharedResidualGames:
-    """check_equivalence plays one game per distinct residual set; these
-    tests pin its answers and its game count."""
+    """check_equivalence decides each distinct residual set once: from truth
+    tables when no residual bit is universal and at most ``TABLE_BITS`` of
+    them occur, by a game otherwise.  These tests pin its answers and its
+    decision count on both paths."""
 
     @pytest.mark.parametrize("mode", ["general", "forall_exists"])
     @pytest.mark.parametrize("positional", [True, False])
-    def test_matches_per_assignment_reference(self, mode, positional):
-        rng = random.Random(f"{mode}:{positional}")
-        for _ in range(150):
-            psi, phi, x_map = shared_residual_pair(rng, mode == "forall_exists", positional)
-            expected = []
-            for encoding in range(1 << psi.num_vars):
-                bits = [bool(encoding >> i & 1) for i in range(psi.num_vars)]
-                psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
-                if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
-                    expected.append(encoding)
-            report = check_equivalence(psi, phi, mode, x_map=None if positional else x_map)
-            assert report.mismatch_count == len(expected), (psi, phi, x_map)
-            assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+    def test_matches_per_assignment_reference(self, monkeypatch, mode, positional):
+        table_checks = []
+        original = oracle.sets_intersect
+        monkeypatch.setattr(
+            oracle, "sets_intersect", lambda sets: table_checks.append(1) or original(sets)
+        )
+        check_against_reference(mode, positional)
+        # Every pair has at most 8 variables, so the forall_exists pairs take
+        # the table path; the general ones take it when no residual is universal.
+        if mode == "forall_exists":
+            assert table_checks
+
+    @pytest.mark.parametrize("mode", ["general", "forall_exists"])
+    @pytest.mark.parametrize("positional", [True, False])
+    def test_matches_per_assignment_reference_by_games(self, monkeypatch, mode, positional):
+        monkeypatch.setattr(oracle, "TABLE_BITS", -1)
+        monkeypatch.setattr(oracle, "satisfying_sets", None)  # the table path would fail
+        check_against_reference(mode, positional)
 
     def test_one_root_game_per_distinct_residual_set(self, monkeypatch):
         psi = random_dnf(10, 20, seed=11)
         phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
-        sources = phi.prefix[0].vars
+        monkeypatch.setattr(oracle, "TABLE_BITS", -1)
         root_games = []
         original = oracle._game
 
@@ -410,11 +484,18 @@ class TestSharedResidualGames:
 
         monkeypatch.setattr(oracle, "_game", counting)
         assert check_equivalence(psi, phi, mode="forall_exists").passed
-        surviving = set()
-        for encoding in range(1 << psi.num_vars):
-            sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(sources)}
-            clauses = apply_assignment_cnf(phi.matrix, sigma).clauses
-            if frozenset() not in clauses:
-                surviving.add(frozenset(clauses))
-        assert len(root_games) == len(surviving)
+        assert len(root_games) == len(surviving_residual_sets(psi, phi)) == 267
         assert len(root_games) < 1 << psi.num_vars
+
+    def test_one_table_check_per_distinct_residual_set(self, monkeypatch):
+        # Theorem 2 gives forall 10 exists 14: the table path, with no game.
+        psi = random_dnf(10, 20, seed=11)
+        phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        monkeypatch.setattr(oracle, "_game", None)
+        checks = []
+        original = oracle.sets_intersect
+        monkeypatch.setattr(
+            oracle, "sets_intersect", lambda sets: checks.append(1) or original(sets)
+        )
+        assert check_equivalence(psi, phi, mode="forall_exists").passed
+        assert len(checks) == len(surviving_residual_sets(psi, phi)) == 267

@@ -16,7 +16,8 @@ from feqbf.formulas import (
     normalize_prefix,
 )
 from feqbf.generate import random_forall_exists
-from feqbf.oracle import clause_masks, eval_qbf
+from feqbf import solver
+from feqbf.oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets
 from feqbf.solver import (
     DisjointFamily,
     FalseCertificate,
@@ -282,6 +283,46 @@ class TestSatCheckCore:
             assert sat_check_core(M(*clauses)) == expected
 
 
+def random_cores(rng, k, count):
+    """``count`` random cores of arity 1 to 3 over the existential bits 0..k-1."""
+    cores = []
+    for _ in range(count):
+        pos = neg = 0
+        for bit in rng.sample(range(k), rng.randint(1, min(3, k))):
+            if rng.random() < 0.5:
+                pos |= 1 << bit
+            else:
+                neg |= 1 << bit
+        cores.append((pos, neg))
+    return cores
+
+
+class TestSatCheckCoreTables:
+    def check(self, cores, k):
+        sets = dict(zip(cores, satisfying_sets(cores, 0, k)))
+        return sat_check_core(cores, sets)
+
+    def test_matches_play_on_random_cores(self):
+        rng = random.Random(53)
+        answers = set()
+        for k in range(0, TABLE_BITS + 1):
+            for _ in range(12):
+                # Around 4.3 clauses per variable sits near the 3-SAT threshold.
+                cores = random_cores(rng, k, rng.randint(0, 5 * k)) if k else []
+                expected = _play(cores, 0)
+                assert self.check(cores, k) == expected, (k, cores)
+                answers.add(expected)
+        assert answers == {True, False}
+
+    def test_no_cores_is_true(self):
+        assert self.check([], 0) is True
+        assert self.check([], 4) is True
+
+    def test_empty_core_is_false(self):
+        assert self.check([(0, 0)], 0) is False
+        assert self.check([(0b1, 0), (0, 0)], 3) is False
+
+
 class TestWeight:
     def test_sums_group_maxima(self):
         # cores {x1}={5}: parts (1,2) and (3); {-x2}={-6}: part (1)
@@ -420,6 +461,42 @@ class TestSolve:
         assert result is False
         assert (stats.leaves, stats.branches, stats.weight0_leaves) == (1, 1, 1)
         assert eval_qbf(instance) is False
+
+
+class TestTableCap:
+    """The search decides its leaves from truth tables up to ``TABLE_BITS``
+    existential variables and by ``_play`` above."""
+
+    @pytest.mark.parametrize("k", [TABLE_BITS, TABLE_BITS + 1])
+    def test_agrees_with_oracle_on_both_sides_of_the_cap(self, monkeypatch, k):
+        leaf_sets = []
+        original = solver.sat_check_core
+
+        def spying(cores, sets=None):
+            leaf_sets.append(sets)
+            return original(cores, sets)
+
+        monkeypatch.setattr(solver, "sat_check_core", spying)
+        rng = random.Random(k)
+        n = 6  # n + k stays within the oracle's 24-variable bound
+        results = set()
+        leaves = 0
+        for _ in range(12):
+            clauses = []
+            for _ in range(rng.randint(30, 50)):
+                vars_ = [rng.randint(n + 1, n + k)]
+                vars_ += rng.sample([v for v in range(1, n + k + 1) if v != vars_[0]], 2)
+                clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
+            instance = make(
+                [(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))], clauses, n + k
+            )
+            result, stats = solve(instance)
+            assert result == eval_qbf(instance), emit_failure(instance)
+            results.add(result)
+            leaves += stats.leaves
+        assert results == {True, False}
+        assert len(leaf_sets) == leaves
+        assert all((sets is not None) == (k <= TABLE_BITS) for sets in leaf_sets)
 
 
 class TestSearchShape:
