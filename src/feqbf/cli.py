@@ -18,14 +18,14 @@ from . import __version__
 from .formulas import DnfFormula, QbfInstance
 from .generate import random_dnf, random_forall_exists
 from .oracle import DEFAULT_VARIABLE_BOUND, check_equivalence, eval_qbf
-from .qdimacs import emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
+from .qdimacs import _content_lines, emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
 from .reductions import (
     ReductionOutput,
     provenance_text,
     reduce_dnf_to_4qbf,
     reduce_dnf_to_fe_dqbf,
 )
-from .solver import ae_blocks, solve, stats_csv_header, stats_csv_row
+from .solver import ae_blocks, solve
 
 EXIT_TRUE = 10
 EXIT_FALSE = 20
@@ -73,12 +73,16 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     result, stats = solve(instance)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.stats_csv:
+    if args.stats_json:
         _, existential = ae_blocks(instance)
-        row = stats_csv_row(
-            Path(args.path).stem, len(existential), stats.d, result, stats, elapsed_ms
-        )
-        Path(args.stats_csv).write_text(stats_csv_header() + "\n" + row + "\n")
+        report = {
+            "instance_id": Path(args.path).stem,
+            "k": len(existential),
+            "result": result,
+            "wall_time_ms": elapsed_ms,
+            **asdict(stats),
+        }
+        Path(args.stats_json).write_text(json.dumps(report, indent=2) + "\n")
     return _result_line(result)
 
 
@@ -96,7 +100,7 @@ def _negate_cnf(instance: QbfInstance) -> DnfFormula:
 
 def cmd_reduce(args) -> int:
     if args.negate_cnf:
-        psi = _negate_cnf(parse_qdimacs(Path(args.path).read_text()))
+        psi = _negate_cnf(_load_qbf(args.path))
     else:
         psi = _load_dnf(args.path)
     if args.theorem == 1:
@@ -131,10 +135,7 @@ def cmd_reduce(args) -> int:
 def _read_var_map(path: str, num_sources: int) -> tuple[int, ...]:
     """Map file: one 'source_var target_var' pair per line."""
     table: dict[int, int] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
+    for line_no, line in _content_lines(Path(path).read_text()):
         fields = line.split()
         if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
             raise ValueError(f"map line {line_no}: expected 'source target'")
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide a forall-exists QDIMACS instance")
     p_solve.add_argument("path")
-    p_solve.add_argument("--stats-csv", default=None)
+    p_solve.add_argument("--stats-json", default=None, help="write the run report as JSON")
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="decide any QDIMACS instance by brute force")

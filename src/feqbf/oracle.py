@@ -40,6 +40,8 @@ DEFAULT_VARIABLE_BOUND = 24
 # The widest pure-existential clause set decided from truth tables: one set
 # over 16 bits is a 2^16-bit int, 8 KB.  Wider sets go to the game.
 TABLE_BITS = 16
+# The mismatching assignments an EquivalenceReport lists; it counts them all.
+MAX_MISMATCHES = 32
 
 
 class OracleLimitError(ValueError):
@@ -70,23 +72,27 @@ def some_term_holds(assignment: int, term_masks) -> bool:
 def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
     """Evaluate a prenex QBF by game-tree search with unit propagation.
     Universal variables take the AND of both branches, existential ones the OR.
-    Only the variables that occur in some clause count against ``var_bound``;
-    the game never branches on the others."""
+    Only the variables that occur in some clause count against ``var_bound``."""
+    return _play(*_encode(instance, (), var_bound))
+
+
+def _encode(instance: QbfInstance, first: Sequence[int], var_bound: int) -> tuple[list, int]:
+    """The matrix of ``instance`` as masks for the game, and its universal
+    bits.  The variables in ``first`` take bits 0.. in order; every other
+    variable that occurs in some clause follows in prefix order.  Only those
+    others count against ``var_bound``; the game never branches on a
+    variable that occurs in no clause."""
+    skip = set(first)
     occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
-    sequence = [
-        (v, block.quantifier) for block in instance.prefix for v in block.vars if v in occurring
-    ]
-    if len(sequence) > var_bound:
+    quantifier_of = {v: b.quantifier for b in instance.prefix for v in b.vars}
+    rest = [v for v in quantifier_of if v in occurring and v not in skip]
+    if len(rest) > var_bound:
         raise OracleLimitError(
-            f"{len(sequence)} variables exceed the brute-force bound {var_bound}"
+            f"{len(rest)} quantified variables remain in the game; bound is {var_bound}"
         )
-    masks = clause_masks(instance.matrix.clauses, {var: i for i, (var, _) in enumerate(sequence)})
-    return _play(masks, _universal_mask(q for _, q in sequence))
-
-
-def _universal_mask(quantifiers) -> int:
-    """The bits quantified universally, given each bit's quantifier in order."""
-    return sum(1 << i for i, q in enumerate(quantifiers) if q == FORALL)
+    order = [*first, *rest]
+    universal = sum(1 << i for i, v in enumerate(order) if quantifier_of[v] == FORALL)
+    return clause_masks(instance.matrix.clauses, {v: i for i, v in enumerate(order)}), universal
 
 
 def _play(masks, universal: int) -> bool:
@@ -218,7 +224,7 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
 class EquivalenceReport:
     """Outcome of a per-assignment comparison between a DNF and a QBF.
 
-    ``mismatches`` is truncated to ``max_mismatches`` entries; ``mismatch_count``
+    ``mismatches`` is truncated to ``MAX_MISMATCHES`` entries; ``mismatch_count``
     is the untruncated total.  Assignments are reported over the source DNF's
     variables and sorted by their integer encoding (bit i-1 holds x_i).
     """
@@ -260,7 +266,6 @@ def check_equivalence(
     *,
     x_map: Sequence[int] | None = None,
     var_bound: int = DEFAULT_VARIABLE_BOUND,
-    max_mismatches: int = 32,
 ) -> EquivalenceReport:
     """Compare psi(sigma) with phi(sigma) for every assignment to psi's variables.
 
@@ -313,28 +318,16 @@ def check_equivalence(
         suffix = [b.quantifier for b in (phi.prefix[1:] if n else phi.prefix)]
         if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
-    # Only the variables that occur in some clause count against the bound;
-    # the games never branch on the others.
-    sources = set(x_ids)
-    occurring = {abs(lit) for clause in phi.matrix.clauses for lit in clause}
-    rest = [v for b in phi.prefix for v in b.vars if v in occurring and v not in sources]
-    if len(rest) > var_bound:
-        raise OracleLimitError(
-            f"{len(rest)} quantified variables remain after the shared block; bound is {var_bound}"
-        )
     # The mapped variables take bits 0..n-1.  They all lie in the outermost
     # universal block, whose variables commute, so this reordering is sound.
-    order = list(x_ids) + rest
-    quantifier_of = {v: b.quantifier for b in phi.prefix for v in b.vars}
-    universal = _universal_mask(quantifier_of[v] for v in order)
-    masks = clause_masks(phi.matrix.clauses, {v: i for i, v in enumerate(order)})
+    masks, universal = _encode(phi, x_ids, var_bound)
     term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
     mismatched: list[dict[int, bool]] = []
     mismatch_count = 0
     for encoding, value in enumerate(_residual_games(masks, universal, n)):
         if some_term_holds(encoding, term_masks) != value:
             mismatch_count += 1
-            if len(mismatched) < max_mismatches:
+            if len(mismatched) < MAX_MISMATCHES:
                 mismatched.append({i + 1: bool(encoding >> i & 1) for i in range(n)})
     return EquivalenceReport(
         total_assignments=1 << n,

@@ -61,6 +61,45 @@ def _parse_int_line(line_no: int, line: str) -> list[int]:
     return values[:-1]
 
 
+def _read(text: str, kind: str, noun: str, other=None) -> tuple[int, list[list[int]]]:
+    """The header ``p <kind> <nvars> <count>`` and the ``count`` rows (``noun``)
+    of literals over 1..nvars after it, as ``(nvars, rows)``.  ``other(line_no,
+    line, num_vars, rows)`` sees each line first and returns True if it took it."""
+    num_vars = None
+    rows: list[list[int]] = []
+    for line_no, line in _content_lines(text):
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise FormatError(line_no, "duplicate header")
+            num_vars, count = _parse_header(line_no, line, kind)
+            continue
+        if num_vars is None:
+            raise FormatError(line_no, f"missing 'p {kind}' header")
+        if other is not None and other(line_no, line, num_vars, rows):
+            continue
+        row = _parse_int_line(line_no, line)
+        for lit in row:
+            if abs(lit) > num_vars:
+                raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
+        rows.append(row)
+    if num_vars is None:
+        raise FormatError(1, f"missing 'p {kind}' header")
+    if len(rows) != count:
+        raise FormatError(
+            len(text.splitlines()) or 1,
+            f"header declares {count} {noun} but {len(rows)} were given",
+        )
+    return num_vars, rows
+
+
+def _emit(kind: str, num_vars: int, rows, prefix_lines=()) -> str:
+    lines = [f"p {kind} {num_vars} {len(rows)}", *prefix_lines]
+    for row in rows:
+        lits = sorted(row, key=literal_sort_key)
+        lines.append(" ".join(map(str, lits)) + (" 0" if lits else "0"))
+    return "\n".join(lines) + "\n"
+
+
 def parse_qdimacs(text: str) -> QbfInstance:
     """Parse QDIMACS text into a QbfInstance.
 
@@ -68,98 +107,42 @@ def parse_qdimacs(text: str) -> QbfInstance:
     bound in an outermost existential block, per the usual free-variable
     convention; a file without prefix lines therefore reads as plain SAT.
     """
-    num_vars = None
-    num_clauses = 0
     blocks: list[tuple[str, list[int]]] = []
     declared: dict[int, int] = {}
-    clauses: list[frozenset[int]] = []
-    for line_no, line in _content_lines(text):
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise FormatError(line_no, "duplicate header")
-            num_vars, num_clauses = _parse_header(line_no, line, "cnf")
-            continue
-        if num_vars is None:
-            raise FormatError(line_no, "missing 'p cnf' header")
-        if line.split(None, 1)[0] in ("a", "e"):
-            if clauses:
-                raise FormatError(line_no, "prefix line after the first clause")
-            quant = FORALL if line[0] == "a" else EXISTS
-            vars_ = _parse_int_line(line_no, line[1:])
-            for v in vars_:
-                if v < 1 or v > num_vars:
-                    raise FormatError(line_no, f"variable {v} out of range 1..{num_vars}")
-                if v in declared:
-                    raise FormatError(line_no, f"variable {v} already declared on line {declared[v]}")
-                declared[v] = line_no
-            blocks.append((quant, vars_))
-        else:
-            lits = _parse_int_line(line_no, line)
-            for lit in lits:
-                if abs(lit) > num_vars:
-                    raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
-            clauses.append(frozenset(lits))
-    if num_vars is None:
-        raise FormatError(1, "missing 'p cnf' header")
-    if len(clauses) != num_clauses:
-        raise FormatError(
-            len(text.splitlines()) or 1,
-            f"header declares {num_clauses} clauses but {len(clauses)} were given",
-        )
+
+    def prefix_line(line_no: int, line: str, num_vars: int, clauses) -> bool:
+        if line.split(None, 1)[0] not in ("a", "e"):
+            return False
+        if clauses:
+            raise FormatError(line_no, "prefix line after the first clause")
+        vars_ = _parse_int_line(line_no, line[1:])
+        for v in vars_:
+            if v < 1 or v > num_vars:
+                raise FormatError(line_no, f"variable {v} out of range 1..{num_vars}")
+            if v in declared:
+                raise FormatError(line_no, f"variable {v} already declared on line {declared[v]}")
+            declared[v] = line_no
+        blocks.append((FORALL if line[0] == "a" else EXISTS, vars_))
+        return True
+
+    num_vars, clauses = _read(text, "cnf", "clauses", prefix_line)
     free = [v for v in range(1, num_vars + 1) if v not in declared]
     prefix = normalize_prefix([(EXISTS, free)] + blocks if free else blocks)
-    return QbfInstance(prefix, CnfMatrix(tuple(clauses), num_vars))
+    return QbfInstance(prefix, CnfMatrix(tuple(map(frozenset, clauses)), num_vars))
 
 
 def emit_qdimacs(instance: QbfInstance) -> str:
-    lines = [f"p cnf {instance.matrix.num_vars} {len(instance.matrix.clauses)}"]
-    for block in instance.prefix:
-        lines.append(f"{block.quantifier} {' '.join(map(str, block.vars))} 0")
-    for clause in instance.matrix.clauses:
-        lits = sorted(clause, key=literal_sort_key)
-        lines.append(" ".join(map(str, lits)) + (" 0" if lits else "0"))
-    return "\n".join(lines) + "\n"
+    prefix_lines = [f"{b.quantifier} {' '.join(map(str, b.vars))} 0" for b in instance.prefix]
+    return _emit("cnf", instance.matrix.num_vars, instance.matrix.clauses, prefix_lines)
 
 
 def parse_dnf(text: str) -> tuple[DnfFormula, int]:
     """Parse the DNF format; returns the formula and the number of dropped
     contradictory terms (a term containing both x and -x is unsatisfiable)."""
-    num_vars = None
-    num_terms = 0
-    terms: list[frozenset[int]] = []
-    parsed = 0
-    dropped = 0
-    for line_no, line in _content_lines(text):
-        if line.startswith("p"):
-            if num_vars is not None:
-                raise FormatError(line_no, "duplicate header")
-            num_vars, num_terms = _parse_header(line_no, line, "dnf")
-            continue
-        if num_vars is None:
-            raise FormatError(line_no, "missing 'p dnf' header")
-        lits = _parse_int_line(line_no, line)
-        for lit in lits:
-            if abs(lit) > num_vars:
-                raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
-        parsed += 1
-        term = frozenset(lits)
-        if any(-lit in term for lit in term):
-            dropped += 1
-            continue
-        terms.append(term)
-    if num_vars is None:
-        raise FormatError(1, "missing 'p dnf' header")
-    if parsed != num_terms:
-        raise FormatError(
-            len(text.splitlines()) or 1,
-            f"header declares {num_terms} terms but {parsed} were given",
-        )
-    return DnfFormula(tuple(terms), num_vars), dropped
+    num_vars, rows = _read(text, "dnf", "terms")
+    terms = [term for term in map(frozenset, rows) if not any(-lit in term for lit in term)]
+    return DnfFormula(tuple(terms), num_vars), len(rows) - len(terms)
 
 
 def emit_dnf(formula: DnfFormula) -> str:
-    lines = [f"p dnf {formula.num_vars} {len(formula.terms)}"]
-    for term in formula.terms:
-        lits = sorted(term, key=literal_sort_key)
-        lines.append(" ".join(map(str, lits)) + (" 0" if lits else "0"))
-    return "\n".join(lines) + "\n"
+    return _emit("dnf", formula.num_vars, formula.terms)

@@ -6,10 +6,11 @@ x, the DNF holds iff the QBF's quantified suffix evaluates to True.
 
 ``reduce_dnf_to_fe_dqbf`` keeps two quantifier blocks and arity d by spending
 one group of d-1 existential index variables per term.  ``reduce_dnf_to_4qbf``
-reaches arity 4 with O(log m) existential variables by encoding term indices
-in two universal selector vectors, adding a DNF that detects selector
-cheating, and recursing on that cheat formula until it is small enough to
-convert by brute-force enumeration.
+reaches arity 4 with O(log m) existential variables per level by encoding
+term indices in two universal selector vectors, adding a DNF that detects
+selector cheating, and recursing on that cheat formula until it is small
+enough to convert by brute-force enumeration.  Recursing on m >= 17 terms
+reaches a fixed point (23, 49), (41, 129) or (75, 321) (variables, terms).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .formulas import (
     normalize_prefix,
     split_clause_to_arity,
 )
-from .oracle import clause_masks, some_term_holds
+from .oracle import DEFAULT_VARIABLE_BOUND, clause_masks, some_term_holds
 
 
 class ReductionError(ValueError):
@@ -173,17 +174,19 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
 
 
 def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOutput:
-    """Reduce a DNF to an equivalent 4-ary QBF with few existential variables.
+    """Reduce a DNF to an equivalent 4-ary QBF.
 
     Recursive: while variables + terms exceed ``base_threshold``, the term
     index is binary-encoded in existential variables y, mirrored by two
     universal selector vectors z1/z2 (plus an escape variable w), and the
     construction recurses on the cheat-detection DNF over (y, z1, z2, w).  At
     or below the threshold the DNF is converted by enumerating falsifying
-    assignments and splitting the resulting long clauses to arity 4.
+    assignments and splitting the resulting long clauses to arity 4.  A
+    source with m >= 17 terms that recurses reaches a fixed point (23, 49),
+    (41, 129) or (75, 321), so O(log m) existentials hold per level only.
 
-    Raises ReductionError when a recursion step fails to shrink the problem,
-    which at small thresholds means the threshold must be raised.
+    Raises ReductionError when a recursion step fails to shrink the problem
+    or a base case has more than ``DEFAULT_VARIABLE_BOUND`` variables.
     """
     if base_threshold < 4:
         raise ValueError("base threshold must be at least 4")
@@ -249,10 +252,16 @@ def _construct_level(terms, universe, ids, base_threshold, level):
     new_universe = y + z1 + z2 + (w,)
     n_next, m_next = len(new_universe), len(cheat_terms)
     if n_next + m_next >= n + m:
+        if n <= DEFAULT_VARIABLE_BOUND:
+            advice = f"raise base_threshold to at least {n + m}"
+        else:
+            advice = (
+                f"the recursion is stuck at ({n}, {m}), and a base case of {n} "
+                f"variables exceeds the bound of {DEFAULT_VARIABLE_BOUND}"
+            )
         raise ReductionError(
             f"recursion does not shrink at level {level}: cheat formula has "
-            f"{n_next} variables + {m_next} terms >= {n} + {m}; "
-            f"raise base_threshold to at least {n + m}"
+            f"{n_next} variables + {m_next} terms >= {n} + {m}; {advice}"
         )
     sub_suffix, sub_clauses, sub_prov, sub_trace = _construct_level(
         cheat_terms, new_universe, ids, base_threshold, level + 1
@@ -263,8 +272,14 @@ def _construct_level(terms, universe, ids, base_threshold, level):
 
 def _base_case(terms, universe, ids, level):
     """Brute-force conversion: one clause per falsifying assignment, split to
-    arity 4 with fresh innermost existential variables."""
+    arity 4 with fresh innermost existential variables.  It enumerates 2^n
+    assignments, so it refuses more than ``DEFAULT_VARIABLE_BOUND`` variables."""
     n = len(universe)
+    if n > DEFAULT_VARIABLE_BOUND:
+        raise ReductionError(
+            f"base case at level {level} has {n} variables and {len(terms)} terms; "
+            f"enumerating its assignments exceeds the bound of {DEFAULT_VARIABLE_BOUND} variables"
+        )
     term_masks = clause_masks(terms, {var: i for i, var in enumerate(universe)})
     clauses: list[Clause] = []
     fresh: list[int] = []

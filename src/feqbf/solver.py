@@ -94,18 +94,6 @@ class SolverStats:
     d: int = 0
 
 
-STATS_CSV_COLUMNS = (
-    "instance_id",
-    "k",
-    "d",
-    "result",
-    "leaves",
-    "max_depth",
-    "branches",
-    "wall_time_ms",
-)
-
-
 def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a forall-exists prefix into (universal, existential) variables.
     An outermost existential block whose variables occur in no clause, such as
@@ -270,9 +258,6 @@ class _Search:
         self._best_trace: tuple[int, ...] = ()
 
     def decide(self, node: Node, w: int, depth: int) -> bool:
-        for core, _ in node:
-            if core == (0, 0):
-                raise SolverInvariantError("universal-only clause reached the recursion")
         if self._trace and w >= self._trace[-1]:
             raise SolverInvariantError("weight failed to decrease")
         self._trace.append(w)
@@ -339,8 +324,11 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
         {v: i for i, v in enumerate(sorted(universal))},
         {v: i for i, v in enumerate(existential)},
     )
-    # Cores never change below the root, so their satisfying sets are built once.
+    # Cores never change below the root, so they are checked and their
+    # satisfying sets built once.
     cores = [core for core, _ in node]
+    if (0, 0) in cores:
+        raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
     search = _Search(x_threshold, sets)
     result = search.decide(node, group_weight(node), 0)
@@ -352,28 +340,3 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     if math.log2(max(stats.leaves, 1)) > leaf_bound_log2(k, d, x_threshold) + 1e-9:
         raise SolverInvariantError("leaf count exceeded the recursion-tree bound")
     return result, stats
-
-
-def stats_csv_header() -> str:
-    return ",".join(STATS_CSV_COLUMNS)
-
-
-def stats_csv_row(
-    instance_id: str,
-    k: int,
-    d: int,
-    result: bool,
-    stats: SolverStats,
-    wall_time_ms: float,
-) -> str:
-    values = (
-        instance_id,
-        k,
-        d,
-        "TRUE" if result else "FALSE",
-        stats.leaves,
-        stats.max_depth,
-        stats.branches,
-        f"{wall_time_ms:.3f}",
-    )
-    return ",".join(str(v) for v in values)

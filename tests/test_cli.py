@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from feqbf.cli import main
+from feqbf.solver import SolverStats
 
 TRUE_INSTANCE = "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"
 FALSE_INSTANCE = "p cnf 2 2\na 1 0\ne 2 0\n2 1 0\n-2 1 0\n"
@@ -24,7 +26,7 @@ class TestParser:
         "argv, usage",
         [
             ([], "usage: feqbf [-h] [--version] {solve,oracle,reduce,verify,gen} ..."),
-            (["solve"], "usage: feqbf solve [-h] [--stats-csv STATS_CSV] path"),
+            (["solve"], "usage: feqbf solve [-h] [--stats-json STATS_JSON] path"),
         ],
         ids=["feqbf", "solve"],
     )
@@ -74,21 +76,26 @@ class TestSolveCommand:
     def test_missing_file_errors(self):
         assert main(["solve", "/nonexistent/file.qdimacs"]) == 1
 
-    def test_stats_csv_written(self, workdir):
+    def test_stats_json_written(self, workdir):
         path = write(workdir / "t.qdimacs", TRUE_INSTANCE)
-        out = workdir / "stats.csv"
-        assert main(["solve", path, "--stats-csv", str(out)]) == 10
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("instance_id,k,d,result")
-        assert lines[1].startswith("t,1,2,TRUE")
+        out = workdir / "stats.json"
+        assert main(["solve", path, "--stats-json", str(out)]) == 10
+        report = json.loads(out.read_text())
+        assert {"instance_id": "t", "k": 1, "d": 2, "result": True}.items() <= report.items()
+        # Every SolverStats field is in the report, with the wall time.
+        assert set(report) == {"instance_id", "k", "result", "wall_time_ms"} | {
+            f.name for f in fields(SolverStats)
+        }
+        assert report["wall_time_ms"] >= 0
 
     def test_stats_report_arity_after_preprocess(self, workdir):
         # The width-6 tautology is dropped by preprocess, leaving arity 2.
         text = "p cnf 6 2\na 1 2 3 4 0\ne 5 6 0\n1 -1 2 3 4 5 0\n1 5 0\n"
         path = write(workdir / "t.qdimacs", text)
-        stats = workdir / "stats.csv"
-        assert main(["solve", path, "--stats-csv", str(stats)]) == 10
-        assert stats.read_text().splitlines()[1].startswith("t,2,2,TRUE")
+        stats = workdir / "stats.json"
+        assert main(["solve", path, "--stats-json", str(stats)]) == 10
+        report = json.loads(stats.read_text())
+        assert (report["k"], report["d"], report["result"]) == (2, 2, True)
 
 
 class TestOracleCommand:

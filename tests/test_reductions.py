@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -219,6 +220,23 @@ class TestTheorem1:
         psi = random_dnf(6, 5, seed=11)
         with pytest.raises(ReductionError, match="raise base_threshold"):
             reduce_dnf_to_4qbf(psi, 10)
+
+    @pytest.mark.parametrize(
+        "base_threshold, message",
+        [
+            # Level 1 cannot shrink (75, 321), and no threshold makes its
+            # base case of 75 variables enumerable.
+            (160, r"stuck at \(75, 321\), and a base case of 75 variables exceeds"),
+            # 396 = 75 + 321 makes level 1 the base case, of 2^75 assignments.
+            (396, r"base case at level 1 has 75 variables and 321 terms"),
+        ],
+    )
+    def test_fixed_point_raises_at_once(self, base_threshold, message):
+        psi = random_dnf(16, 1024, seed=1)
+        start = time.perf_counter()
+        with pytest.raises(ReductionError, match=message):
+            reduce_dnf_to_4qbf(psi, base_threshold)
+        assert time.perf_counter() - start < 5.0
 
     def test_rejects_tiny_threshold_and_empty_source(self):
         with pytest.raises(ValueError, match="threshold"):

@@ -34,8 +34,6 @@ from feqbf.solver import (
     restrict_groups,
     sat_check_core,
     solve,
-    stats_csv_header,
-    stats_csv_row,
     threshold,
 )
 from oracle_helpers import cnf_satisfiable, qbf_eval_reference
@@ -545,6 +543,16 @@ class TestInvariants:
         with pytest.raises(SolverInvariantError, match="hitting set misses a universal part"):
             solve(instance)
 
+    def test_universal_only_clause_reaching_the_search_raises(self, monkeypatch):
+        # Without preprocess the all-universal clause (x1) reaches the search
+        # at k = 3 as the bare core.
+        monkeypatch.setattr("feqbf.solver.preprocess", lambda instance: instance)
+        instance = make(
+            [(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(1), F(1, 2), F(3, 4)], 4
+        )
+        with pytest.raises(SolverInvariantError, match="universal-only clause reached the recursion"):
+            solve(instance)
+
     def test_hitting_set_check_survives_optimized_mode(self):
         root = Path(__file__).resolve().parents[1]
         completed = subprocess.run(
@@ -565,23 +573,3 @@ def emit_failure(instance):
 
     return "solver/oracle disagree on:\n" + emit_qdimacs(instance)
 
-
-class TestStatsCsv:
-    def test_header_and_row_shape(self):
-        header = stats_csv_header()
-        assert header.split(",") == [
-            "instance_id",
-            "k",
-            "d",
-            "result",
-            "leaves",
-            "max_depth",
-            "branches",
-            "wall_time_ms",
-        ]
-        instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
-        result, stats = solve(instance)
-        row = stats_csv_row("example", 1, 2, result, stats, 1.25)
-        assert row.split(",")[0] == "example"
-        assert row.split(",")[3] == "TRUE"
-        assert len(row.split(",")) == len(header.split(","))
