@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .formulas import DnfFormula, QbfInstance
 from .generate import random_dnf, random_forall_exists
 from .oracle import DEFAULT_VARIABLE_BOUND, check_equivalence, eval_qbf
-from .qdimacs import _content_lines, emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
+from .qdimacs import emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
 from .reductions import (
     ReductionOutput,
     provenance_text,
@@ -31,25 +31,6 @@ EXIT_TRUE = 10
 EXIT_FALSE = 20
 EXIT_ERROR = 1
 EXIT_MISMATCH = 2
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit for bit."""
-
-    command: str
-    seed: int | None
-    inputs: tuple[str, ...]
-    config: dict = field(default_factory=dict)
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-def _write_manifest(path: str | None, manifest: RunManifest) -> None:
-    if path:
-        Path(path).write_text(manifest.to_json())
 
 
 def _load_qbf(path: str) -> QbfInstance:
@@ -115,47 +96,14 @@ def cmd_reduce(args) -> int:
     if args.provenance:
         Path(args.provenance).write_text(provenance_text(output))
     print(f"existential_count={output.existential_count} alternations={output.alternations}")
-    _write_manifest(
-        args.manifest,
-        RunManifest(
-            command="reduce",
-            seed=None,
-            inputs=(args.path,),
-            config={
-                "theorem": args.theorem,
-                "d": args.d,
-                "base_threshold": args.base_threshold,
-                "negate_cnf": args.negate_cnf,
-            },
-        ),
-    )
     return 0
-
-
-def _read_var_map(path: str, num_sources: int) -> tuple[int, ...]:
-    """Map file: one 'source_var target_var' pair per line."""
-    table: dict[int, int] = {}
-    for line_no, line in _content_lines(Path(path).read_text()):
-        fields = line.split()
-        if len(fields) != 2 or not all(f.lstrip("-").isdigit() for f in fields):
-            raise ValueError(f"map line {line_no}: expected 'source target'")
-        source, target = int(fields[0]), int(fields[1])
-        if source in table:
-            raise ValueError(f"map line {line_no}: source variable {source} mapped twice")
-        table[source] = target
-    if set(table) != set(range(1, num_sources + 1)):
-        raise ValueError(f"map must cover source variables 1..{num_sources} exactly")
-    return tuple(table[i] for i in range(1, num_sources + 1))
 
 
 def cmd_verify(args) -> int:
     psi = _load_dnf(args.dnf)
     phi = _load_qbf(args.qbf)
-    x_map = _read_var_map(args.map, psi.num_vars) if args.map else None
-    report = check_equivalence(psi, phi, mode=args.mode, x_map=x_map, var_bound=args.bound)
+    report = check_equivalence(psi, phi, mode=args.mode, var_bound=args.bound)
     print(report.summary())
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv())
     return 0 if report.passed else EXIT_MISMATCH
 
 
@@ -163,28 +111,15 @@ def cmd_gen(args) -> int:
     if args.kind == "dnf":
         formula = random_dnf(args.n, args.m, arity=args.d, seed=args.seed, distinct=args.distinct)
         text = emit_dnf(formula)
-        config = {"kind": "dnf", "n": args.n, "m": args.m, "d": args.d, "distinct": args.distinct}
     else:
         instance = random_forall_exists(
             args.n, args.k, args.m, arity=args.d, seed=args.seed, distinct=args.distinct
         )
         text = emit_qdimacs(instance)
-        config = {
-            "kind": "feqbf",
-            "n": args.n,
-            "k": args.k,
-            "m": args.m,
-            "d": args.d,
-            "distinct": args.distinct,
-        }
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    _write_manifest(
-        args.manifest,
-        RunManifest(command="gen", seed=args.seed, inputs=(), config=config),
-    )
     return 0
 
 
@@ -215,17 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--provenance", default=None)
     p_reduce.add_argument("--negate-cnf", action="store_true",
                           help="read a DIMACS CNF and reduce its complement DNF")
-    p_reduce.add_argument("--manifest", default=None)
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="check a DNF against a reduction output")
     p_verify.add_argument("dnf")
     p_verify.add_argument("qbf")
     p_verify.add_argument("--mode", choices=("general", "forall_exists"), default="general")
-    p_verify.add_argument("--map", default=None,
-                          help="explicit variable map file (default: positional)")
     p_verify.add_argument("--bound", type=int, default=DEFAULT_VARIABLE_BOUND)
-    p_verify.add_argument("--csv", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")
@@ -237,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--distinct", action="store_true")
     p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--manifest", default=None)
     p_gen.set_defaults(func=cmd_gen)
 
     return parser

@@ -26,7 +26,6 @@ bound turns oversized inputs into errors rather than silently approximating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .formulas import (
     EXISTS,
@@ -73,26 +72,26 @@ def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) 
     """Evaluate a prenex QBF by game-tree search with unit propagation.
     Universal variables take the AND of both branches, existential ones the OR.
     Only the variables that occur in some clause count against ``var_bound``."""
-    return _play(*_encode(instance, (), var_bound))
+    return _play(*_encode(instance, 0, var_bound))
 
 
-def _encode(instance: QbfInstance, first: Sequence[int], var_bound: int) -> tuple[list, int]:
+def _encode(instance: QbfInstance, n: int, var_bound: int) -> tuple[list, int]:
     """The matrix of ``instance`` as masks for the game, and its universal
-    bits.  The variables in ``first`` take bits 0.. in order; every other
-    variable that occurs in some clause follows in prefix order.  Only those
-    others count against ``var_bound``; the game never branches on a
-    variable that occurs in no clause."""
-    skip = set(first)
+    bits.  The first ``n`` prefix variables take bits 0..n-1, whether or not
+    they occur in a clause; every later variable that occurs in some clause
+    follows in prefix order.  Only those later ones count against
+    ``var_bound``; the game never branches on a variable that occurs in no
+    clause."""
     occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
-    quantifier_of = {v: b.quantifier for b in instance.prefix for v in b.vars}
-    rest = [v for v in quantifier_of if v in occurring and v not in skip]
+    prefix = [(v, b.quantifier) for b in instance.prefix for v in b.vars]
+    rest = [(v, q) for v, q in prefix[n:] if v in occurring]
     if len(rest) > var_bound:
         raise OracleLimitError(
             f"{len(rest)} quantified variables remain in the game; bound is {var_bound}"
         )
-    order = [*first, *rest]
-    universal = sum(1 << i for i, v in enumerate(order) if quantifier_of[v] == FORALL)
-    return clause_masks(instance.matrix.clauses, {v: i for i, v in enumerate(order)}), universal
+    order = prefix[:n] + rest
+    universal = sum(1 << i for i, (_, q) in enumerate(order) if q == FORALL)
+    return clause_masks(instance.matrix.clauses, {v: i for i, (v, _) in enumerate(order)}), universal
 
 
 def _play(masks, universal: int) -> bool:
@@ -253,74 +252,50 @@ class EquivalenceReport:
             lines.append(f"  ... {self.mismatch_count - len(self.mismatches)} more not shown")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["sigma_encoding"]
-        lines.extend(str(enc) for enc in self.mismatch_encodings())
-        return "\n".join(lines) + "\n"
-
 
 def check_equivalence(
     psi: DnfFormula,
     phi: QbfInstance,
     mode: str = "general",
     *,
-    x_map: Sequence[int] | None = None,
     var_bound: int = DEFAULT_VARIABLE_BOUND,
 ) -> EquivalenceReport:
     """Compare psi(sigma) with phi(sigma) for every assignment to psi's variables.
 
-    The mapping is positional by default: psi's variable i corresponds to the
-    i-th variable of phi's outermost universal block.  ``x_map`` overrides it
-    with an explicit image for each source variable (any variables of the
-    outermost universal block, in any order).  In ``forall_exists`` mode the
-    remainder of the prefix must be exactly one existential block; ``general``
-    mode allows any suffix.
+    psi's variable i corresponds to the i-th variable of phi's outermost
+    universal block.  The variables of one block commute, so reordering that
+    block maps them differently.  In ``forall_exists`` mode the remainder of
+    the prefix must be exactly one existential block; ``general`` mode allows
+    any suffix.
 
-    phi(sigma) is decided by one QBF game per distinct set of residual
-    clauses, the parts over the non-source variables of the clauses that
-    sigma leaves unsatisfied, rather than one game per sigma.  ``var_bound``
-    limits the source variables and, separately, the non-source variables
-    that occur in some clause.
+    phi(sigma) is decided once per distinct set of residual clauses, the
+    parts over the non-source variables of the clauses that sigma leaves
+    unsatisfied, rather than once per sigma (``_residual_games``).
+    ``var_bound`` limits the source variables and, separately, the
+    non-source variables that occur in some clause.
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
     n = psi.num_vars
     if n > var_bound:
         raise OracleLimitError(f"{n} source variables exceed the brute-force bound {var_bound}")
-    if n == 0:
-        if x_map:
-            raise ValueError("explicit map must be empty for a variable-free DNF")
-        x_ids: tuple[int, ...] = ()
-    else:
+    if n:
         if not phi.prefix or phi.prefix[0].quantifier != FORALL:
             raise ValueError(
                 "variable mapping incomplete: the QBF's outermost block must be universal"
             )
-        outer = phi.prefix[0].vars
-        if x_map is None:
-            if len(outer) < n:
-                raise ValueError(
-                    f"variable mapping incomplete: outermost block binds {len(outer)} "
-                    f"variables but the DNF has {n}"
-                )
-            x_ids = outer[:n]
-        else:
-            x_ids = tuple(x_map)
-            if len(x_ids) != n or len(set(x_ids)) != n:
-                raise ValueError(f"explicit map must name {n} distinct variables")
-            missing = set(x_ids) - set(outer)
-            if missing:
-                raise ValueError(
-                    f"mapped variables {sorted(missing)} are not in the outermost universal block"
-                )
+        outer = len(phi.prefix[0].vars)
+        if outer < n:
+            raise ValueError(
+                f"variable mapping incomplete: outermost block binds {outer} "
+                f"variables but the DNF has {n}"
+            )
     if mode == "forall_exists":
         # Without source variables there is no universal x: all of the prefix is suffix.
         suffix = [b.quantifier for b in (phi.prefix[1:] if n else phi.prefix)]
         if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
-    # The mapped variables take bits 0..n-1.  They all lie in the outermost
-    # universal block, whose variables commute, so this reordering is sound.
-    masks, universal = _encode(phi, x_ids, var_bound)
+    masks, universal = _encode(phi, n, var_bound)
     term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
     mismatched: list[dict[int, bool]] = []
     mismatch_count = 0

@@ -28,14 +28,6 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
-def _content_lines(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield line_no, line
-
-
 def _parse_header(line_no: int, line: str, kind: str) -> tuple[int, int]:
     fields = line.split()
     if len(fields) != 4 or fields[0] != "p" or fields[1] != kind:
@@ -67,7 +59,10 @@ def _read(text: str, kind: str, noun: str, other=None) -> tuple[int, list[list[i
     line, num_vars, rows)`` sees each line first and returns True if it took it."""
     num_vars = None
     rows: list[list[int]] = []
-    for line_no, line in _content_lines(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
         if line.startswith("p"):
             if num_vars is not None:
                 raise FormatError(line_no, "duplicate header")

@@ -60,10 +60,16 @@ class ReductionOutput:
 
     instance: QbfInstance
     x_map: tuple[int, ...]
-    existential_count: int
-    alternations: int
     provenance: tuple[VariableRole, ...]
     recursion_trace: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def existential_count(self) -> int:
+        return sum(len(b.vars) for b in self.instance.prefix if b.quantifier == EXISTS)
+
+    @property
+    def alternations(self) -> int:
+        return len(self.instance.prefix)
 
 
 class _IdSource:
@@ -166,8 +172,6 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
     return ReductionOutput(
         instance=instance,
         x_map=tuple(range(1, n + 1)),
-        existential_count=len(existential),
-        alternations=len(prefix),
         provenance=tuple(provenance),
         recursion_trace=((n, m),),
     )
@@ -200,12 +204,9 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOu
     )
     prefix = normalize_prefix([(FORALL, universe)] + suffix)
     instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), ids.last))
-    existential_count = sum(len(vars_) for quant, vars_ in suffix if quant == EXISTS)
     return ReductionOutput(
         instance=instance,
         x_map=universe,
-        existential_count=existential_count,
-        alternations=len(prefix),
         provenance=tuple(provenance),
         recursion_trace=tuple(trace),
     )

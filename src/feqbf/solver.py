@@ -81,10 +81,11 @@ class SolverConfig:
 
 @dataclass
 class SolverStats:
-    """Run statistics.  ``d`` is the arity of the matrix left by ``preprocess``
-    (at least 1), or 0 when a false certificate decided the run.
-    ``weight0_leaves`` counts the search leaves of weight 0, where every
-    clause left is all-existential."""
+    """Run statistics.  ``route`` names what decided the run:
+    ``false_certificate``, ``small_k_oracle`` or ``search``.  ``d`` is the
+    arity of the matrix left by ``preprocess`` (at least 1), or 0 when a
+    false certificate decided the run.  ``weight0_leaves`` counts the search
+    leaves of weight 0, where every clause left is all-existential."""
 
     leaves: int = 0
     weight0_leaves: int = 0
@@ -92,6 +93,7 @@ class SolverStats:
     branches: int = 0
     weight_trace: tuple[int, ...] = ()
     d: int = 0
+    route: str = "search"
 
 
 def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -311,12 +313,12 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     cfg = config or SolverConfig()
     prepared = preprocess(instance)
     if isinstance(prepared, FalseCertificate):
-        return False, SolverStats(leaves=1)
+        return False, SolverStats(leaves=1, route="false_certificate")
     universal, existential = ae_blocks(prepared)
     k = len(existential)
     d = max(prepared.matrix.max_arity(), 1)
     if k <= cfg.small_k_cutoff:
-        return eval_qbf(prepared), SolverStats(d=d, leaves=1)
+        return eval_qbf(prepared), SolverStats(d=d, leaves=1, route="small_k_oracle")
     x_threshold = threshold(k, d)
     groups = partition_groups(prepared.matrix, frozenset(existential))
     node = encode_groups(

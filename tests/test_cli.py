@@ -27,11 +27,23 @@ class TestParser:
         [
             ([], "usage: feqbf [-h] [--version] {solve,oracle,reduce,verify,gen} ..."),
             (["solve"], "usage: feqbf solve [-h] [--stats-json STATS_JSON] path"),
+            (
+                ["reduce"],
+                "usage: feqbf reduce [-h] --theorem {1,2} [--d D] [--base-threshold BASE_THRESHOLD] "
+                "[--out OUT] [--provenance PROVENANCE] [--negate-cnf] path",
+            ),
+            (["verify"], "usage: feqbf verify [-h] [--mode {general,forall_exists}] [--bound BOUND] dnf qbf"),
+            (
+                ["gen"],
+                "usage: feqbf gen [-h] --kind {dnf,feqbf} --n N --m M [--k K] [--d D] --seed SEED "
+                "[--distinct] [--out OUT]",
+            ),
         ],
-        ids=["feqbf", "solve"],
+        ids=["feqbf", "solve", "reduce", "verify", "gen"],
     )
     def test_usage(self, capsys, monkeypatch, argv, usage):
-        # The solver takes no tuning flag, and the commands are exactly these.
+        # The solver takes no tuning flag, the commands are exactly these, and
+        # each takes exactly these flags.
         monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             main(argv + ["--help"])
@@ -81,7 +93,8 @@ class TestSolveCommand:
         out = workdir / "stats.json"
         assert main(["solve", path, "--stats-json", str(out)]) == 10
         report = json.loads(out.read_text())
-        assert {"instance_id": "t", "k": 1, "d": 2, "result": True}.items() <= report.items()
+        expected = {"instance_id": "t", "k": 1, "d": 2, "result": True, "route": "small_k_oracle"}
+        assert expected.items() <= report.items()
         # Every SolverStats field is in the report, with the wall time.
         assert set(report) == {"instance_id", "k", "result", "wall_time_ms"} | {
             f.name for f in fields(SolverStats)
@@ -165,18 +178,6 @@ class TestReduceCommand:
         assert code == 0
         assert main(["oracle", str(out)]) == 10
 
-    def test_manifest_written(self, workdir):
-        dnf = write(workdir / "s.dnf", SMALL_DNF)
-        manifest = workdir / "run.json"
-        main(
-            ["reduce", dnf, "--theorem", "2", "--out", str(workdir / "o.qdimacs"),
-             "--manifest", str(manifest)]
-        )
-        data = json.loads(manifest.read_text())
-        assert data["command"] == "reduce"
-        assert data["config"]["theorem"] == 2
-        assert data["version"]
-
 
 class TestVerifyCommand:
     def test_pass_and_mismatch(self, workdir, capsys):
@@ -202,26 +203,14 @@ class TestVerifyCommand:
         assert main(["verify", dnf, str(out), "--bound", "0"]) == 1
 
     def test_explicit_map_file(self, workdir):
-        # x1 and x2 swap roles: positional mapping fails, the map passes
+        # x1 and x2 swap roles: verify maps DNF variable i to the i-th variable
+        # of the first 'a' line, so listing that line as 'a 2 1 0' maps x1 to 2.
         dnf = write(workdir / "s.dnf", "p dnf 2 1\n1 -2 0\n")
-        qbf = write(
-            workdir / "s.qdimacs",
-            "p cnf 3 3\na 1 2 0\ne 3 0\n2 0\n-1 0\n3 0\n",
-        )
+        matrix = "e 3 0\n2 0\n-1 0\n3 0\n"
+        qbf = write(workdir / "s.qdimacs", "p cnf 3 3\na 1 2 0\n" + matrix)
         assert main(["verify", dnf, qbf]) == 2
-        map_path = write(workdir / "s.map", "1 2\n2 1\n")
-        assert main(["verify", dnf, qbf, "--map", map_path]) == 0
-        bad_map = write(workdir / "bad.map", "1 2\n")
-        assert main(["verify", dnf, qbf, "--map", bad_map]) == 1
-
-    def test_mismatch_csv(self, workdir):
-        dnf = write(workdir / "s.dnf", SMALL_DNF)
-        bad = write(workdir / "n.qdimacs", "p cnf 3 2\na 1 2 0\ne 3 0\n3 0\n-3 0\n")
-        csv_path = workdir / "m.csv"
-        assert main(["verify", dnf, bad, "--csv", str(csv_path)]) == 2
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "sigma_encoding"
-        assert len(lines) == 2  # exactly one satisfying sigma of (x1 and x2)
+        swapped = write(workdir / "swapped.qdimacs", "p cnf 3 3\na 2 1 0\n" + matrix)
+        assert main(["verify", dnf, swapped]) == 0
 
 
 class TestGenCommand:

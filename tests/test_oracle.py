@@ -62,6 +62,27 @@ def random_mixed_qbf(rng, max_vars=9, max_clauses=10, widths=None, tautologies=0
 UNIT_HEAVY = (1, 1, 2, 2, 2, 3)
 
 
+def mapped_first(prefix, x_map):
+    """``prefix`` with ``x_map``, variables of its outermost universal block,
+    moved to the front of that block in order; check_equivalence then maps
+    source variable i to ``x_map[i - 1]``."""
+    rest = [v for v in prefix[0].vars if v not in x_map]
+    return normalize_prefix([(FORALL, (*x_map, *rest)), *prefix[1:]])
+
+
+def reference_mismatches(psi, phi, x_map):
+    """The encodings of the assignments to psi's variables on which psi and
+    phi, with source variable i fixed at ``x_map[i - 1]``, disagree, by the
+    unpruned reference evaluator."""
+    expected = []
+    for encoding in range(1 << psi.num_vars):
+        bits = [bool(encoding >> i & 1) for i in range(psi.num_vars)]
+        psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
+        if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
+            expected.append(encoding)
+    return tuple(expected)
+
+
 class TestEvalQbf:
     def test_forall_exists_true(self):
         instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(2, 1), F(-2, -1)], 2)
@@ -301,13 +322,16 @@ class TestCheckEquivalence:
         assert "more not shown" in report.summary()
 
     def test_explicit_map_permutes_sources(self):
-        # psi's x1 plays instance variable 2, x2 plays variable 1
+        # psi's x1 plays instance variable 2, x2 plays variable 1, once the
+        # outermost block lists 2 first.
         psi = DnfFormula((F(1, -2),), 2)
-        phi = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(2), F(-1), F(3)], 3)
-        assert not check_equivalence(psi, phi).passed
-        assert check_equivalence(psi, phi, x_map=(2, 1)).passed
+        clauses = [F(2), F(-1), F(3)]
+        assert not check_equivalence(psi, make([(FORALL, (1, 2)), (EXISTS, (3,))], clauses, 3)).passed
+        assert check_equivalence(psi, make([(FORALL, (2, 1)), (EXISTS, (3,))], clauses, 3)).passed
 
     def test_explicit_map_matches_per_assignment_reference(self):
+        # Each case draws a non-positional mapping and lists it first in the
+        # outermost block.
         rng = random.Random(9)
         checked = 0
         while checked < 300:
@@ -320,18 +344,23 @@ class TestCheckEquivalence:
             if x_map == prefix[0].vars[:n]:
                 continue  # the positional mapping
             clauses = random_clauses(rng, total, rng.randint(1, 8), UNIT_HEAVY, 0.1)
-            phi = QbfInstance(prefix, CnfMatrix(tuple(clauses), total))
+            phi = QbfInstance(mapped_first(prefix, x_map), CnfMatrix(tuple(clauses), total))
             psi = DnfFormula(tuple(random_clauses(rng, n, rng.randint(0, 4))), n)
-            expected = []
-            for encoding in range(1 << n):
-                bits = [bool(encoding >> i & 1) for i in range(n)]
-                psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
-                if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
-                    expected.append(encoding)
-            report = check_equivalence(psi, phi, x_map=x_map)
+            expected = reference_mismatches(psi, phi, x_map)
+            report = check_equivalence(psi, phi)
             assert report.mismatch_count == len(expected), (psi, phi, x_map)
-            assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+            assert report.mismatch_encodings() == expected, (psi, phi, x_map)
             checked += 1
+
+    def test_source_bits_follow_the_outer_block_by_count(self):
+        # x2 occurs in no clause, and the outer block also binds universal 4:
+        # x3 keeps bit 2, so phi = x1 and psi = x1 & x3 differ at x1=1, x3=0.
+        psi = DnfFormula((F(1, 3),), 3)
+        phi = make([(FORALL, (1, 2, 3, 4)), (EXISTS, (5,))], [F(1, 5), F(3, -5), F(-4, 1)], 5)
+        expected = reference_mismatches(psi, phi, (1, 2, 3))
+        assert expected == (1, 3)
+        report = check_equivalence(psi, phi)
+        assert (report.mismatch_count, report.mismatch_encodings()) == (2, expected)
 
     def test_tautological_clause_under_source_assignment(self):
         # At x1 = 0 the first clause becomes 2 | -2, which (-2) must not refute.
@@ -349,23 +378,13 @@ class TestCheckEquivalence:
         with pytest.raises(ValueError, match="forall_exists"):
             check_equivalence(psi, make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2), mode="forall_exists")
 
-    def test_explicit_map_validation(self):
-        psi = DnfFormula((F(1, 2),), 2)
-        phi = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, 2, 3)], 3)
-        with pytest.raises(ValueError, match="distinct"):
-            check_equivalence(psi, phi, x_map=(1, 1))
-        with pytest.raises(ValueError, match="outermost"):
-            check_equivalence(psi, phi, x_map=(1, 3))
-
     def test_report_serialization(self):
         psi = DnfFormula((F(1),), 1)
         phi = make([(FORALL, (1,)), (EXISTS, (2,))], [F(2), F(-2)], 2)
         report = check_equivalence(psi, phi)
         assert "FAILED" in report.summary()
-        assert report.to_csv() == "sigma_encoding\n1\n"
         passing = check_equivalence(psi, make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2), F(1, -2)], 2))
         assert "PASSED" in passing.summary()
-        assert passing.to_csv() == "sigma_encoding\n"
 
     def test_unused_variables_do_not_count_against_the_bound(self):
         # 28 declared existentials never occur in a clause.
@@ -387,7 +406,9 @@ def shared_residual_pair(rng, forall_exists, positional):
     """A random psi/phi pair whose clauses draw their non-source parts from a
     pool of three, so several clauses share one residual; the empty part in
     the pool makes some clauses source-only.  Returns psi, phi and the
-    variables of phi that psi's variables map to."""
+    variables of phi that psi's variables map to: the first of the outermost
+    block, or, unless ``positional``, a random choice of them that phi's
+    outermost block then lists first."""
     n = rng.randint(1, 4)
     outer = n if forall_exists else rng.randint(n, n + 2)
     total = outer + rng.randint(1, 8 - outer)
@@ -397,6 +418,7 @@ def shared_residual_pair(rng, forall_exists, positional):
         inner = [(rng.choice((FORALL, EXISTS)), (v,)) for v in range(outer + 1, total + 1)]
     prefix = normalize_prefix([(FORALL, tuple(range(1, outer + 1)))] + inner)
     x_map = prefix[0].vars[:n] if positional else tuple(rng.sample(prefix[0].vars, n))
+    prefix = mapped_first(prefix, x_map)
     others = [v for v in range(1, total + 1) if v not in x_map]
 
     def clause_over(variables):
@@ -419,15 +441,10 @@ def check_against_reference(mode, positional):
     rng = random.Random(f"{mode}:{positional}")
     for _ in range(150):
         psi, phi, x_map = shared_residual_pair(rng, mode == "forall_exists", positional)
-        expected = []
-        for encoding in range(1 << psi.num_vars):
-            bits = [bool(encoding >> i & 1) for i in range(psi.num_vars)]
-            psi_true = dnf_true_under(psi.terms, {i + 1: b for i, b in enumerate(bits)})
-            if psi_true != qbf_eval_reference(phi, dict(zip(x_map, bits))):
-                expected.append(encoding)
-        report = check_equivalence(psi, phi, mode, x_map=None if positional else x_map)
+        expected = reference_mismatches(psi, phi, x_map)
+        report = check_equivalence(psi, phi, mode)
         assert report.mismatch_count == len(expected), (psi, phi, x_map)
-        assert report.mismatch_encodings() == tuple(expected), (psi, phi, x_map)
+        assert report.mismatch_encodings() == expected, (psi, phi, x_map)
 
 
 def surviving_residual_sets(psi, phi):

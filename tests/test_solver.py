@@ -366,6 +366,7 @@ class TestSolve:
         )
         result, stats = solve(instance)
         assert result is False
+        assert stats.route == "false_certificate"
         assert stats.branches == 0
         assert stats.max_depth == 0
         assert stats.leaves == 1
@@ -385,6 +386,7 @@ class TestSolve:
         )
         result, stats = solve(instance)
         assert result is True
+        assert stats.route == "search"
         assert stats.branches == 2
         assert stats.max_depth == 1
         assert stats.weight_trace and all(
@@ -418,6 +420,7 @@ class TestSolve:
         instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
         result, stats = solve(instance, SolverConfig(small_k_cutoff=2))
         assert result is True
+        assert stats.route == "small_k_oracle"
         assert stats.leaves == 1
         assert stats.branches == 0
 
