@@ -25,6 +25,8 @@ def _distinct_possible(num_vars: int, arity: int) -> int:
 
 
 def _random_clauses(rng, variables, count, arity, distinct):
+    if arity < 1:
+        raise ValueError(f"arity must be positive, got {arity}")
     if distinct and count > _distinct_possible(len(variables), arity):
         raise ValueError(
             f"cannot draw {count} distinct clauses of arity {min(arity, len(variables))} "
@@ -47,8 +49,10 @@ def random_dnf(
 ) -> DnfFormula:
     """Uniform random DNF: each term draws ``arity`` distinct variables and
     independent signs."""
-    if num_vars < 1 or num_terms < 0:
-        raise ValueError("sizes must be positive")
+    if num_vars < 1:
+        raise ValueError(f"num_vars must be positive, got {num_vars}")
+    if num_terms < 0:
+        raise ValueError(f"num_terms must be non-negative, got {num_terms}")
     rng = random.Random(seed)
     variables = list(range(1, num_vars + 1))
     return DnfFormula(_random_clauses(rng, variables, num_terms, arity, distinct), num_vars)
@@ -66,11 +70,19 @@ def random_forall_exists(
     """Uniform random forall-exists QBF: universals are 1..n, existentials
     n+1..n+k, and every clause draws ``arity`` distinct variables from the
     whole pool with independent signs."""
-    if num_universal < 0 or num_existential < 0 or num_clauses < 0:
-        raise ValueError("sizes must be non-negative")
+    for name, size in (
+        ("num_universal", num_universal),
+        ("num_existential", num_existential),
+        ("num_clauses", num_clauses),
+    ):
+        if size < 0:
+            raise ValueError(f"{name} must be non-negative, got {size}")
     total = num_universal + num_existential
     if total < 1:
-        raise ValueError("at least one variable is required")
+        raise ValueError(
+            "num_universal + num_existential must be positive, "
+            f"got {num_universal} + {num_existential}"
+        )
     rng = random.Random(seed)
     variables = list(range(1, total + 1))
     clauses = _random_clauses(rng, variables, num_clauses, arity, distinct)

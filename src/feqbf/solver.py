@@ -11,11 +11,14 @@ bounds the recursion.
 
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root, and encoded once with
-``oracle.clause_masks``.  A search node is a list of ``(core, parts)``
-pairs: each core is a ``(pos, neg)`` mask over the existential bits, each
-universal part one over the universal bits, which follow sorted variable
-order.  Each branch restricts its parent's node (``restrict_groups``) and
-weighs the result in the same pass.
+``oracle.clause_masks``.  A search node is a list of
+``(core, parts, used, heaviest)`` entries, one per group: the core is a
+``(pos, neg)`` mask over the existential bits, each universal part one over
+the universal bits, which follow sorted variable order, ``used`` is the
+union of the parts' variables and ``heaviest`` the size of the largest
+part.  Each branch restricts its parent's node (``restrict_groups``) and
+weighs the result in the same pass; a group that shares no variable with
+the branch's bits passes through as it is, with its stored summary.
 
 When the k existential variables number at most ``oracle.TABLE_BITS``, the
 root also maps each core to its satisfying set, a 2^k-bit int
@@ -45,7 +48,8 @@ from .oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets, 
 
 Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
-Node = list[tuple[Mask, tuple[Mask, ...]]]  # (core, universal parts) per group
+# (core, universal parts, union of the parts' variables, largest part size) per group
+Node = list[tuple[Mask, tuple[Mask, ...], int, int]]
 
 
 class SolverInvariantError(RuntimeError):
@@ -151,16 +155,28 @@ def partition_groups(matrix: CnfMatrix, existential_vars: frozenset[int]) -> Gro
     return {core: tuple(seen) for core, seen in parts.items()}
 
 
+def _summary(parts: tuple[Mask, ...]) -> tuple[int, int]:
+    """``(used, heaviest)`` of a group: the union of its parts' variables and
+    the size of its largest part."""
+    used = heaviest = 0
+    for pos, neg in parts:
+        used |= pos | neg
+        heaviest = max(heaviest, (pos | neg).bit_count())
+    return used, heaviest
+
+
 def encode_groups(
     groups: Groups, universal_bit: dict[int, int], existential_bit: dict[int, int]
 ) -> Node:
     """The search node of ``groups``, in their order: each core encoded over
-    ``existential_bit``, each universal part over ``universal_bit``."""
+    ``existential_bit``, each universal part over ``universal_bit``, and the
+    group's ``(used, heaviest)`` summary."""
     cores = list(groups)
-    return [
-        (core_mask, tuple(clause_masks(groups[core], universal_bit)))
-        for core, core_mask in zip(cores, clause_masks(cores, existential_bit))
-    ]
+    node = []
+    for core, core_mask in zip(cores, clause_masks(cores, existential_bit)):
+        parts = tuple(clause_masks(groups[core], universal_bit))
+        node.append((core_mask, parts, *_summary(parts)))
+    return node
 
 
 def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
@@ -169,25 +185,34 @@ def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
     Satisfied parts are dropped, falsified literals removed from the others
     (a part may become the bare core ``(0, 0)``), parts deduplicated in order,
     and a group left without parts dropped.  Cores are untouched, so groups
-    keep their order."""
+    keep their order.  A group whose ``used`` misses ``bits`` passes through
+    as the same entry and adds its stored ``heaviest`` to the weight; a
+    touched group gets its summary rebuilt in the pass that restricts it."""
     false_bits = bits & ~true_bits
     keep = ~bits
     restricted = []
     weight = 0
-    for core, parts in node:
+    for group in node:
+        core, parts, used, heaviest = group
+        if not used & bits:
+            restricted.append(group)
+            weight += heaviest
+            continue
         kept = {}
-        heaviest = 0
+        used = heaviest = 0
         for pos, neg in parts:
             if pos & true_bits or neg & false_bits:
                 continue
             pos &= keep
             neg &= keep
             kept[pos, neg] = None
-            size = (pos | neg).bit_count()
+            variables = pos | neg
+            used |= variables
+            size = variables.bit_count()
             if size > heaviest:
                 heaviest = size
         if kept:
-            restricted.append((core, tuple(kept)))
+            restricted.append((core, tuple(kept), used, heaviest))
             weight += heaviest
     return restricted, weight
 
@@ -195,7 +220,7 @@ def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
 def group_weight(node: Node) -> int:
     """Sum over groups of the largest universal part; the solver's strictly
     decreasing progress measure."""
-    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts in node)
+    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts, _, _ in node)
 
 
 def threshold(k: int, d: int) -> float:
@@ -265,7 +290,7 @@ class _Search:
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
-            for _, parts in node:
+            for _, parts, _, _ in node:
                 if (0, 0) in parts:
                     # The bare core survives every universal assignment, so the
                     # group needs no disjoint family and cannot be hit.
@@ -300,7 +325,7 @@ class _Search:
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
         # The cores are the core projection of the restricted matrix.
-        return sat_check_core([core for core, _ in node], self.sets)
+        return sat_check_core([core for core, _, _, _ in node], self.sets)
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -328,7 +353,7 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     )
     # Cores never change below the root, so they are checked and their
     # satisfying sets built once.
-    cores = [core for core, _ in node]
+    cores = [core for core, _, _, _ in node]
     if (0, 0) in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None

@@ -235,6 +235,10 @@ class TestGenCommand:
         assert "a 1 2 3 4 5 0" in text
         assert "e 6 7 8 9 0" in text
 
+    def test_size_error_names_its_cause(self, capsys):
+        assert main(["gen", "--kind", "dnf", "--n", "0", "--m", "4", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.strip() == "error: num_vars must be positive, got 0"
+
     def test_distinct_errors_when_impossible(self, workdir):
         assert (
             main(

@@ -24,6 +24,18 @@ class TestRandomDnf:
         formula = random_dnf(2, 5, arity=4, seed=3)
         assert all(len(t) == 2 for t in formula.terms)
 
+    def test_size_validation(self):
+        for sizes, message in [
+            ((0, 4), "num_vars must be positive, got 0"),
+            ((-2, 4), "num_vars must be positive, got -2"),
+            ((3, -1), "num_terms must be non-negative, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                random_dnf(*sizes, seed=1)
+        with pytest.raises(ValueError, match="^arity must be positive, got 0$"):
+            random_dnf(3, 2, arity=0, seed=1)
+        assert random_dnf(3, 0, seed=1).terms == ()
+
     def test_distinct_rejects_impossible_count(self):
         # arity 1 over 2 variables allows only 4 distinct terms
         with pytest.raises(ValueError, match="distinct"):
@@ -52,5 +64,13 @@ class TestRandomForallExists:
         assert [b.quantifier for b in only_forall.prefix] == [FORALL]
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            random_forall_exists(0, 0, 1, seed=1)
+        for sizes, message in [
+            ((0, 0, 1), r"num_universal \+ num_existential must be positive, got 0 \+ 0"),
+            ((-1, 3, 1), "num_universal must be non-negative, got -1"),
+            ((3, -1, 1), "num_existential must be non-negative, got -1"),
+            ((3, 3, -1), "num_clauses must be non-negative, got -1"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                random_forall_exists(*sizes, seed=1)
+        with pytest.raises(ValueError, match="^arity must be positive, got -1$"):
+            random_forall_exists(3, 3, 1, arity=-1, seed=1)

@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,14 @@ def sigma_bits(sigma):
     """``(bits, true_bits)`` of an assignment to universals, v at bit v - 1."""
     bits = sum(1 << (v - 1) for v in sigma)
     return bits, sum(1 << (v - 1) for v, value in sigma.items() if value)
+
+
+def summary(parts):
+    """``(used, heaviest)`` of a group, recomputed from its parts."""
+    return (
+        reduce(or_, (pos | neg for pos, neg in parts), 0),
+        max((pos | neg).bit_count() for pos, neg in parts),
+    )
 
 
 def threshold_instance(n):
@@ -153,9 +163,9 @@ class TestRestrictGroups:
             # Same groups with the same parts in the same order; the groups
             # keep the order they had before the restriction.
             assert sorted(restricted) == sorted(expected)
-            expected_cores = {core for core, _ in expected}
-            assert [core for core, _ in restricted] == [
-                core for core, _ in node if core in expected_cores
+            expected_cores = {core for core, _, _, _ in expected}
+            assert [core for core, _, _, _ in restricted] == [
+                core for core, _, _, _ in node if core in expected_cores
             ]
 
     def test_weight_equals_group_weight_of_result(self):
@@ -171,20 +181,43 @@ class TestRestrictGroups:
                 node, weight = restrict_groups(node, *sigma_bits(sigma))
                 assert weight == group_weight(node)
 
+    def test_summaries_follow_chains_of_restrictions(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            n, k = rng.randint(1, 8), rng.randint(1, 4)
+            matrix = core_matrix(rng, n, k)
+            universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
+            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+            assert all(group[2:] == summary(group[1]) for group in node)
+            for _ in range(rng.randint(1, 4)):
+                hit = rng.sample(universal, rng.randint(0, min(2, n)))
+                sigma = {v: rng.random() < 0.5 for v in hit}
+                bits, true_bits = sigma_bits(sigma)
+                restricted, weight = restrict_groups(node, bits, true_bits)
+                assert all(group[2:] == summary(group[1]) for group in restricted)
+                assert weight == group_weight(restricted)
+                # A group the assignment misses comes back as the same object.
+                missed = [group for group in node if not group[2] & bits]
+                assert [g for g in restricted if any(g is group for group in missed)] == missed
+                node = restricted
+
     def test_drops_satisfied_groups_and_falsified_literals(self):
         groups = {F(5): (F(1, 2), F(-1, 3), F(3)), F(6): (F(1),)}
         node = encode(groups, (1, 2, 3), (5, 6))
         core5, core6 = (0b01, 0), (0b10, 0)
-        assert restrict_groups(node, *sigma_bits({1: True})) == ([(core5, M(F(3)))], 1)
+        assert restrict_groups(node, *sigma_bits({1: True})) == ([(core5, M(F(3)), 0b100, 1)], 1)
         assert restrict_groups(node, *sigma_bits({1: False})) == (
-            [(core5, M(F(2), F(3))), (core6, M(F()))],
+            [(core5, M(F(2), F(3)), 0b110, 1), (core6, M(F()), 0, 0)],
             1,
         )
 
     def test_deduplicates_parts_in_order(self):
         # x1 false turns (1, 2) into (2), a copy of the third part.
         node = encode({F(5): (F(1, 2), F(3), F(2))}, (1, 2, 3), (5,))
-        assert restrict_groups(node, *sigma_bits({1: False})) == ([((1, 0), M(F(2), F(3)))], 1)
+        assert restrict_groups(node, *sigma_bits({1: False})) == (
+            [((1, 0), M(F(2), F(3)), 0b110, 1)],
+            1,
+        )
 
 
 class TestThreshold:
