@@ -16,9 +16,15 @@ the game above it.
 
 ``check_equivalence`` splits each clause into its part over the source
 variables, an outermost stretch of the prefix, and its residual over the
-rest; it decides each distinct set of residuals that some source assignment
-leaves once, not once per source assignment.  DNF validity is decided by
-enumerating all assignments.  The tests check both against the
+rest.  One walk over the source bits, highest first, builds phi's truth table
+over all source assignments as one int: a node stands for the block of
+assignments that agree on the bits assigned so far, and carries the AND of
+the residual truth tables of the clauses whose source part the block
+falsifies, so a block whose AND is 0 is False as a whole and a block below
+every source part is decided at once.  When the residuals need the game, the
+walk plays one game per distinct set of residuals left.  psi's table comes
+from the same walk, and the mismatches are the XOR of the two.  DNF validity
+is decided by enumerating all assignments.  The tests check both against the
 unpruned evaluators in ``tests/oracle_helpers.py``.  A configurable variable
 bound turns oversized inputs into errors rather than silently approximating.
 """
@@ -268,11 +274,14 @@ def check_equivalence(
     the prefix must be exactly one existential block; ``general`` mode allows
     any suffix.
 
-    phi(sigma) is decided once per distinct set of residual clauses, the
-    parts over the non-source variables of the clauses that sigma leaves
-    unsatisfied, rather than once per sigma (``_residual_games``).
-    ``var_bound`` limits the source variables and, separately, the
-    non-source variables that occur in some clause.
+    Both sides are 2^n-bit truth tables, bit sigma holding the value at
+    sigma, built by one walk over blocks of source assignments (``_walk``)
+    rather than sigma by sigma; the mismatches are the set bits of their
+    XOR.  On phi's side the walk carries the AND of the residual truth
+    tables of the clauses a block leaves unsatisfied, or, when the residual
+    clauses need the game, plays one game per distinct set of them
+    (``_phi_table``).  ``var_bound`` limits the source variables and,
+    separately, the non-source variables that occur in some clause.
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -296,14 +305,18 @@ def check_equivalence(
         if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
     masks, universal = _encode(phi, n, var_bound)
+    # A term holds iff its negation, as a clause, is falsified: with table 0
+    # the walk sets bit sigma iff no term holds, the complement of psi.
     term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
+    not_psi = _walk([((neg, pos), 0, 0) for pos, neg in term_masks], n)
+    diff = _phi_table(masks, universal, n) ^ not_psi ^ ((1 << (1 << n)) - 1)
+    mismatch_count = diff.bit_count()
     mismatched: list[dict[int, bool]] = []
-    mismatch_count = 0
-    for encoding, value in enumerate(_residual_games(masks, universal, n)):
-        if some_term_holds(encoding, term_masks) != value:
-            mismatch_count += 1
-            if len(mismatched) < MAX_MISMATCHES:
-                mismatched.append({i + 1: bool(encoding >> i & 1) for i in range(n)})
+    while diff and len(mismatched) < MAX_MISMATCHES:
+        low = diff & -diff
+        encoding = low.bit_length() - 1
+        mismatched.append({i + 1: bool(encoding >> i & 1) for i in range(n)})
+        diff ^= low
     return EquivalenceReport(
         total_assignments=1 << n,
         mismatch_count=mismatch_count,
@@ -312,18 +325,20 @@ def check_equivalence(
     )
 
 
-def _residual_games(masks, universal: int, n: int) -> list[bool]:
-    """The game's value after fixing bits ``0..n-1`` to each encoding in turn.
+def _phi_table(masks, universal: int, n: int) -> int:
+    """The game's value after fixing bits ``0..n-1`` to each encoding sigma,
+    as a 2^n-bit int whose bit sigma is set iff the game is won.
 
     Each clause splits into its source part, over bits ``0..n-1``, and its
-    residual over the rest.  An encoding leaves exactly the residuals of the
-    clauses whose source part it falsifies, so each distinct set of residuals
-    left is decided once.  When no residual bit is universal and the
-    residuals span at most ``TABLE_BITS`` bits, a set is decided by the AND
-    of its members' satisfying sets, built once per call; the residual
+    residual over the rest.  sigma leaves exactly the residuals of the
+    clauses whose source part it falsifies.  When no residual bit is
+    universal and the residuals span at most ``TABLE_BITS`` bits, a source
+    part carries the AND of its residuals' satisfying sets, and sigma wins
+    iff the AND over the parts it falsifies is nonzero; the residual
     ``(0, 0)`` of a clause with only source literals has the set 0.
-    Otherwise a game is played per set, and that residual makes a set False
-    without one."""
+    Otherwise a part carries 0 if one of its residuals is ``(0, 0)`` and -1
+    if not, and one game is played per distinct set of residuals left that
+    no part has emptied."""
     src = (1 << n) - 1
     residual_ids: dict[tuple[int, int], int] = {}
     # The residuals left behind by each distinct source part, as a bit set.
@@ -337,25 +352,73 @@ def _residual_games(masks, universal: int, n: int) -> list[bool]:
     for pos, neg in residuals:
         occupied |= pos | neg
     width = max(occupied.bit_length() - n, 0)
-    tables = None
     if not universal >> n and width <= TABLE_BITS:
         tables = satisfying_sets(residuals, n, width)
+        carried = []
+        for source, ids in parts.items():
+            common = -1
+            for i, table in enumerate(tables):
+                if ids >> i & 1:
+                    common &= table
+            carried.append((source, common, ids))
+        return _walk(carried, n)
     emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
     values: dict[int, bool] = {}
-    result = []
-    for encoding in range(1 << n):
-        key = 0
-        for (pos, neg), bits in parts.items():
-            if not encoding & pos and encoding & neg == neg:
-                key |= bits
+
+    def game(key: int) -> bool:
         value = values.get(key)
         if value is None:
-            if tables is not None:
-                value = sets_intersect(t for i, t in enumerate(tables) if key >> i & 1)
-            else:
-                value = not (key & emptied) and _game(
-                    [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
-                )
-            values[key] = value
-        result.append(value)
-    return result
+            value = values[key] = _game(
+                [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
+            )
+        return value
+
+    carried = [(source, 0 if ids & emptied else -1, ids) for source, ids in parts.items()]
+    return _walk(carried, n, game)
+
+
+def _walk(parts, n: int, decide=None) -> int:
+    """A 2^n-bit int whose bit sigma is set iff the AND of the tables of the
+    ``(source, table, ids)`` parts whose ``(pos, neg)`` source mask sigma
+    falsifies is nonzero and, with ``decide``, ``decide`` holds on the OR of
+    their ``ids``.
+
+    The walk assigns the bits from n-1 down.  A part is tested at the node
+    of its lowest bit, where all its literals are assigned, so a node carries
+    the AND and the OR of the parts falsified so far.  A node whose AND is 0
+    is 0 for its whole block; below the lowest bit of any part the rest of
+    the block agrees, and ``decide`` is asked once for it."""
+    common, key = -1, 0
+    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    floor = n
+    for (pos, neg), table, ids in parts:
+        if pos & neg:
+            continue  # x and -x: no assignment falsifies it
+        lits = pos | neg
+        if not lits:
+            common &= table
+            key |= ids
+            continue
+        low = (lits & -lits).bit_length() - 1
+        buckets[low].append((pos, neg, table, ids))
+        floor = min(floor, low)
+    block = (1 << (1 << floor)) - 1
+
+    def node(b: int, a: int, common: int, key: int) -> int:
+        # Bits b..n-1 of a are assigned, and so is every part whose lowest bit is b or above.
+        if not common:
+            return 0
+        if b == floor:
+            return block if decide is None or decide(key) else 0
+        b -= 1
+        halves = []
+        for a in (a, a | 1 << b):
+            c, k = common, key
+            for pos, neg, table, ids in buckets[b]:
+                if not a & pos and a & neg == neg:
+                    c &= table
+                    k |= ids
+            halves.append(node(b, a, c, k))
+        return halves[0] | halves[1] << (1 << b)
+
+    return node(n, 0, common, key)

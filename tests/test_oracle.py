@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -450,7 +451,7 @@ def check_against_reference(mode, positional):
 def surviving_residual_sets(psi, phi):
     """The distinct clause sets that the source assignments leave without an
     emptied clause, computed clause by clause."""
-    sources = phi.prefix[0].vars
+    sources = phi.prefix[0].vars[: psi.num_vars]
     surviving = set()
     for encoding in range(1 << psi.num_vars):
         sigma = {v: bool(encoding >> i & 1) for i, v in enumerate(sources)}
@@ -461,24 +462,20 @@ def surviving_residual_sets(psi, phi):
 
 
 class TestSharedResidualGames:
-    """check_equivalence decides each distinct residual set once: from truth
-    tables when no residual bit is universal and at most ``TABLE_BITS`` of
-    them occur, by a game otherwise.  These tests pin its answers and its
-    decision count on both paths."""
+    """check_equivalence decides phi from truth tables when no residual bit is
+    universal and at most ``TABLE_BITS`` of them occur, and by one game per
+    distinct residual set otherwise.  These tests pin its answers on both
+    paths and which path runs."""
 
     @pytest.mark.parametrize("mode", ["general", "forall_exists"])
     @pytest.mark.parametrize("positional", [True, False])
     def test_matches_per_assignment_reference(self, monkeypatch, mode, positional):
-        table_checks = []
-        original = oracle.sets_intersect
-        monkeypatch.setattr(
-            oracle, "sets_intersect", lambda sets: table_checks.append(1) or original(sets)
-        )
-        check_against_reference(mode, positional)
         # Every pair has at most 8 variables, so the forall_exists pairs take
-        # the table path; the general ones take it when no residual is universal.
+        # the table path and play no game; the general ones take it when no
+        # residual is universal.
         if mode == "forall_exists":
-            assert table_checks
+            monkeypatch.setattr(oracle, "_game", None)
+        check_against_reference(mode, positional)
 
     @pytest.mark.parametrize("mode", ["general", "forall_exists"])
     @pytest.mark.parametrize("positional", [True, False])
@@ -504,15 +501,107 @@ class TestSharedResidualGames:
         assert len(root_games) == len(surviving_residual_sets(psi, phi)) == 267
         assert len(root_games) < 1 << psi.num_vars
 
-    def test_one_table_check_per_distinct_residual_set(self, monkeypatch):
-        # Theorem 2 gives forall 10 exists 14: the table path, with no game.
+    def test_table_path_builds_the_residual_tables_once(self, monkeypatch):
+        # Theorem 2 gives forall 10 exists 14: the table path, with no game,
+        # over the same 267 residual sets that the game path plays.
         psi = random_dnf(10, 20, seed=11)
         phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        assert len(surviving_residual_sets(psi, phi)) == 267
         monkeypatch.setattr(oracle, "_game", None)
-        checks = []
-        original = oracle.sets_intersect
+        builds = []
+        original = oracle.satisfying_sets
         monkeypatch.setattr(
-            oracle, "sets_intersect", lambda sets: checks.append(1) or original(sets)
+            oracle,
+            "satisfying_sets",
+            lambda masks, shift, width: builds.append((shift, width)) or original(masks, shift, width),
         )
         assert check_equivalence(psi, phi, mode="forall_exists").passed
-        assert len(checks) == len(surviving_residual_sets(psi, phi)) == 267
+        assert builds == [(10, 14)]
+
+
+def wide_pair(rng, n):
+    """A random psi/phi pair over n source variables for the block walk: phi
+    is forall x1..xn exists over 1-3 more variables, and each clause joins a
+    source part of 0-3 literals to a residual drawn from a pool of three
+    nonempty parts and, with sources, the empty part.  Parts of 0 literals
+    are rare, as one that meets the empty residual makes phi False
+    everywhere.  psi has 0-6 random terms, and sometimes the empty term."""
+    total = n + rng.randint(1, 3)
+    inner = tuple(range(n + 1, total + 1))
+    outer = [(FORALL, tuple(range(1, n + 1)))] if n else []
+    prefix = normalize_prefix(outer + [(EXISTS, inner)])
+
+    def clause_over(variables):
+        return F(*(v if rng.random() < 0.5 else -v for v in variables))
+
+    # With no sources the empty part would only make the empty clause.
+    pool = [frozenset()] if n else []
+    pool += [clause_over(rng.sample(inner, rng.randint(1, min(2, len(inner))))) for _ in range(3)]
+    widths = rng.choices((0, 1, 2, 3), (1, 5, 7, 7), k=rng.randint(1, 12))
+    clauses = [
+        clause_over(rng.sample(range(1, n + 1), min(width, n))) | rng.choice(pool)
+        for width in widths
+    ]
+    terms = random_clauses(rng, n, rng.randint(0, 6)) if n else []
+    if rng.random() < 0.2:
+        terms.append(frozenset())
+    return DnfFormula(tuple(terms), n), QbfInstance(prefix, CnfMatrix(tuple(clauses), total))
+
+
+class TestBlockWalk:
+    """check_equivalence builds both truth tables by one walk over blocks of
+    source assignments and reports the lowest set bits of their XOR."""
+
+    def test_matches_per_assignment_reference_at_larger_n(self, monkeypatch):
+        rng = random.Random("block-walk")
+        pairs = [wide_pair(rng, 0) for _ in range(8)]
+        pairs += [wide_pair(rng, rng.randint(6, 12)) for _ in range(24)]
+        truncated = 0
+        root_games = []
+        original = oracle._game
+
+        def counting(clauses, universal, index):
+            if index == n:
+                root_games.append(clauses)
+            return original(clauses, universal, index)
+
+        for psi, phi in pairs:
+            n = psi.num_vars
+            expected = reference_mismatches(psi, phi, tuple(range(1, n + 1)))
+            truncated += len(expected) > oracle.MAX_MISMATCHES
+            root_games.clear()
+            for by_games in (False, True):
+                with monkeypatch.context() as patched:
+                    if by_games:
+                        patched.setattr(oracle, "TABLE_BITS", -1)
+                        patched.setattr(oracle, "satisfying_sets", None)
+                        patched.setattr(oracle, "_game", counting)
+                    else:
+                        patched.setattr(oracle, "_game", None)
+                    report = check_equivalence(psi, phi, mode="forall_exists")
+                assert report.total_assignments == 1 << n
+                assert report.mismatch_count == len(expected), (psi, phi, by_games)
+                assert report.mismatch_encodings() == expected[: oracle.MAX_MISMATCHES], (psi, phi)
+            # A residual set with an emptied clause is False without a game.
+            assert len(root_games) == len(surviving_residual_sets(psi, phi)), (psi, phi)
+        assert truncated >= 5
+        assert any(frozenset() in psi.terms for psi, _ in pairs)
+
+    def test_twenty_sources_stay_within_two_megabytes(self):
+        # forall x1..x20 exists e. (x20 | e)(-x20 | -e)(x19 | e) is False
+        # exactly when x20 holds and x19 does not: 2^18 of the 2^20 sources.
+        psi = DnfFormula((frozenset(),), 20)
+        phi = make(
+            [(FORALL, tuple(range(1, 21))), (EXISTS, (21,))],
+            [F(20, 21), F(-20, -21), F(19, 21)],
+            21,
+        )
+        tracemalloc.start()
+        try:
+            report = check_equivalence(psi, phi, mode="forall_exists")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mismatch_count == 2**18
+        assert report.mismatch_encodings() == tuple(range(1 << 19, (1 << 19) + 32))
+        assert peak < 2 * 1024 * 1024
