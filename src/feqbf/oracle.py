@@ -23,10 +23,13 @@ the residual truth tables of the clauses whose source part the block
 falsifies, so a block whose AND is 0 is False as a whole and a block below
 every source part is decided at once.  When the residuals need the game, the
 walk plays one game per distinct set of residuals left.  psi's table comes
-from the same walk, and the mismatches are the XOR of the two.  DNF validity
-is decided by enumerating all assignments.  The tests check both against the
-unpruned evaluators in ``tests/oracle_helpers.py``.  A configurable variable
-bound turns oversized inputs into errors rather than silently approximating.
+from the same walk (``falsifying_table``), and the mismatches are the XOR of
+the two; theorem 1's base case reads its clauses from that table too.  DNF
+validity is decided by the game instead: a DNF is valid iff the CNF of its
+negated terms is unsatisfiable, and the game prunes where a table would not.
+The tests check all of them against the unpruned evaluators in
+``tests/oracle_helpers.py``.  A configurable variable bound turns oversized
+inputs into errors rather than silently approximating.
 """
 
 from __future__ import annotations
@@ -66,12 +69,6 @@ def clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
                 neg |= 1 << bit_of[-lit]
         masks.append((pos, neg))
     return masks
-
-
-def some_term_holds(assignment: int, term_masks) -> bool:
-    """True iff the assignment (bit i holds variable i's value) satisfies
-    some ``(pos, neg)``-encoded term."""
-    return any(assignment & pos == pos and assignment & neg == 0 for pos, neg in term_masks)
 
 
 def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
@@ -215,14 +212,25 @@ def sets_intersect(sets) -> bool:
 
 
 def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
-    """True iff every total assignment satisfies some term."""
+    """True iff every total assignment satisfies some term: iff the CNF of
+    the negated terms is unsatisfiable, which the game decides with every
+    variable existential.  An empty term negates to the empty clause, and
+    a contradictory term x & -x to a tautology."""
     n = formula.num_vars
     if n > var_bound:
         raise OracleLimitError(f"{n} variables exceed the brute-force bound {var_bound}")
-    if any(not term for term in formula.terms):
-        return True
-    term_masks = clause_masks(formula.terms, {var: var - 1 for var in range(1, n + 1)})
-    return all(some_term_holds(assignment, term_masks) for assignment in range(1 << n))
+    masks = clause_masks(formula.terms, {var: var - 1 for var in range(1, n + 1)})
+    return not _play([(neg, pos) for pos, neg in masks], 0)
+
+
+def falsifying_table(terms, variables) -> int:
+    """A 2^n-bit int, n = len(variables), whose bit a is set iff no term
+    holds under the assignment a, bit i of a holding ``variables[i]``.
+
+    A term holds iff its negation, as a clause, is falsified, so this is
+    ``_walk`` over the negated terms, each carrying the table 0."""
+    masks = clause_masks(terms, {var: i for i, var in enumerate(variables)})
+    return _walk([((neg, pos), 0, 0) for pos, neg in masks], len(variables))
 
 
 @dataclass(frozen=True)
@@ -305,10 +313,7 @@ def check_equivalence(
         if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
     masks, universal = _encode(phi, n, var_bound)
-    # A term holds iff its negation, as a clause, is falsified: with table 0
-    # the walk sets bit sigma iff no term holds, the complement of psi.
-    term_masks = clause_masks(psi.terms, {var: var - 1 for var in range(1, n + 1)})
-    not_psi = _walk([((neg, pos), 0, 0) for pos, neg in term_masks], n)
+    not_psi = falsifying_table(psi.terms, range(1, n + 1))
     diff = _phi_table(masks, universal, n) ^ not_psi ^ ((1 << (1 << n)) - 1)
     mismatch_count = diff.bit_count()
     mismatched: list[dict[int, bool]] = []

@@ -9,8 +9,9 @@ one group of d-1 existential index variables per term.  ``reduce_dnf_to_4qbf``
 reaches arity 4 with O(log m) existential variables per level by encoding
 term indices in two universal selector vectors, adding a DNF that detects
 selector cheating, and recursing on that cheat formula until it is small
-enough to convert by brute-force enumeration.  Recursing on m >= 17 terms
-reaches a fixed point (23, 49), (41, 129) or (75, 321) (variables, terms).
+enough to convert into one clause per falsifying assignment.  Recursing on
+m >= 17 terms reaches a fixed point (23, 49), (41, 129) or (75, 321)
+(variables, terms).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .formulas import (
     normalize_prefix,
     split_clause_to_arity,
 )
-from .oracle import DEFAULT_VARIABLE_BOUND, clause_masks, some_term_holds
+from .oracle import DEFAULT_VARIABLE_BOUND, falsifying_table
 
 
 class ReductionError(ValueError):
@@ -272,27 +273,31 @@ def _construct_level(terms, universe, ids, base_threshold, level):
 
 
 def _base_case(terms, universe, ids, level):
-    """Brute-force conversion: one clause per falsifying assignment, split to
-    arity 4 with fresh innermost existential variables.  It enumerates 2^n
-    assignments, so it refuses more than ``DEFAULT_VARIABLE_BOUND`` variables."""
+    """Brute-force conversion: one clause per falsifying assignment, in
+    ascending order of its encoding, split to arity 4 with fresh innermost
+    existential variables.  The falsifying assignments are the set bits of
+    ``oracle.falsifying_table``, a 2^n-bit int, and there may be up to 2^n of
+    them, so it refuses more than ``DEFAULT_VARIABLE_BOUND`` variables."""
     n = len(universe)
     if n > DEFAULT_VARIABLE_BOUND:
         raise ReductionError(
             f"base case at level {level} has {n} variables and {len(terms)} terms; "
-            f"enumerating its assignments exceeds the bound of {DEFAULT_VARIABLE_BOUND} variables"
+            f"it can emit up to 2^{n} clauses, and the bound is {DEFAULT_VARIABLE_BOUND} variables"
         )
-    term_masks = clause_masks(terms, {var: i for i, var in enumerate(universe)})
+    # Bit a of the table is character a of its reversed binary string, so
+    # find() reads the set bits in one linear pass.
+    bits = bin(falsifying_table(terms, universe))[:1:-1]
     clauses: list[Clause] = []
     fresh: list[int] = []
-    for assignment in range(1 << n):
-        if some_term_holds(assignment, term_masks):
-            continue
+    assignment = bits.find("1")
+    while assignment >= 0:
         long_clause = frozenset(
             var if not assignment >> i & 1 else -var for i, var in enumerate(universe)
         )
         pieces, links = split_clause_to_arity(long_clause, 4, ids)
         clauses.extend(pieces)
         fresh.extend(links)
+        assignment = bits.find("1", assignment + 1)
     provenance = [VariableRole(v, f"L{level}.split", EXISTS) for v in fresh]
     suffix = [(EXISTS, tuple(fresh))] if fresh else []
     return suffix, clauses, provenance, [(n, len(terms))]

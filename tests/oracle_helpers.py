@@ -38,6 +38,21 @@ def dnf_true_under(terms, sigma):
     return any(all(literal_true(lit, sigma) for lit in term) for term in terms)
 
 
+def dnf_valid_reference(terms, variables):
+    return all(dnf_true_under(terms, sigma) for sigma in all_assignments(variables))
+
+
+def falsifying_table_reference(terms, variables):
+    """An int whose bit a is set iff no term holds under the assignment a,
+    bit i of a holding ``variables[i]``."""
+    variables = list(variables)
+    table = 0
+    for sigma in all_assignments(variables):
+        if not dnf_true_under(terms, sigma):
+            table |= 1 << sum(sigma[var] << i for i, var in enumerate(variables))
+    return table
+
+
 def cnf_satisfiable(clauses, variables):
     return any(cnf_true_under(clauses, sigma) for sigma in all_assignments(variables))
 

@@ -25,7 +25,13 @@ from feqbf.oracle import (
     is_dnf_valid,
 )
 from feqbf.reductions import reduce_dnf_to_fe_dqbf
-from oracle_helpers import cnf_satisfiable, dnf_true_under, qbf_eval_reference
+from oracle_helpers import (
+    cnf_satisfiable,
+    dnf_true_under,
+    dnf_valid_reference,
+    falsifying_table_reference,
+    qbf_eval_reference,
+)
 
 
 def F(*lits):
@@ -266,6 +272,40 @@ class TestIsDnfValid:
         formula = DnfFormula((F(1),), 25)
         with pytest.raises(OracleLimitError):
             is_dnf_valid(formula)
+
+    def test_sparse_invalid_at_the_bound(self):
+        # Every term needs x1, so x1 = False falsifies them all.
+        rng = random.Random(24)
+        terms = [
+            F(1, *(v if rng.random() < 0.5 else -v for v in rng.sample(range(2, 25), 2)))
+            for _ in range(8)
+        ]
+        assert is_dnf_valid(DnfFormula(tuple(terms), 24)) is False
+
+
+def random_dnf_terms(rng, n):
+    """Zero to twelve terms over 1..n, some of them empty or contradictory."""
+    terms = random_clauses(rng, n, rng.randint(0, 12), tautologies=0.1) if n else []
+    return [F() if rng.random() < 0.05 else term for term in terms]
+
+
+class TestDnfAgainstReference:
+    def test_is_dnf_valid_matches_reference(self):
+        rng = random.Random(16)
+        for _ in range(400):
+            n = rng.randint(0, 10)
+            terms = random_dnf_terms(rng, n)
+            expected = dnf_valid_reference(terms, range(1, n + 1))
+            assert is_dnf_valid(DnfFormula(tuple(terms), n)) is expected, (terms, n)
+
+    def test_falsifying_table_matches_reference(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            n = rng.randint(0, 10)
+            terms = random_dnf_terms(rng, n)
+            variables = rng.sample(range(1, n + 1), n)  # any order of the bits
+            expected = falsifying_table_reference(terms, variables)
+            assert oracle.falsifying_table(terms, variables) == expected, (terms, variables)
 
 
 class TestCheckEquivalence:

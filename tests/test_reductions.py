@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -249,6 +250,43 @@ class TestTheorem1:
         first = reduce_dnf_to_4qbf(psi, 20)
         second = reduce_dnf_to_4qbf(psi, 20)
         assert emit_qdimacs(first.instance) == emit_qdimacs(second.instance)
+
+
+# SHA-256 of emit_qdimacs + provenance_text for theorem-1 outputs, as the
+# per-assignment base case emitted them: (n, m, seed, base_threshold), the
+# recursion trace, the existential count and the digest.
+THEOREM1_DIGESTS = [
+    ((16, 64, 1, 72), ((16, 64), (23, 49)), 2567,
+     "6d7e0dcfc0f35c16ca4d8be3a3356fe4097fd0d483d08cb97e36378274ab9e87"),
+    ((12, 3, 1, 20), ((12, 3),), 11200,
+     "d76ad596e2a55ef553c5e92acda1c85d9fd8f5bd0263907d562349cb048c2bdd"),
+    ((14, 2, 5, 20), ((14, 2),), 62720,
+     "3587a46b3826d44f363d602ecb2b383d969eddd653827a74bff2a502eefa61ca"),
+    ((7, 13, 1, 20), ((7, 13),), 52,
+     "5aed1e0e5a3af7d43e44e8b9731ea8a32ae4f88644661150334c8ce3b3147c7b"),
+    ((9, 17, 4, 30), ((9, 17),), 297,
+     "c668cbcddff550677fafcc905fea8a252120de90ffc89cb81d66c1278c1a7ab2"),
+    ((6, 8, 1, 20), ((6, 8),), 20,
+     "94bb23899edcb5b33dc571a21c2c34eb0ca87bed374e92c852c45b229f257df2"),
+    ((5, 20, 2, 30), ((5, 20),), 4,
+     "e2e601873a94426ae02cf49123f99e8db5d282d3540358aeab2cf246cf9fcdda"),
+    ((10, 40, 3, 60), ((10, 40),), 0,
+     "fb728611e33092d51490e64aaf4ea3d8f8f7e791555c2d15e9bad20e5770db6e"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, trace, existential_count, digest",
+    THEOREM1_DIGESTS,
+    ids=["n{}-m{}-seed{}-t{}".format(*case) for case, *_ in THEOREM1_DIGESTS],
+)
+def test_theorem1_output_is_pinned(case, trace, existential_count, digest):
+    n, m, seed, base_threshold = case
+    output = reduce_dnf_to_4qbf(random_dnf(n, m, seed=seed), base_threshold)
+    assert output.recursion_trace == trace
+    assert output.existential_count == existential_count
+    text = emit_qdimacs(output.instance) + provenance_text(output)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestProvenance:
