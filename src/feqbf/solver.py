@@ -5,9 +5,9 @@ group's family of universal parts contains a large pairwise-disjoint
 subfamily, the universal player can force every group down to its core, so
 the instance reduces to a propositional SAT check over the cores.  Otherwise
 some group admits a small hitting set of universal variables and the solver
-branches over all of its assignments.  A weight measure (the sum over groups
-of the largest universal part) strictly decreases along every branch, which
-bounds the recursion.
+branches over all of its assignments.  A weight measure (the sum over the
+live groups of the largest universal part) strictly decreases along every
+branch, which bounds the recursion.
 
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root, and encoded once with
@@ -20,11 +20,18 @@ part.  Each branch restricts its parent's node (``restrict_groups``) and
 weighs the result in the same pass; a group that shares no variable with
 the branch's bits passes through as it is, with its stored summary.
 
+A group one of whose parts is the bare core ``(0, 0)`` is forced: its core
+must hold under every universal assignment, and it subsumes the group's
+other parts.  Such a group leaves the node, at the root or in the
+restriction that empties the part, and weighs nothing; only the live groups
+are searched.  The forced cores travel down the search instead.
+
 When the k existential variables number at most ``oracle.TABLE_BITS``, the
 root also maps each core to its satisfying set, a 2^k-bit int
-(``oracle.satisfying_sets``), and a leaf's SAT check is the AND of its
-cores' sets.  Above the cap a leaf hands the core masks to the oracle's game
-as they are.
+(``oracle.satisfying_sets``).  The forced cores then travel as the AND of
+their sets, and a leaf's SAT check ANDs its live cores' sets into it.
+Above the cap they travel as a tuple of masks, and a leaf hands them with
+its live cores to the oracle's game as they are.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
 # (core, universal parts, union of the parts' variables, largest part size) per group
 Node = list[tuple[Mask, tuple[Mask, ...], int, int]]
+# The forced cores: the AND of their satisfying sets, or their masks above the table cap
+Carried = int | tuple[Mask, ...]
 
 
 class SolverInvariantError(RuntimeError):
@@ -89,7 +98,8 @@ class SolverStats:
     ``false_certificate``, ``small_k_oracle`` or ``search``.  ``d`` is the
     arity of the matrix left by ``preprocess`` (at least 1), or 0 when a
     false certificate decided the run.  ``weight0_leaves`` counts the search
-    leaves of weight 0, where every clause left is all-existential."""
+    leaves of weight 0, those with no live group: every group left is forced
+    to its core."""
 
     leaves: int = 0
     weight0_leaves: int = 0
@@ -179,23 +189,26 @@ def encode_groups(
     return node
 
 
-def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
-    """The node simplified under the assignment of the universal ``bits``,
-    those in ``true_bits`` true and the others false, and its weight.
-    Satisfied parts are dropped, falsified literals removed from the others
-    (a part may become the bare core ``(0, 0)``), parts deduplicated in order,
-    and a group left without parts dropped.  Cores are untouched, so groups
-    keep their order.  A group whose ``used`` misses ``bits`` passes through
-    as the same entry and adds its stored ``heaviest`` to the weight; a
-    touched group gets its summary rebuilt in the pass that restricts it."""
+def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, list[Mask]]:
+    """The live groups of the node simplified under the assignment of the
+    universal ``bits``, those in ``true_bits`` true and the others false,
+    their weight, and the cores of the groups it forced.  No group of
+    ``node`` may hold the bare core ``(0, 0)``.  Satisfied parts are dropped,
+    falsified literals removed from the others, parts deduplicated in order,
+    and a group left without parts dropped.  A group one of whose parts
+    becomes the bare core is forced: its core must hold whatever the other
+    universals do, so it leaves the node and its other parts, which the core
+    subsumes, are not restricted further.  Cores are untouched, so groups keep
+    their order.  A group whose ``used`` misses ``bits`` passes through as the
+    same entry and adds its stored ``heaviest`` to the weight; a touched group
+    gets its summary rebuilt in the pass that restricts it."""
     false_bits = bits & ~true_bits
     keep = ~bits
-    restricted = []
-    weight = 0
+    live, forced, weight = [], [], 0
     for group in node:
         core, parts, used, heaviest = group
         if not used & bits:
-            restricted.append(group)
+            live.append(group)
             weight += heaviest
             continue
         kept = {}
@@ -205,21 +218,25 @@ def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int]:
                 continue
             pos &= keep
             neg &= keep
-            kept[pos, neg] = None
             variables = pos | neg
+            if not variables:
+                forced.append(core)
+                break
+            kept[pos, neg] = None
             used |= variables
             size = variables.bit_count()
             if size > heaviest:
                 heaviest = size
-        if kept:
-            restricted.append((core, tuple(kept), used, heaviest))
-            weight += heaviest
-    return restricted, weight
+        else:
+            if kept:
+                live.append((core, tuple(kept), used, heaviest))
+                weight += heaviest
+    return live, weight, forced
 
 
 def group_weight(node: Node) -> int:
-    """Sum over groups of the largest universal part; the solver's strictly
-    decreasing progress measure."""
+    """Sum over the live groups of the largest universal part; the solver's
+    strictly decreasing progress measure."""
     return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts, _, _ in node)
 
 
@@ -260,22 +277,29 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
 
 
-def sat_check_core(cores: Sequence[Mask], sets: dict[Mask, int] | None = None) -> bool:
-    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``.  Given
-    ``sets``, each core's satisfying set from ``oracle.satisfying_sets``, it
-    is whether the AND of the cores' sets is nonzero.  Without it the
-    oracle's engine decides (backtracking with unit propagation) with every
-    variable existential.  An empty clause makes it False."""
+def sat_check_core(
+    cores: Sequence[Mask], sets: dict[Mask, int] | None = None, carried: Carried | None = None
+) -> bool:
+    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``, together
+    with the clauses ``carried`` stands for.  Given ``sets``, each core's
+    satisfying set from ``oracle.satisfying_sets``, ``carried`` is the AND of
+    the other clauses' sets, and the answer is whether the AND of the cores'
+    sets with it is nonzero.  Without ``sets``, ``carried`` is a tuple of
+    masks, and the oracle's engine decides (backtracking with unit
+    propagation) with every variable existential.  An empty clause makes it
+    False."""
     if sets is None:
-        return _play(cores, 0)
-    return sets_intersect(sets[core] for core in cores)
+        return _play([*cores, *(carried or ())], 0)
+    return sets_intersect([-1 if carried is None else carried, *map(sets.__getitem__, cores)])
 
 
 class _Search:
-    """One solver run: fixed threshold, accumulated stats.  A node is the
-    encoded partition, ordered by core once at the root.  ``sets`` maps each
-    root core to its satisfying set, or is None when the existential bits
-    are too many for truth tables."""
+    """One solver run: fixed threshold, accumulated stats.  A node holds the
+    live groups of the encoded partition, ordered by core once at the root.
+    ``sets`` maps each root core to its satisfying set, or is None when the
+    existential bits are too many for truth tables.  The cores of the forced
+    groups travel from parent to child as ``carried``: the AND of their sets,
+    or above the table cap a tuple of their masks."""
 
     def __init__(self, x_threshold: float, sets: dict[Mask, int] | None):
         self.x_threshold = x_threshold
@@ -284,48 +308,49 @@ class _Search:
         self._trace: list[int] = []
         self._best_trace: tuple[int, ...] = ()
 
-    def decide(self, node: Node, w: int, depth: int) -> bool:
+    def decide(self, node: Node, w: int, forced: list[Mask], depth: int, carried: Carried) -> bool:
+        """The value of ``node``, of weight ``w``, whose restriction forced
+        the cores ``forced``; ``carried`` stands for the cores forced above."""
         if self._trace and w >= self._trace[-1]:
             raise SolverInvariantError("weight failed to decrease")
+        for core in forced:
+            carried = carried + (core,) if self.sets is None else carried & self.sets[core]
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
             for _, parts, _, _ in node:
-                if (0, 0) in parts:
-                    # The bare core survives every universal assignment, so the
-                    # group needs no disjoint family and cannot be hit.
-                    continue
                 found = greedy_disjoint(parts, self.x_threshold)
                 if isinstance(found, HittingSet):
                     hitting = found.mask
                     for pos, neg in parts:
                         if not (pos | neg) & hitting:
                             raise SolverInvariantError("hitting set misses a universal part")
-                    return self._branch(node, hitting, depth)
-            return self._base_case(node, w)
+                    return self._branch(node, hitting, depth, carried)
+            return self._base_case(node, w, carried)
         finally:
             self._trace.pop()
 
-    def _branch(self, node: Node, hitting: int, depth: int) -> bool:
+    def _branch(self, node: Node, hitting: int, depth: int, carried: Carried) -> bool:
         # The assignments to the hitting bits, as submasks of ``hitting`` in
         # increasing order: the lowest bit, the smallest variable, flips first.
         true_bits = 0
         while True:
             self.stats.branches += 1
-            if not self.decide(*restrict_groups(node, hitting, true_bits), depth + 1):
+            if not self.decide(*restrict_groups(node, hitting, true_bits), depth + 1, carried):
                 return False
             if true_bits == hitting:
                 return True
             true_bits = (true_bits - hitting) & hitting
 
-    def _base_case(self, node: Node, w: int) -> bool:
+    def _base_case(self, node: Node, w: int, carried: Carried) -> bool:
         self.stats.leaves += 1
         if w == 0:
             self.stats.weight0_leaves += 1
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
-        # The cores are the core projection of the restricted matrix.
-        return sat_check_core([core for core, _, _, _ in node], self.sets)
+        # The live and the forced cores are the core projection of the
+        # restricted matrix; live cores are left only where a family collapses.
+        return sat_check_core([core for core, _, _, _ in node], self.sets, carried)
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
@@ -357,8 +382,11 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     if (0, 0) in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
+    # A purely existential clause forces its group at the root.
+    live = [group for group in node if (0, 0) not in group[1]]
+    forced = [core for core, parts, _, _ in node if (0, 0) in parts]
     search = _Search(x_threshold, sets)
-    result = search.decide(node, group_weight(node), 0)
+    result = search.decide(live, group_weight(live), forced, 0, () if sets is None else -1)
     stats = search.stats
     stats.weight_trace = search._best_trace
     stats.d = d

@@ -17,8 +17,9 @@ from feqbf.formulas import (
     apply_assignment_cnf,
     normalize_prefix,
 )
-from feqbf.generate import random_forall_exists
+from feqbf.generate import random_dnf, random_forall_exists
 from feqbf import solver
+from feqbf.reductions import reduce_dnf_to_fe_dqbf
 from feqbf.oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets
 from feqbf.solver import (
     DisjointFamily,
@@ -145,6 +146,19 @@ def core_matrix(rng, n, k):
     return CnfMatrix(tuple(clauses), n + k)
 
 
+def live_and_forced(node):
+    """The groups of ``node`` that do not hold the bare part ``(0, 0)``, in
+    order, and the cores of those that do."""
+    live = [group for group in node if (0, 0) not in group[1]]
+    return live, [core for core, parts, _, _ in node if (0, 0) in parts]
+
+
+def root_node(matrix, universal, existential):
+    """The live groups of ``matrix``'s encoded partition: a search node."""
+    node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+    return live_and_forced(node)[0]
+
+
 class TestRestrictGroups:
     def test_matches_partition_of_simplified_matrix(self):
         rng = random.Random(41)
@@ -153,20 +167,26 @@ class TestRestrictGroups:
             matrix = core_matrix(rng, n, k)
             universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
             sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
-            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
-            restricted, _ = restrict_groups(node, *sigma_bits(sigma))
-            expected = encode(
-                partition_groups(apply_assignment_cnf(matrix, sigma), frozenset(existential)),
-                universal,
-                existential,
+            node = root_node(matrix, universal, existential)
+            restricted, weight, forced = restrict_groups(node, *sigma_bits(sigma))
+            expected, expected_forced = live_and_forced(
+                encode(
+                    partition_groups(apply_assignment_cnf(matrix, sigma), frozenset(existential)),
+                    universal,
+                    existential,
+                )
             )
-            # Same groups with the same parts in the same order; the groups
-            # keep the order they had before the restriction.
+            # Same live groups with the same parts in the same order; the
+            # groups keep the order they had before the restriction.
             assert sorted(restricted) == sorted(expected)
             expected_cores = {core for core, _, _, _ in expected}
             assert [core for core, _, _, _ in restricted] == [
                 core for core, _, _, _ in node if core in expected_cores
             ]
+            # The groups the assignment forced, in node order.
+            assert forced == [core for core, _, _, _ in node if core in expected_forced]
+            assert all((0, 0) not in parts for _, parts, _, _ in restricted)
+            assert weight == group_weight(restricted)
 
     def test_weight_equals_group_weight_of_result(self):
         rng = random.Random(43)
@@ -174,12 +194,13 @@ class TestRestrictGroups:
             n, k = rng.randint(1, 8), rng.randint(1, 4)
             matrix = core_matrix(rng, n, k)
             universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
-            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+            node = root_node(matrix, universal, existential)
             # Restrict twice, so that the second pass starts from restricted parts.
             for _ in range(2):
                 sigma = {v: rng.random() < 0.5 for v in rng.sample(universal, rng.randint(0, n))}
-                node, weight = restrict_groups(node, *sigma_bits(sigma))
+                node, weight, _ = restrict_groups(node, *sigma_bits(sigma))
                 assert weight == group_weight(node)
+                assert all((0, 0) not in parts for _, parts, _, _ in node)
 
     def test_summaries_follow_chains_of_restrictions(self):
         rng = random.Random(47)
@@ -187,13 +208,13 @@ class TestRestrictGroups:
             n, k = rng.randint(1, 8), rng.randint(1, 4)
             matrix = core_matrix(rng, n, k)
             universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
-            node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
+            node = root_node(matrix, universal, existential)
             assert all(group[2:] == summary(group[1]) for group in node)
             for _ in range(rng.randint(1, 4)):
                 hit = rng.sample(universal, rng.randint(0, min(2, n)))
                 sigma = {v: rng.random() < 0.5 for v in hit}
                 bits, true_bits = sigma_bits(sigma)
-                restricted, weight = restrict_groups(node, bits, true_bits)
+                restricted, weight, _ = restrict_groups(node, bits, true_bits)
                 assert all(group[2:] == summary(group[1]) for group in restricted)
                 assert weight == group_weight(restricted)
                 # A group the assignment misses comes back as the same object.
@@ -205,10 +226,16 @@ class TestRestrictGroups:
         groups = {F(5): (F(1, 2), F(-1, 3), F(3)), F(6): (F(1),)}
         node = encode(groups, (1, 2, 3), (5, 6))
         core5, core6 = (0b01, 0), (0b10, 0)
-        assert restrict_groups(node, *sigma_bits({1: True})) == ([(core5, M(F(3)), 0b100, 1)], 1)
-        assert restrict_groups(node, *sigma_bits({1: False})) == (
-            [(core5, M(F(2), F(3)), 0b110, 1), (core6, M(F()), 0, 0)],
+        assert restrict_groups(node, *sigma_bits({1: True})) == (
+            [(core5, M(F(3)), 0b100, 1)],
             1,
+            [],
+        )
+        # x1 false leaves core6 bare: the group is forced and leaves the node.
+        assert restrict_groups(node, *sigma_bits({1: False})) == (
+            [(core5, M(F(2), F(3)), 0b110, 1)],
+            1,
+            [core6],
         )
 
     def test_deduplicates_parts_in_order(self):
@@ -217,6 +244,7 @@ class TestRestrictGroups:
         assert restrict_groups(node, *sigma_bits({1: False})) == (
             [((1, 0), M(F(2), F(3)), 0b110, 1)],
             1,
+            [],
         )
 
 
@@ -501,18 +529,23 @@ class TestTableCap:
     """The search decides its leaves from truth tables up to ``TABLE_BITS``
     existential variables and by ``_play`` above."""
 
-    @pytest.mark.parametrize("k", [TABLE_BITS, TABLE_BITS + 1])
-    def test_agrees_with_oracle_on_both_sides_of_the_cap(self, monkeypatch, k):
-        leaf_sets = []
+    @staticmethod
+    def solve_corpus(monkeypatch, k, seed, pure):
+        """Solve 12 random instances with k existentials and check them
+        against ``eval_qbf``; with ``pure`` each also gets 1-3 purely
+        existential clauses.  Returns ``(sets, carried)`` of every leaf's
+        SAT check."""
+        calls = []
         original = solver.sat_check_core
 
-        def spying(cores, sets=None):
-            leaf_sets.append(sets)
-            return original(cores, sets)
+        def spying(cores, sets=None, carried=None):
+            calls.append((sets, carried))
+            return original(cores, sets, carried)
 
         monkeypatch.setattr(solver, "sat_check_core", spying)
-        rng = random.Random(k)
+        rng = random.Random(seed)
         n = 6  # n + k stays within the oracle's 24-variable bound
+        existential = range(n + 1, n + k + 1)
         results = set()
         leaves = 0
         for _ in range(12):
@@ -521,33 +554,50 @@ class TestTableCap:
                 vars_ = [rng.randint(n + 1, n + k)]
                 vars_ += rng.sample([v for v in range(1, n + k + 1) if v != vars_[0]], 2)
                 clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
-            instance = make(
-                [(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))], clauses, n + k
-            )
+            for _ in range(rng.randint(1, 3) if pure else 0):
+                pair = rng.sample(existential, 2)
+                clauses.append(F(*(v if rng.random() < 0.5 else -v for v in pair)))
+            instance = make([(FORALL, range(1, n + 1)), (EXISTS, existential)], clauses, n + k)
             result, stats = solve(instance)
+            assert stats.route == "search"
             assert result == eval_qbf(instance), emit_failure(instance)
             results.add(result)
             leaves += stats.leaves
         assert results == {True, False}
-        assert len(leaf_sets) == leaves
-        assert all((sets is not None) == (k <= TABLE_BITS) for sets in leaf_sets)
+        assert len(calls) == leaves
+        return calls
+
+    @pytest.mark.parametrize("k", [TABLE_BITS, TABLE_BITS + 1])
+    def test_agrees_with_oracle_on_both_sides_of_the_cap(self, monkeypatch, k):
+        calls = self.solve_corpus(monkeypatch, k, k, pure=False)
+        assert all((sets is not None) == (k <= TABLE_BITS) for sets, _ in calls)
+
+    def test_forced_cores_carried_above_the_cap(self, monkeypatch):
+        # Purely existential clauses force their groups at the root, so every
+        # leaf's SAT check gets the tuple of their masks.
+        calls = self.solve_corpus(monkeypatch, TABLE_BITS + 1, 5, pure=True)
+        assert all(isinstance(carried, tuple) and carried for _, carried in calls)
 
 
 class TestSearchShape:
     # (result, leaves, branches, max_depth, weight0_leaves, weight_trace) of
-    # the instances below, recorded from the search on frozenset groups before
-    # the search state became bitmasks; the branch order must not change.
+    # the instances below.  The first four columns were recorded from the
+    # search on frozenset groups before the search state became bitmasks; the
+    # branch order must not change.  The last two follow the subsumed
+    # measure: a group forced to its bare core weighs 0, since the core
+    # subsumes its other parts, so a leaf left with only forced groups counts
+    # as weight 0.
     PINNED = (
         (False, 1, 1, 1, 1, (1, 0)),
         (False, 3, 6, 3, 3, (5, 3, 2, 0)),
-        (True, 2, 2, 1, 0, (2, 1)),
-        (False, 1, 1, 1, 0, (4, 3)),
-        (False, 1, 1, 1, 0, (4, 1)),
+        (True, 2, 2, 1, 2, (1, 0)),
+        (False, 1, 1, 1, 1, (1, 0)),
+        (False, 1, 1, 1, 1, (1, 0)),
         (True, 16, 28, 3, 16, (5, 2, 1, 0)),
         (False, 1, 3, 3, 1, (4, 3, 1, 0)),
-        (False, 1, 3, 3, 1, (8, 7, 2, 0)),
+        (False, 1, 3, 3, 1, (8, 6, 2, 0)),
         (True, 4, 4, 1, 4, (2, 0)),
-        (False, 1, 2, 2, 0, (7, 3, 2)),
+        (False, 1, 2, 2, 1, (5, 1, 0)),
     )
 
     def test_matches_pinned_shapes(self):
@@ -566,6 +616,53 @@ class TestSearchShape:
                 (result, s.leaves, s.branches, s.max_depth, s.weight0_leaves, s.weight_trace)
             )
         assert tuple(shapes) == self.PINNED
+
+
+class TestSearchTree:
+    """``(result, leaves, branches, max_depth)`` of a seeded corpus, recorded
+    before forced groups left the search state: the search tree and its
+    branch order must not change."""
+
+    PINNED = (
+        # 24 core matrices, n 6-10 and k 3-6
+        (True, 16, 22, 3), (False, 2, 4, 3), (False, 1, 3, 3), (False, 1, 2, 2),
+        (True, 12, 20, 3), (False, 1, 3, 3), (False, 3, 5, 2), (True, 1, 0, 0),
+        (True, 4, 6, 2), (False, 2, 3, 2), (True, 32, 40, 2), (True, 8, 14, 3),
+        (False, 1, 1, 1), (False, 1, 3, 3), (False, 1, 3, 3), (False, 3, 7, 4),
+        (False, 2, 2, 1), (True, 16, 28, 3), (True, 1, 0, 0), (True, 2, 2, 1),
+        (False, 1, 3, 3), (False, 9, 19, 4), (True, 1, 0, 0), (False, 1, 2, 2),
+        # theorem 2 at d = 3 (k = 14) and d = 4 (k = 12)
+        (False, 5, 8, 3), (False, 4, 8, 4), (False, 52, 87, 4), (False, 8, 14, 3),
+        (False, 2, 4, 3), (True, 64, 104, 3), (True, 63, 106, 4), (True, 64, 104, 3),
+        # theorem 2 of random_dnf(6, 32) at d = 3: k = 18, above the table cap
+        (True, 63, 102, 4), (True, 60, 96, 3), (False, 59, 91, 3), (False, 30, 51, 4),
+    )
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(17)
+        for _ in range(24):
+            n, k = rng.randint(6, 10), rng.randint(3, 6)
+            matrix = core_matrix(rng, n, k)
+            yield make(
+                [(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))],
+                matrix.clauses,
+                n + k,
+            )
+        for d, m in ((3, 18), (3, 21), (3, 24), (3, 20), (4, 28), (4, 32), (4, 36), (4, 40)):
+            yield reduce_dnf_to_fe_dqbf(random_dnf(6, m, seed=m + d), d).instance
+        for seed in range(1, 5):
+            yield reduce_dnf_to_fe_dqbf(random_dnf(6, 32, seed=seed), 3).instance
+
+    def test_matches_pinned_trees(self):
+        trees = []
+        for instance in self.corpus():
+            result, s = solve(instance)
+            assert s.route == "search"
+            trees.append((result, s.leaves, s.branches, s.max_depth))
+        assert tuple(trees) == self.PINNED
+        ks = [len(instance.prefix[-1].vars) for instance in self.corpus()]
+        assert ks[24:] == [14] * 4 + [12] * 4 + [18] * 4
 
 
 class TestInvariants:
