@@ -1,13 +1,15 @@
 """Decision procedure for forall-exists QBF with few existential variables.
 
-Clauses are partitioned into groups sharing an existential core.  If every
-group's family of universal parts contains a large pairwise-disjoint
-subfamily, the universal player can force every group down to its core, so
-the instance reduces to a propositional SAT check over the cores.  Otherwise
-some group admits a small hitting set of universal variables and the solver
-branches over all of its assignments.  A weight measure (the sum over the
-live groups of the largest universal part) strictly decreases along every
-branch, which bounds the recursion.
+Clauses are partitioned into groups sharing an existential core.  Every
+clause is core or part, so a node whose cores are jointly satisfiable is
+TRUE whatever the universals do: each node checks its cores first.  If they
+are not and every group's family of universal parts contains a large
+pairwise-disjoint subfamily, the universal player can force every group down
+to its core, and the node is FALSE.  Otherwise some group admits a small
+hitting set of universal variables and the solver branches over all of its
+assignments.  A weight measure (the sum over the live groups of the largest
+universal part) strictly decreases along every branch, which bounds the
+recursion.
 
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root, and encoded once with
@@ -29,8 +31,8 @@ are searched.  The forced cores travel down the search instead.
 When the k existential variables number at most ``oracle.TABLE_BITS``, the
 root also maps each core to its satisfying set, a 2^k-bit int
 (``oracle.satisfying_sets``).  The forced cores then travel as the AND of
-their sets, and a leaf's SAT check ANDs its live cores' sets into it.
-Above the cap they travel as a tuple of masks, and a leaf hands them with
+their sets, and a node's SAT check ANDs its live cores' sets into it.
+Above the cap they travel as a tuple of masks, and a node hands them with
 its live cores to the oracle's game as they are.
 """
 
@@ -97,11 +99,16 @@ class SolverStats:
     """Run statistics.  ``route`` names what decided the run:
     ``false_certificate``, ``small_k_oracle`` or ``search``.  ``d`` is the
     arity of the matrix left by ``preprocess`` (at least 1), or 0 when a
-    false certificate decided the run.  ``weight0_leaves`` counts the search
-    leaves of weight 0, those with no live group: every group left is forced
-    to its core."""
+    false certificate decided the run.  The search leaves come in three
+    kinds, which sum to ``leaves``: ``sat_leaves`` are TRUE, their cores
+    jointly satisfiable; ``collapse_leaves`` are FALSE with live groups left,
+    each of which holds a large disjoint family; ``weight0_leaves`` are FALSE
+    with no live group, every group left forced to its core.  The other
+    routes count one leaf of no kind."""
 
     leaves: int = 0
+    sat_leaves: int = 0
+    collapse_leaves: int = 0
     weight0_leaves: int = 0
     max_depth: int = 0
     branches: int = 0
@@ -310,7 +317,10 @@ class _Search:
 
     def decide(self, node: Node, w: int, forced: list[Mask], depth: int, carried: Carried) -> bool:
         """The value of ``node``, of weight ``w``, whose restriction forced
-        the cores ``forced``; ``carried`` stands for the cores forced above."""
+        the cores ``forced``; ``carried`` stands for the cores forced above.
+        The node is a TRUE leaf if its live and carried cores are jointly
+        satisfiable, and otherwise a FALSE leaf unless some group yields a
+        hitting set to branch on."""
         if self._trace and w >= self._trace[-1]:
             raise SolverInvariantError("weight failed to decrease")
         for core in forced:
@@ -318,6 +328,10 @@ class _Search:
         self._trace.append(w)
         self.stats.max_depth = max(self.stats.max_depth, depth)
         try:
+            # Every clause is core or part: a core model satisfies the
+            # restricted matrix whatever the universals do.
+            if sat_check_core([core for core, _, _, _ in node], self.sets, carried):
+                return self._base_case(node, True)
             for _, parts, _, _ in node:
                 found = greedy_disjoint(parts, self.x_threshold)
                 if isinstance(found, HittingSet):
@@ -326,7 +340,7 @@ class _Search:
                         if not (pos | neg) & hitting:
                             raise SolverInvariantError("hitting set misses a universal part")
                     return self._branch(node, hitting, depth, carried)
-            return self._base_case(node, w, carried)
+            return self._base_case(node, False)
         finally:
             self._trace.pop()
 
@@ -342,15 +356,20 @@ class _Search:
                 return True
             true_bits = (true_bits - hitting) & hitting
 
-    def _base_case(self, node: Node, w: int, carried: Carried) -> bool:
+    def _base_case(self, node: Node, result: bool) -> bool:
+        """Count a leaf of value ``result`` by its kind, and return ``result``:
+        TRUE where the cores were jointly satisfiable, otherwise FALSE, by a
+        collapse of the live groups or with none left."""
         self.stats.leaves += 1
-        if w == 0:
+        if result:
+            self.stats.sat_leaves += 1
+        elif node:
+            self.stats.collapse_leaves += 1
+        else:
             self.stats.weight0_leaves += 1
         if len(self._trace) > len(self._best_trace):
             self._best_trace = tuple(self._trace)
-        # The live and the forced cores are the core projection of the
-        # restricted matrix; live cores are left only where a family collapses.
-        return sat_check_core([core for core, _, _, _ in node], self.sets, carried)
+        return result
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:

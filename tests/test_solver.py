@@ -439,10 +439,11 @@ class TestSolve:
             assert result == eval_qbf(instance), emit_failure(instance)
 
     def test_branching_instance_statistics(self):
-        # one group with overlapping parts forces a hitting-set branch
+        # The root cores x2 and -x2 are jointly unsatisfiable, so the search
+        # branches on x1; each branch forces one core and is TRUE.
         instance = make(
             [(FORALL, (1,)), (EXISTS, (2, 3, 4))],
-            [F(2, 1), F(2, -1)],
+            [F(2, 1), F(-2, -1)],
             4,
         )
         result, stats = solve(instance)
@@ -450,19 +451,23 @@ class TestSolve:
         assert stats.route == "search"
         assert stats.branches == 2
         assert stats.max_depth == 1
+        assert (stats.leaves, stats.sat_leaves) == (2, 2)
         assert stats.weight_trace and all(
             a > b for a, b in zip(stats.weight_trace, stats.weight_trace[1:])
         )
 
     def test_natural_base_case_triggers_and_agrees(self):
         # d = 2, k = 3: threshold is ceil(8 ln 3) = 9, and thirteen pairwise
-        # disjoint universal parts exist, so the core projection fires.
+        # disjoint universal parts exist, so the core projection would fire;
+        # the cores e1 and e2|-e3 are jointly satisfiable, so the root's SAT
+        # check decides first.
         universals = tuple(range(1, 14))
         clauses = [F(14, u) for u in universals]
         clauses.append(F(15, -16))
         instance = make([(FORALL, universals), (EXISTS, (14, 15, 16))], clauses, 16)
         result, stats = solve(instance)
         assert stats.leaves == 1
+        assert stats.sat_leaves == 1
         assert stats.branches == 0
         assert result is True
         assert eval_qbf(instance) == result
@@ -475,6 +480,7 @@ class TestSolve:
         result, stats = solve(instance)
         assert result is False
         assert (stats.leaves, stats.branches) == (1, 0)
+        assert stats.collapse_leaves == 1
         assert eval_qbf(instance) is False
 
     def test_small_k_routes_to_oracle(self):
@@ -514,6 +520,49 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(small_k_cutoff=0)
 
+    def test_leaf_kinds_partition_the_leaves(self):
+        # A search stops at its first FALSE leaf, so a FALSE run has exactly
+        # one leaf that is not a TRUE leaf.
+        rng = random.Random(29)
+        instances = [
+            *corpus(rng, 60, arity=3),
+            *corpus(rng, 20, arity=2),
+            *TestSearchTree.corpus(),
+            threshold_instance(8),
+            threshold_instance(9),
+        ]
+        seen = set()
+        for instance in instances:
+            result, s = solve(instance)
+            kinds = (s.sat_leaves, s.collapse_leaves, s.weight0_leaves)
+            if s.route != "search":
+                assert kinds == (0, 0, 0)
+                continue
+            assert sum(kinds) == s.leaves
+            assert s.sat_leaves == s.leaves - (not result)
+            seen.update(name for name, count in zip("scw", kinds) if count)
+        assert seen == {"s", "c", "w"}
+
+    def test_true_with_a_skolem_function_of_the_universals(self):
+        # Copy constraints (xi | -yi)(-xi | yi) make yi = xi the only choice,
+        # so the cores yi and -yi are jointly unsatisfiable at the root and
+        # the search must branch.  The noise clauses each hold a literal of
+        # the planted z = (1, 0), so the instance stays TRUE.
+        rng = random.Random(5)
+        xs, ys, zs = range(1, 7), (7, 8, 9), (10, 11)
+        clauses = [F(x, -y) for x, y in zip(xs, ys)] + [F(-x, y) for x, y in zip(xs, ys)]
+        for _ in range(12):
+            z = rng.choice(zs)
+            clauses.append(F(z if z == 10 else -z, *(u if rng.random() < 0.5 else -u
+                                                    for u in rng.sample(xs, 2))))
+        instance = make([(FORALL, xs), (EXISTS, (*ys, *zs))], clauses, 11)
+        result, s = solve(instance)
+        assert result is True
+        assert eval_qbf(instance) is True
+        assert s.route == "search"
+        assert s.branches > 0
+        assert s.sat_leaves == s.leaves > 1
+
     def test_counts_weight0_leaves(self):
         # Eight parts fall short of the nine needed, so the search branches on
         # x1..x8; the first branch (all false) empties every part of core e1,
@@ -526,14 +575,14 @@ class TestSolve:
 
 
 class TestTableCap:
-    """The search decides its leaves from truth tables up to ``TABLE_BITS``
-    existential variables and by ``_play`` above."""
+    """The search checks its nodes' cores with truth tables up to
+    ``TABLE_BITS`` existential variables and with ``_play`` above."""
 
     @staticmethod
     def solve_corpus(monkeypatch, k, seed, pure):
         """Solve 12 random instances with k existentials and check them
         against ``eval_qbf``; with ``pure`` each also gets 1-3 purely
-        existential clauses.  Returns ``(sets, carried)`` of every leaf's
+        existential clauses.  Returns ``(sets, carried)`` of every node's
         SAT check."""
         calls = []
         original = solver.sat_check_core
@@ -547,7 +596,7 @@ class TestTableCap:
         n = 6  # n + k stays within the oracle's 24-variable bound
         existential = range(n + 1, n + k + 1)
         results = set()
-        leaves = 0
+        nodes = 0
         for _ in range(12):
             clauses = []
             for _ in range(rng.randint(30, 50)):
@@ -562,9 +611,10 @@ class TestTableCap:
             assert stats.route == "search"
             assert result == eval_qbf(instance), emit_failure(instance)
             results.add(result)
-            leaves += stats.leaves
+            nodes += stats.branches + 1
         assert results == {True, False}
-        assert len(calls) == leaves
+        # One SAT check per node: the root and one child per branch.
+        assert len(calls) == nodes
         return calls
 
     @pytest.mark.parametrize("k", [TABLE_BITS, TABLE_BITS + 1])
@@ -574,30 +624,29 @@ class TestTableCap:
 
     def test_forced_cores_carried_above_the_cap(self, monkeypatch):
         # Purely existential clauses force their groups at the root, so every
-        # leaf's SAT check gets the tuple of their masks.
+        # node's SAT check gets the tuple of their masks.
         calls = self.solve_corpus(monkeypatch, TABLE_BITS + 1, 5, pure=True)
         assert all(isinstance(carried, tuple) and carried for _, carried in calls)
 
 
 class TestSearchShape:
-    # (result, leaves, branches, max_depth, weight0_leaves, weight_trace) of
-    # the instances below.  The first four columns were recorded from the
-    # search on frozenset groups before the search state became bitmasks; the
-    # branch order must not change.  The last two follow the subsumed
-    # measure: a group forced to its bare core weighs 0, since the core
-    # subsumes its other parts, so a leaf left with only forced groups counts
-    # as weight 0.
+    # (result, leaves, branches, max_depth, sat_leaves, collapse_leaves,
+    # weight0_leaves, weight_trace) of the instances below.  The branch order
+    # has not changed since the search state became bitmasks.  A node whose
+    # cores are jointly satisfiable is a TRUE leaf, so every FALSE leaf here
+    # is left with no live group; each row's tree is no larger than the one
+    # the search built before it checked the cores at every node.
     PINNED = (
-        (False, 1, 1, 1, 1, (1, 0)),
-        (False, 3, 6, 3, 3, (5, 3, 2, 0)),
-        (True, 2, 2, 1, 2, (1, 0)),
-        (False, 1, 1, 1, 1, (1, 0)),
-        (False, 1, 1, 1, 1, (1, 0)),
-        (True, 16, 28, 3, 16, (5, 2, 1, 0)),
-        (False, 1, 3, 3, 1, (4, 3, 1, 0)),
-        (False, 1, 3, 3, 1, (8, 6, 2, 0)),
-        (True, 4, 4, 1, 4, (2, 0)),
-        (False, 1, 2, 2, 1, (5, 1, 0)),
+        (False, 1, 1, 1, 0, 0, 1, (1, 0)),
+        (False, 3, 6, 3, 2, 0, 1, (5, 3, 2, 0)),
+        (True, 1, 0, 0, 1, 0, 0, (1,)),
+        (False, 1, 1, 1, 0, 0, 1, (1, 0)),
+        (False, 1, 1, 1, 0, 0, 1, (1, 0)),
+        (True, 1, 0, 0, 1, 0, 0, (5,)),
+        (False, 1, 3, 3, 0, 0, 1, (4, 3, 1, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (8, 6, 2, 0)),
+        (True, 1, 0, 0, 1, 0, 0, (2,)),
+        (False, 1, 2, 2, 0, 0, 1, (5, 1, 0)),
     )
 
     def test_matches_pinned_shapes(self):
@@ -613,29 +662,30 @@ class TestSearchShape:
             )
             result, s = solve(instance)
             shapes.append(
-                (result, s.leaves, s.branches, s.max_depth, s.weight0_leaves, s.weight_trace)
+                (result, s.leaves, s.branches, s.max_depth, s.sat_leaves,
+                 s.collapse_leaves, s.weight0_leaves, s.weight_trace)
             )
         assert tuple(shapes) == self.PINNED
 
 
 class TestSearchTree:
-    """``(result, leaves, branches, max_depth)`` of a seeded corpus, recorded
-    before forced groups left the search state: the search tree and its
-    branch order must not change."""
+    """``(result, leaves, branches, max_depth)`` of a seeded corpus.  The
+    results have not changed since the search began; each tree is no larger
+    than the one built before every node checked its cores."""
 
     PINNED = (
         # 24 core matrices, n 6-10 and k 3-6
-        (True, 16, 22, 3), (False, 2, 4, 3), (False, 1, 3, 3), (False, 1, 2, 2),
-        (True, 12, 20, 3), (False, 1, 3, 3), (False, 3, 5, 2), (True, 1, 0, 0),
-        (True, 4, 6, 2), (False, 2, 3, 2), (True, 32, 40, 2), (True, 8, 14, 3),
-        (False, 1, 1, 1), (False, 1, 3, 3), (False, 1, 3, 3), (False, 3, 7, 4),
-        (False, 2, 2, 1), (True, 16, 28, 3), (True, 1, 0, 0), (True, 2, 2, 1),
-        (False, 1, 3, 3), (False, 9, 19, 4), (True, 1, 0, 0), (False, 1, 2, 2),
+        (True, 1, 0, 0), (False, 2, 4, 3), (False, 1, 3, 3), (False, 1, 2, 2),
+        (True, 1, 0, 0), (False, 1, 3, 3), (False, 2, 3, 2), (True, 1, 0, 0),
+        (True, 1, 0, 0), (False, 2, 3, 2), (True, 1, 0, 0), (True, 1, 0, 0),
+        (False, 1, 1, 1), (False, 1, 3, 3), (False, 1, 3, 3), (False, 2, 5, 4),
+        (False, 2, 2, 1), (True, 1, 0, 0), (True, 1, 0, 0), (True, 1, 0, 0),
+        (False, 1, 3, 3), (False, 2, 5, 4), (True, 1, 0, 0), (False, 1, 2, 2),
         # theorem 2 at d = 3 (k = 14) and d = 4 (k = 12)
-        (False, 5, 8, 3), (False, 4, 8, 4), (False, 52, 87, 4), (False, 8, 14, 3),
-        (False, 2, 4, 3), (True, 64, 104, 3), (True, 63, 106, 4), (True, 64, 104, 3),
+        (False, 3, 4, 2), (False, 3, 6, 4), (False, 25, 35, 3), (False, 2, 4, 3),
+        (False, 2, 4, 3), (True, 29, 38, 3), (True, 28, 38, 4), (True, 28, 36, 3),
         # theorem 2 of random_dnf(6, 32) at d = 3: k = 18, above the table cap
-        (True, 63, 102, 4), (True, 60, 96, 3), (False, 59, 91, 3), (False, 30, 51, 4),
+        (True, 20, 26, 2), (True, 23, 28, 2), (False, 31, 41, 3), (False, 9, 13, 4),
     )
 
     @staticmethod
@@ -671,8 +721,12 @@ class TestInvariants:
             "feqbf.solver.greedy_disjoint",
             lambda parts, x_threshold: HittingSet(0),
         )
-        # One group (core x2) whose universal parts {x1} and {-x1} need a hitting set.
-        instance = make([(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1)], 4)
+        # The group of core x2, whose universal parts {x1} and {-x1} need a
+        # hitting set; the cores x2 and -x2 are jointly unsatisfiable, so the
+        # root reaches greedy_disjoint.
+        instance = make(
+            [(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1), F(-2, 1)], 4
+        )
         with pytest.raises(SolverInvariantError, match="hitting set misses a universal part"):
             solve(instance)
 
