@@ -109,12 +109,10 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "dnf":
-        formula = random_dnf(args.n, args.m, arity=args.d, seed=args.seed, distinct=args.distinct)
+        formula = random_dnf(args.n, args.m, arity=args.d, seed=args.seed)
         text = emit_dnf(formula)
     else:
-        instance = random_forall_exists(
-            args.n, args.k, args.m, arity=args.d, seed=args.seed, distinct=args.distinct
-        )
+        instance = random_forall_exists(args.n, args.k, args.m, arity=args.d, seed=args.seed)
         text = emit_qdimacs(instance)
     if args.out:
         Path(args.out).write_text(text)
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=0, help="existential variables (feqbf)")
     p_gen.add_argument("--d", type=int, default=3, help="arity")
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--distinct", action="store_true")
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(func=cmd_gen)
 

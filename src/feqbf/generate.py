@@ -7,7 +7,6 @@ generated corpus byte for byte across runs and platforms.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .formulas import CnfMatrix, DnfFormula, EXISTS, FORALL, QbfInstance, normalize_prefix
@@ -19,34 +18,13 @@ def _random_clause(rng: random.Random, variables, arity: int) -> frozenset[int]:
     return frozenset(v if rng.randrange(2) == 0 else -v for v in chosen)
 
 
-def _distinct_possible(num_vars: int, arity: int) -> int:
-    width = min(arity, num_vars)
-    return math.comb(num_vars, width) * 2**width
-
-
-def _random_clauses(rng, variables, count, arity, distinct):
+def _random_clauses(rng, variables, count, arity):
     if arity < 1:
         raise ValueError(f"arity must be positive, got {arity}")
-    if distinct and count > _distinct_possible(len(variables), arity):
-        raise ValueError(
-            f"cannot draw {count} distinct clauses of arity {min(arity, len(variables))} "
-            f"over {len(variables)} variables"
-        )
-    clauses = []
-    seen = set()
-    while len(clauses) < count:
-        clause = _random_clause(rng, variables, arity)
-        if distinct:
-            if clause in seen:
-                continue
-            seen.add(clause)
-        clauses.append(clause)
-    return tuple(clauses)
+    return tuple(_random_clause(rng, variables, arity) for _ in range(count))
 
 
-def random_dnf(
-    num_vars: int, num_terms: int, *, arity: int = 3, seed: int, distinct: bool = False
-) -> DnfFormula:
+def random_dnf(num_vars: int, num_terms: int, *, arity: int = 3, seed: int) -> DnfFormula:
     """Uniform random DNF: each term draws ``arity`` distinct variables and
     independent signs."""
     if num_vars < 1:
@@ -55,7 +33,7 @@ def random_dnf(
         raise ValueError(f"num_terms must be non-negative, got {num_terms}")
     rng = random.Random(seed)
     variables = list(range(1, num_vars + 1))
-    return DnfFormula(_random_clauses(rng, variables, num_terms, arity, distinct), num_vars)
+    return DnfFormula(_random_clauses(rng, variables, num_terms, arity), num_vars)
 
 
 def random_forall_exists(
@@ -65,7 +43,6 @@ def random_forall_exists(
     *,
     arity: int = 3,
     seed: int,
-    distinct: bool = False,
 ) -> QbfInstance:
     """Uniform random forall-exists QBF: universals are 1..n, existentials
     n+1..n+k, and every clause draws ``arity`` distinct variables from the
@@ -85,7 +62,7 @@ def random_forall_exists(
         )
     rng = random.Random(seed)
     variables = list(range(1, total + 1))
-    clauses = _random_clauses(rng, variables, num_clauses, arity, distinct)
+    clauses = _random_clauses(rng, variables, num_clauses, arity)
     prefix = normalize_prefix(
         [
             (FORALL, range(1, num_universal + 1)),

@@ -15,6 +15,7 @@ from .formulas import (
     CnfMatrix,
     DnfFormula,
     QbfInstance,
+    is_tautological,
     literal_sort_key,
     normalize_prefix,
 )
@@ -135,7 +136,7 @@ def parse_dnf(text: str) -> tuple[DnfFormula, int]:
     """Parse the DNF format; returns the formula and the number of dropped
     contradictory terms (a term containing both x and -x is unsatisfiable)."""
     num_vars, rows = _read(text, "dnf", "terms")
-    terms = [term for term in map(frozenset, rows) if not any(-lit in term for lit in term)]
+    terms = [term for term in map(frozenset, rows) if not is_tautological(term)]
     return DnfFormula(tuple(terms), num_vars), len(rows) - len(terms)
 
 

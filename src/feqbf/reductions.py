@@ -12,12 +12,18 @@ selector cheating, and recursing on that cheat formula until it is small
 enough to convert into one clause per falsifying assignment.  Recursing on
 m >= 17 terms reaches a fixed point (23, 49), (41, 129) or (75, 321)
 (variables, terms).
+
+Both keep the DNF's variables 1..n and draw every introduced variable from
+one counter starting at n + 1.  Each introduced variable's role goes into
+one dict as it is drawn, so the dict ascends and the provenance sidecar
+lists the variables in id order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .formulas import (
     EXISTS,
@@ -41,27 +47,18 @@ class ReductionError(ValueError):
 
 
 @dataclass(frozen=True)
-class VariableRole:
-    """Provenance for one introduced variable."""
-
-    var: int
-    role: str
-    quantifier: str
-
-
-@dataclass(frozen=True)
 class ReductionOutput:
     """A closed QBF equivalent to the source DNF, plus bookkeeping.
 
-    ``x_map`` lists, in source order, the instance variables playing the role
-    of the DNF's variables (always the leading variables of the outermost
-    universal block).  ``recursion_trace`` records (variables, terms) of the
-    DNF at each recursion level, ending with the base case.
+    The DNF's variable i is the instance's variable i, so variables 1..n
+    lead the outermost universal block.  ``provenance`` maps each introduced
+    variable, in ascending order, to its role.  ``recursion_trace`` records
+    (variables, terms) of the DNF at each recursion level, ending with the
+    base case.
     """
 
     instance: QbfInstance
-    x_map: tuple[int, ...]
-    provenance: tuple[VariableRole, ...]
+    provenance: dict[int, str]
     recursion_trace: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -71,28 +68,6 @@ class ReductionOutput:
     @property
     def alternations(self) -> int:
         return len(self.instance.prefix)
-
-
-class _IdSource:
-    """Allocates contiguous variable ids; also usable as an iterator."""
-
-    def __init__(self, first: int):
-        self.next_id = first
-
-    def take(self, count: int) -> tuple[int, ...]:
-        ids = tuple(range(self.next_id, self.next_id + count))
-        self.next_id += count
-        return ids
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        return self.take(1)[0]
-
-    @property
-    def last(self) -> int:
-        return self.next_id - 1
 
 
 def lambda_pair(i: int, m: int) -> tuple[int, int]:
@@ -115,16 +90,6 @@ def pad_terms(psi: DnfFormula, target: int) -> DnfFormula:
     return DnfFormula(psi.terms + (psi.terms[-1],) * (target - m), psi.num_vars)
 
 
-def _ceil_root(m: int, exponent: int) -> int:
-    """Smallest r >= 1 with r**exponent >= m."""
-    r = max(1, round(m ** (1.0 / exponent)))
-    while r**exponent < m:
-        r += 1
-    while r > 1 and (r - 1) ** exponent >= m:
-        r -= 1
-    return r
-
-
 def _sorted_lits(term: Term) -> list[int]:
     return sorted(term, key=literal_sort_key)
 
@@ -144,15 +109,17 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
         raise ValueError("source DNF must have at least one term")
     n = psi.num_vars
     m = len(psi.terms)
-    r = _ceil_root(m, d - 1)
+    r = 1
+    while r ** (d - 1) < m:
+        r += 1
     padded = pad_terms(psi, r ** (d - 1))
-    ids = _IdSource(n + 1)
-    index_blocks = [ids.take(r) for _ in range(d - 1)]
-    provenance = [
-        VariableRole(var, f"y{j + 1}[{i}]", EXISTS)
+    ids = count(n + 1)
+    index_blocks = [tuple(islice(ids, r)) for _ in range(d - 1)]
+    provenance = {
+        var: f"y{j + 1}[{i}]"
         for j, block in enumerate(index_blocks)
         for i, var in enumerate(block)
-    ]
+    }
 
     clauses: list[Clause] = []
     for i, term in enumerate(padded.terms):
@@ -160,22 +127,15 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
         for lit in _sorted_lits(term):
             clauses.append(frozenset({lit}) | gadget)
 
-    split_vars: list[int] = []
     for j, block in enumerate(index_blocks):
         pieces, fresh = split_clause_to_arity(frozenset(block), d, ids)
         clauses.extend(pieces)
-        split_vars.extend(fresh)
-        provenance.extend(VariableRole(var, f"split_y{j + 1}", EXISTS) for var in fresh)
+        provenance.update((var, f"split_y{j + 1}") for var in fresh)
 
-    existential = [v for block in index_blocks for v in block] + split_vars
-    prefix = normalize_prefix([(FORALL, range(1, n + 1)), (EXISTS, existential)])
-    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), ids.last))
-    return ReductionOutput(
-        instance=instance,
-        x_map=tuple(range(1, n + 1)),
-        provenance=tuple(provenance),
-        recursion_trace=((n, m),),
-    )
+    # Every introduced variable is existential, in allocation order.
+    prefix = normalize_prefix([(FORALL, range(1, n + 1)), (EXISTS, provenance)])
+    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), next(ids) - 1))
+    return ReductionOutput(instance, provenance, ((n, m),))
 
 
 def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOutput:
@@ -199,24 +159,20 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOu
         raise ValueError("source DNF must have at least one term")
     n = psi.num_vars
     universe = tuple(range(1, n + 1))
-    ids = _IdSource(n + 1)
-    suffix, clauses, provenance, trace = _construct_level(
-        psi.terms, universe, ids, base_threshold, level=0
+    ids = count(n + 1)
+    provenance: dict[int, str] = {}
+    suffix, clauses, trace = _construct_level(
+        psi.terms, universe, ids, provenance, base_threshold, level=0
     )
     prefix = normalize_prefix([(FORALL, universe)] + suffix)
-    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), ids.last))
-    return ReductionOutput(
-        instance=instance,
-        x_map=universe,
-        provenance=tuple(provenance),
-        recursion_trace=tuple(trace),
-    )
+    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), next(ids) - 1))
+    return ReductionOutput(instance, provenance, tuple(trace))
 
 
-def _construct_level(terms, universe, ids, base_threshold, level):
+def _construct_level(terms, universe, ids, provenance, base_threshold, level):
     n, m = len(universe), len(terms)
     if n + m <= base_threshold:
-        return _base_case(terms, universe, ids, level)
+        return _base_case(terms, universe, ids, provenance, level)
 
     length = 0
     while 4**length < m:
@@ -224,16 +180,14 @@ def _construct_level(terms, universe, ids, base_threshold, level):
     m_padded = 4**length
     padded = tuple(terms) + (terms[-1],) * (m_padded - m)
     root = 2**length  # sqrt of the padded term count
-    y = ids.take(2 * length)
-    z1 = ids.take(root)
-    z2 = ids.take(root)
-    (w,) = ids.take(1)
-    provenance = (
-        [VariableRole(v, f"L{level}.y[{i}]", EXISTS) for i, v in enumerate(y)]
-        + [VariableRole(v, f"L{level}.z1[{j}]", FORALL) for j, v in enumerate(z1)]
-        + [VariableRole(v, f"L{level}.z2[{j}]", FORALL) for j, v in enumerate(z2)]
-        + [VariableRole(w, f"L{level}.w", EXISTS)]
-    )
+    y = tuple(islice(ids, 2 * length))
+    z1 = tuple(islice(ids, root))
+    z2 = tuple(islice(ids, root))
+    w = next(ids)
+    provenance.update((v, f"L{level}.y[{i}]") for i, v in enumerate(y))
+    provenance.update((v, f"L{level}.z1[{j}]") for j, v in enumerate(z1))
+    provenance.update((v, f"L{level}.z2[{j}]") for j, v in enumerate(z2))
+    provenance[w] = f"L{level}.w"
 
     clauses: list[Clause] = []
     for i, term in enumerate(padded):
@@ -265,14 +219,14 @@ def _construct_level(terms, universe, ids, base_threshold, level):
             f"recursion does not shrink at level {level}: cheat formula has "
             f"{n_next} variables + {m_next} terms >= {n} + {m}; {advice}"
         )
-    sub_suffix, sub_clauses, sub_prov, sub_trace = _construct_level(
-        cheat_terms, new_universe, ids, base_threshold, level + 1
+    sub_suffix, sub_clauses, sub_trace = _construct_level(
+        cheat_terms, new_universe, ids, provenance, base_threshold, level + 1
     )
     suffix = [(EXISTS, y), (FORALL, z1 + z2), (EXISTS, (w,))] + sub_suffix
-    return suffix, clauses + sub_clauses, provenance + sub_prov, [(n, m)] + sub_trace
+    return suffix, clauses + sub_clauses, [(n, m)] + sub_trace
 
 
-def _base_case(terms, universe, ids, level):
+def _base_case(terms, universe, ids, provenance, level):
     """Brute-force conversion: one clause per falsifying assignment, in
     ascending order of its encoding, split to arity 4 with fresh innermost
     existential variables.  The falsifying assignments are the set bits of
@@ -298,9 +252,9 @@ def _base_case(terms, universe, ids, level):
         clauses.extend(pieces)
         fresh.extend(links)
         assignment = bits.find("1", assignment + 1)
-    provenance = [VariableRole(v, f"L{level}.split", EXISTS) for v in fresh]
+    provenance.update((v, f"L{level}.split") for v in fresh)
     suffix = [(EXISTS, tuple(fresh))] if fresh else []
-    return suffix, clauses, provenance, [(n, len(terms))]
+    return suffix, clauses, [(n, len(terms))]
 
 
 def provenance_text(output: ReductionOutput) -> str:
@@ -309,5 +263,5 @@ def provenance_text(output: ReductionOutput) -> str:
     for index, block in enumerate(output.instance.prefix):
         for var in block.vars:
             block_of[var] = index
-    lines = [f"{entry.var} {entry.role} {block_of[entry.var]}" for entry in output.provenance]
+    lines = [f"{var} {role} {block_of[var]}" for var, role in output.provenance.items()]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -36,7 +36,7 @@ class TestParser:
             (
                 ["gen"],
                 "usage: feqbf gen [-h] --kind {dnf,feqbf} --n N --m M [--k K] [--d D] --seed SEED "
-                "[--distinct] [--out OUT]",
+                "[--out OUT]",
             ),
         ],
         ids=["feqbf", "solve", "reduce", "verify", "gen"],
@@ -238,12 +238,3 @@ class TestGenCommand:
     def test_size_error_names_its_cause(self, capsys):
         assert main(["gen", "--kind", "dnf", "--n", "0", "--m", "4", "--seed", "1"]) == 1
         assert capsys.readouterr().err.strip() == "error: num_vars must be positive, got 0"
-
-    def test_distinct_errors_when_impossible(self, workdir):
-        assert (
-            main(
-                ["gen", "--kind", "dnf", "--n", "2", "--m", "5", "--d", "1",
-                 "--seed", "3", "--distinct"]
-            )
-            == 1
-        )

@@ -36,13 +36,6 @@ class TestRandomDnf:
             random_dnf(3, 2, arity=0, seed=1)
         assert random_dnf(3, 0, seed=1).terms == ()
 
-    def test_distinct_rejects_impossible_count(self):
-        # arity 1 over 2 variables allows only 4 distinct terms
-        with pytest.raises(ValueError, match="distinct"):
-            random_dnf(2, 5, arity=1, seed=4, distinct=True)
-        formula = random_dnf(2, 4, arity=1, seed=4, distinct=True)
-        assert len(set(formula.terms)) == 4
-
 
 class TestRandomForallExists:
     def test_prefix_shape(self):

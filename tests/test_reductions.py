@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import time
 
 import pytest
@@ -68,15 +69,17 @@ class TestPadTerms:
 def structural_checks(output, psi, max_arity):
     instance = output.instance
     assert all(len(c) <= max_arity for c in instance.matrix.clauses)
-    assert output.x_map == tuple(range(1, psi.num_vars + 1))
+    source = tuple(range(1, psi.num_vars + 1))
+    assert instance.prefix[0].quantifier == FORALL
+    assert instance.prefix[0].vars[: psi.num_vars] == source
     bound = {v for b in instance.prefix for v in b.vars}
     assert bound == set(range(1, instance.matrix.num_vars + 1))
-    introduced = {entry.var for entry in output.provenance}
+    introduced = set(output.provenance)
     assert introduced == set(range(psi.num_vars + 1, instance.matrix.num_vars + 1))
     existential = {
         v for b in instance.prefix if b.quantifier == EXISTS for v in b.vars
     }
-    assert output.existential_count == len(existential - set(output.x_map))
+    assert output.existential_count == len(existential - set(source))
     assert output.alternations == len(instance.prefix)
 
 
@@ -299,6 +302,37 @@ class TestProvenance:
     def test_recursive_roles_are_level_tagged(self):
         psi = DnfFormula((F(1, -3, 5),), 5)
         output = reduce_dnf_to_4qbf(psi, 4)
-        roles = {entry.role for entry in output.provenance}
+        roles = set(output.provenance.values())
         assert any(role.startswith("L0.z1") for role in roles)
         assert "L0.w" in roles
+
+    @pytest.mark.parametrize(
+        "build, some_roles",
+        [
+            # m = 25 at d = 3 gives r = 5 > d, so split_y roles appear.
+            (
+                lambda: reduce_dnf_to_fe_dqbf(DnfFormula(tuple(F(1 + i % 4) for i in range(25)), 4), 3),
+                {"y1[0]", "y2[4]", "split_y1", "split_y2"},
+            ),
+            # One recursion level, then a base case: trace ((5, 1), (3, 1)).
+            (
+                lambda: reduce_dnf_to_4qbf(DnfFormula((F(1, -3, 5),), 5), 4),
+                {"L0.z1[0]", "L0.z2[0]", "L0.w"},
+            ),
+            # Trace ((16, 64), (23, 49)): y bits, then a base case that splits.
+            (
+                lambda: reduce_dnf_to_4qbf(random_dnf(16, 64, seed=1), 72),
+                {"L0.y[0]", "L0.z1[7]", "L0.w", "L1.split"},
+            ),
+        ],
+        ids=["theorem2-split", "theorem1-recursing", "theorem1-to-base-23"],
+    )
+    def test_roles_match_their_blocks(self, build, some_roles):
+        output = build()
+        quantifier_of = {v: b.quantifier for b in output.instance.prefix for v in b.vars}
+        roles = output.provenance
+        assert some_roles <= set(roles.values())
+        assert list(roles) == sorted(roles)
+        for var, role in roles.items():
+            selector = re.fullmatch(r"L\d+\.z[12]\[\d+\]", role)
+            assert quantifier_of[var] == (FORALL if selector else EXISTS), (var, role)
