@@ -12,13 +12,15 @@ universal part) strictly decreases along every branch, which bounds the
 recursion.
 
 The search branches on universal variables only, so no core ever changes:
-the partition is computed once, at the root, and encoded once with
-``oracle.clause_masks``.  A search node is a list of
-``(core, parts, used, heaviest)`` entries, one per group: the core is a
-``(pos, neg)`` mask over the existential bits, each universal part one over
-the universal bits, which follow sorted variable order, ``used`` is the
-union of the parts' variables and ``heaviest`` the size of the largest
-part.  Each branch restricts its parent's node (``restrict_groups``) and
+the partition is computed once, at the root (``partition_groups``), which
+encodes each clause once with ``oracle.clause_masks``, over the universal
+bits and then the existential bits, each in sorted variable order.  A
+search node is a list of ``(core, parts, used, heaviest)`` entries, one per
+group: the core is a ``(pos, neg)`` mask over the existential bits, each
+universal part one over the universal bits, ``used`` is the union of the
+parts' variables and ``heaviest`` the size of the largest part.  The root
+has the shape of a child: its live groups, their weight and the cores it
+forced.  Each branch restricts its parent's node (``restrict_groups``) and
 weighs the result in the same pass; a group that shares no variable with
 the branch's bits passes through as it is, with its stored summary.
 
@@ -50,12 +52,10 @@ from .formulas import (
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps solver.apply_assignment_cnf
     is_tautological,
-    literal_sort_key,
     normalize_prefix,
 )
 from .oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets, sets_intersect
 
-Groups = dict[Clause, tuple[Clause, ...]]  # existential core -> universal parts
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
 # (core, universal parts, union of the parts' variables, largest part size) per group
 Node = list[tuple[Mask, tuple[Mask, ...], int, int]]
@@ -157,21 +157,6 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
 
 
-def _core_key(core: Clause) -> tuple[tuple[int, bool], ...]:
-    return tuple(sorted(literal_sort_key(lit) for lit in core))
-
-
-def partition_groups(matrix: CnfMatrix, existential_vars: frozenset[int]) -> Groups:
-    """Map each existential core to the universal parts of its clauses.  Cores
-    and the deduplicated parts keep first-occurrence order.  A purely
-    existential clause contributes the empty universal part."""
-    parts: dict[Clause, dict[Clause, None]] = {}
-    for clause in matrix.clauses:
-        core = frozenset(lit for lit in clause if abs(lit) in existential_vars)
-        parts.setdefault(core, {})[clause - core] = None
-    return {core: tuple(seen) for core, seen in parts.items()}
-
-
 def _summary(parts: tuple[Mask, ...]) -> tuple[int, int]:
     """``(used, heaviest)`` of a group: the union of its parts' variables and
     the size of its largest part."""
@@ -182,18 +167,39 @@ def _summary(parts: tuple[Mask, ...]) -> tuple[int, int]:
     return used, heaviest
 
 
-def encode_groups(
-    groups: Groups, universal_bit: dict[int, int], existential_bit: dict[int, int]
-) -> Node:
-    """The search node of ``groups``, in their order: each core encoded over
-    ``existential_bit``, each universal part over ``universal_bit``, and the
-    group's ``(used, heaviest)`` summary."""
-    cores = list(groups)
-    node = []
-    for core, core_mask in zip(cores, clause_masks(cores, existential_bit)):
-        parts = tuple(clause_masks(groups[core], universal_bit))
-        node.append((core_mask, parts, *_summary(parts)))
-    return node
+def partition_groups(
+    matrix: CnfMatrix, universal: Sequence[int], existential: Sequence[int]
+) -> tuple[Node, int, list[Mask]]:
+    """The search root of ``matrix``, in the shape ``restrict_groups`` gives a
+    child: the live groups, their weight, and the cores of the forced groups.
+    Each clause is encoded once, over the universal bits and then the
+    existential bits, each in sorted variable order: its core is the high
+    bits shifted down, its universal part the low bits.  Parts are
+    deduplicated in first-occurrence order.  A group holding the bare part
+    ``(0, 0)``, from a purely existential clause, is forced.  The groups come
+    in core order: literals by variable, positive first, compared as tuples."""
+    u = len(universal)
+    low = (1 << u) - 1
+    bit_of = {v: i for i, v in enumerate([*sorted(universal), *sorted(existential)])}
+    groups: dict[Mask, dict[Mask, None]] = {}
+    for pos, neg in clause_masks(matrix.clauses, bit_of):
+        groups.setdefault((pos >> u, neg >> u), {})[pos & low, neg & low] = None
+
+    def core_key(core: Mask) -> list[tuple[int, int]]:
+        pos, neg = core
+        both = pos | neg
+        return [(bit, neg >> bit & 1) for bit in range(both.bit_length()) if both >> bit & 1]
+
+    live, forced, weight = [], [], 0
+    for core in sorted(groups, key=core_key):
+        if (0, 0) in groups[core]:
+            forced.append(core)
+            continue
+        parts = tuple(groups[core])
+        used, heaviest = _summary(parts)
+        live.append((core, parts, used, heaviest))
+        weight += heaviest
+    return live, weight, forced
 
 
 def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, list[Mask]]:
@@ -241,12 +247,6 @@ def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, l
     return live, weight, forced
 
 
-def group_weight(node: Node) -> int:
-    """Sum over the live groups of the largest universal part; the solver's
-    strictly decreasing progress measure."""
-    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts, _, _ in node)
-
-
 def threshold(k: int, d: int) -> float:
     """Disjoint-family size threshold 2^d * d * ln(k).  The collapse needs it:
     at this size a union bound over the cores shows that one universal
@@ -281,7 +281,8 @@ def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFami
 def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfMatrix:
     """Replace every clause by its existential core, keeping one copy of each
     resulting clause (first-occurrence order)."""
-    return CnfMatrix(tuple(partition_groups(matrix, existential_vars)), matrix.num_vars)
+    cores = (frozenset(lit for lit in c if abs(lit) in existential_vars) for c in matrix.clauses)
+    return CnfMatrix(tuple(dict.fromkeys(cores)), matrix.num_vars)
 
 
 def sat_check_core(
@@ -302,11 +303,14 @@ def sat_check_core(
 
 class _Search:
     """One solver run: fixed threshold, accumulated stats.  A node holds the
-    live groups of the encoded partition, ordered by core once at the root.
-    ``sets`` maps each root core to its satisfying set, or is None when the
-    existential bits are too many for truth tables.  The cores of the forced
-    groups travel from parent to child as ``carried``: the AND of their sets,
-    or above the table cap a tuple of their masks."""
+    live groups of the partition.  ``partition_groups`` builds the root,
+    encoding each clause once with the existential bits in sorted variable
+    order and ordering the groups by core, and hands it over in the shape
+    ``restrict_groups`` gives every child.  ``sets`` maps each root core to
+    its satisfying set, or is None when the existential bits are too many for
+    truth tables.  The cores of the forced groups travel from parent to child
+    as ``carried``: the AND of their sets, or above the table cap a tuple of
+    their masks."""
 
     def __init__(self, x_threshold: float, sets: dict[Mask, int] | None):
         self.x_threshold = x_threshold
@@ -373,7 +377,8 @@ class _Search:
 
 
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
-    """log2 of the bound d^2 * X * k^(d-1) on the search tree's leaf count."""
+    """d^2 * X * k^(d-1): the log2 of the bound 2^(d^2 * X * k^(d-1)) on the
+    search tree's leaf count."""
     return d * d * x_threshold * k ** (d - 1)
 
 
@@ -389,23 +394,15 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     if k <= cfg.small_k_cutoff:
         return eval_qbf(prepared), SolverStats(d=d, leaves=1, route="small_k_oracle")
     x_threshold = threshold(k, d)
-    groups = partition_groups(prepared.matrix, frozenset(existential))
-    node = encode_groups(
-        {core: groups[core] for core in sorted(groups, key=_core_key)},
-        {v: i for i, v in enumerate(sorted(universal))},
-        {v: i for i, v in enumerate(existential)},
-    )
+    live, weight, forced = partition_groups(prepared.matrix, universal, existential)
     # Cores never change below the root, so they are checked and their
     # satisfying sets built once.
-    cores = [core for core, _, _, _ in node]
+    cores = [core for core, _, _, _ in live] + forced
     if (0, 0) in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
-    # A purely existential clause forces its group at the root.
-    live = [group for group in node if (0, 0) not in group[1]]
-    forced = [core for core, parts, _, _ in node if (0, 0) in parts]
     search = _Search(x_threshold, sets)
-    result = search.decide(live, group_weight(live), forced, 0, () if sets is None else -1)
+    result = search.decide(live, weight, forced, 0, () if sets is None else -1)
     stats = search.stats
     stats.weight_trace = search._best_trace
     stats.d = d

@@ -28,9 +28,7 @@ from feqbf.solver import (
     SolverConfig,
     SolverInvariantError,
     core_projection,
-    encode_groups,
     greedy_disjoint,
-    group_weight,
     leaf_bound_log2,
     partition_groups,
     preprocess,
@@ -56,13 +54,22 @@ def M(*clauses):
 
 
 def encode(groups, universal, existential):
-    """The search node of ``groups``, with bits in the order of the given
+    """The search node of ``groups``, a dict from each existential core to its
+    universal parts, in its order, with bits in the order of the given
     universal and existential variables."""
-    return encode_groups(
-        groups,
-        {v: i for i, v in enumerate(universal)},
-        {v: i for i, v in enumerate(existential)},
-    )
+    universal_bit = {v: i for i, v in enumerate(universal)}
+    existential_bit = {v: i for i, v in enumerate(existential)}
+    node = []
+    for core, core_mask in zip(groups, clause_masks(groups, existential_bit)):
+        parts = tuple(clause_masks(groups[core], universal_bit))
+        node.append((core_mask, parts, *summary(parts)))
+    return node
+
+
+def group_weight(node):
+    """Sum over the live groups of the largest universal part, recomputed from
+    the parts: the search's strictly decreasing progress measure."""
+    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts, _, _ in node)
 
 
 def sigma_bits(sigma):
@@ -119,19 +126,33 @@ class TestPartitionGroups:
     def test_mixed_polarity_cores(self):
         # existential x1 is variable 3; universals y1=1, y2=2
         matrix = CnfMatrix((F(3, 1), F(3, -2), F(-3, 1)), 3)
-        groups = partition_groups(matrix, frozenset({3}))
-        assert groups[F(3)] == (F(1), F(-2))
-        assert groups[F(-3)] == (F(1),)
+        live, weight, forced = partition_groups(matrix, (1, 2), (3,))
+        assert live == [((1, 0), M(F(1), F(-2)), 0b11, 1), ((0, 1), M(F(1)), 0b01, 1)]
+        assert (weight, forced) == (2, [])
+        assert weight == group_weight(live)
 
     def test_purely_existential_clause_has_empty_part(self):
         matrix = CnfMatrix((F(1, 2),), 2)
-        groups = partition_groups(matrix, frozenset({1, 2}))
-        assert groups[F(1, 2)] == (F(),)
+        assert partition_groups(matrix, (), (1, 2)) == ([], 0, [(0b11, 0)])
 
     def test_duplicate_universal_parts_collapse(self):
         matrix = CnfMatrix((F(3, 1), F(3, 1)), 3)
-        groups = partition_groups(matrix, frozenset({3}))
-        assert groups[F(3)] == (F(1),)
+        live, weight, forced = partition_groups(matrix, (1, 2), (3,))
+        assert live == [((1, 0), M(F(1)), 0b01, 1)]
+        assert (weight, forced) == (1, [])
+
+    def test_cores_in_literal_order_whatever_the_block_order(self):
+        # Both blocks given out of order: each takes its bits in sorted
+        # variable order, universals 1, 2, 3 at bits 0-2, existentials
+        # 5, 6, 7 at bits 0-2 of the core.
+        matrix = CnfMatrix((F(7, 3), F(6, 2), F(-5, 1), F(5, 6, 3), F(5, 2)), 7)
+        live, weight, forced = partition_groups(matrix, (3, 1, 2), (7, 5, 6))
+        # {5}, {5, 6}, {-5}, {6}, {7}
+        cores = [(0b001, 0), (0b011, 0), (0, 0b001), (0b010, 0), (0b100, 0)]
+        assert [core for core, _, _, _ in live] == cores
+        assert [parts for _, parts, _, _ in live] == [M(F(2)), M(F(3)), M(F(1)), M(F(2)), M(F(3))]
+        assert (weight, forced) == (5, [])
+        assert weight == group_weight(live)
 
 
 def core_matrix(rng, n, k):
@@ -146,17 +167,9 @@ def core_matrix(rng, n, k):
     return CnfMatrix(tuple(clauses), n + k)
 
 
-def live_and_forced(node):
-    """The groups of ``node`` that do not hold the bare part ``(0, 0)``, in
-    order, and the cores of those that do."""
-    live = [group for group in node if (0, 0) not in group[1]]
-    return live, [core for core, parts, _, _ in node if (0, 0) in parts]
-
-
 def root_node(matrix, universal, existential):
-    """The live groups of ``matrix``'s encoded partition: a search node."""
-    node = encode(partition_groups(matrix, frozenset(existential)), universal, existential)
-    return live_and_forced(node)[0]
+    """The live groups of ``matrix``'s partition: a search node."""
+    return partition_groups(matrix, universal, existential)[0]
 
 
 class TestRestrictGroups:
@@ -169,12 +182,8 @@ class TestRestrictGroups:
             sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
             node = root_node(matrix, universal, existential)
             restricted, weight, forced = restrict_groups(node, *sigma_bits(sigma))
-            expected, expected_forced = live_and_forced(
-                encode(
-                    partition_groups(apply_assignment_cnf(matrix, sigma), frozenset(existential)),
-                    universal,
-                    existential,
-                )
+            expected, _, expected_forced = partition_groups(
+                apply_assignment_cnf(matrix, sigma), universal, existential
             )
             # Same live groups with the same parts in the same order; the
             # groups keep the order they had before the restriction.
@@ -386,12 +395,14 @@ class TestWeight:
     def test_sums_group_maxima(self):
         # cores {x1}={5}: parts (1,2) and (3); {-x2}={-6}: part (1)
         matrix = CnfMatrix((F(5, 1, 2), F(5, 3), F(-6, 1)), 6)
-        node = encode(partition_groups(matrix, frozenset({5, 6})), (1, 2, 3), (5, 6))
-        assert group_weight(node) == 3
+        live, weight, _ = partition_groups(matrix, (1, 2, 3), (5, 6))
+        assert weight == group_weight(live) == 3
 
     def test_purely_existential_weighs_nothing(self):
         matrix = CnfMatrix((F(1, 2), F(-2)), 2)
-        assert group_weight(encode(partition_groups(matrix, frozenset({1, 2})), (), (1, 2))) == 0
+        live, weight, forced = partition_groups(matrix, (), (1, 2))
+        assert weight == group_weight(live) == 0
+        assert len(forced) == 2
 
 
 def corpus(rng, count, *, arity, max_universal=7, max_existential=5, max_clauses=14):
@@ -713,6 +724,22 @@ class TestSearchTree:
         assert tuple(trees) == self.PINNED
         ks = [len(instance.prefix[-1].vars) for instance in self.corpus()]
         assert ks[24:] == [14] * 4 + [12] * 4 + [18] * 4
+
+    def test_trees_ignore_the_order_inside_a_prefix_block(self):
+        # Each block takes its bits in sorted variable order, so three
+        # shuffles of every block give each instance the same tree.
+        rng = random.Random(3)
+        reordered = 0
+        for instance in self.corpus():
+            result, s = solve(instance)
+            expected = (result, s.leaves, s.branches, s.max_depth, s.weight_trace)
+            for _ in range(3):
+                prefix = [(b.quantifier, rng.sample(b.vars, len(b.vars))) for b in instance.prefix]
+                shuffled = make(prefix, instance.matrix.clauses, instance.matrix.num_vars)
+                reordered += shuffled.prefix != instance.prefix
+                result, s = solve(shuffled)
+                assert (result, s.leaves, s.branches, s.max_depth, s.weight_trace) == expected
+        assert reordered == 3 * 36
 
 
 class TestInvariants:
