@@ -2,7 +2,7 @@
 
 Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
 the package's only such encoder.  ``eval_qbf`` and ``check_equivalence``
-encode a matrix once and play the QBF game on it (``_play``): backtracking
+encode a matrix once and play the QBF game on it (``_game``): backtracking
 with unit propagation (Davis, Logemann and Loveland, 1962).  A clause reduced
 to one existential literal forces it; one reduced to a universal literal is
 False, as the universal player falsifies it.
@@ -28,8 +28,9 @@ the two; theorem 1's base case reads its clauses from that table too.  DNF
 validity is decided by the game instead: a DNF is valid iff the CNF of its
 negated terms is unsatisfiable, and the game prunes where a table would not.
 The tests check all of them against the unpruned evaluators in
-``tests/oracle_helpers.py``.  A configurable variable bound turns oversized
-inputs into errors rather than silently approximating.
+``tests/oracle_helpers.py``.  A configurable variable bound refuses inputs
+with more variables to branch on than it allows: the game's time and its
+recursion depth grow with them.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) 
     """Evaluate a prenex QBF by game-tree search with unit propagation.
     Universal variables take the AND of both branches, existential ones the OR.
     Only the variables that occur in some clause count against ``var_bound``."""
-    return _play(*_encode(instance, 0, var_bound))
+    return _game(*_encode(instance, 0, var_bound))
 
 
 def _encode(instance: QbfInstance, n: int, var_bound: int) -> tuple[list, int]:
@@ -97,16 +98,10 @@ def _encode(instance: QbfInstance, n: int, var_bound: int) -> tuple[list, int]:
     return clause_masks(instance.matrix.clauses, {v: i for i, (v, _) in enumerate(order)}), universal
 
 
-def _play(masks, universal: int) -> bool:
-    """Play the QBF game on mask-encoded clauses; the bits set in ``universal``
-    are universal, the others existential.  An empty clause makes the result
-    False."""
-    return (0, 0) not in masks and _game(masks, universal, 0)
-
-
-def _game(clauses: list[tuple[int, int]], universal: int, index: int) -> bool:
-    """Play the QBF game on mask-encoded clauses from bit ``index`` onwards.
-    An empty clause makes the result False.
+def _game(clauses: list[tuple[int, int]], universal: int, index: int = 0) -> bool:
+    """Play the QBF game on mask-encoded clauses from bit ``index`` onwards;
+    the bits set in ``universal`` are universal, the others existential.  An
+    empty clause makes the result False.
 
     Unit clauses are propagated first.  A unit's value is forced in the whole
     subtree whatever its depth in the prefix: the existential player must make
@@ -220,7 +215,7 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
     if n > var_bound:
         raise OracleLimitError(f"{n} variables exceed the brute-force bound {var_bound}")
     masks = clause_masks(formula.terms, {var: var - 1 for var in range(1, n + 1)})
-    return not _play([(neg, pos) for pos, neg in masks], 0)
+    return not _game([(neg, pos) for pos, neg in masks], 0)
 
 
 def falsifying_table(terms, variables) -> int:

@@ -54,7 +54,7 @@ from .formulas import (
     is_tautological,
     normalize_prefix,
 )
-from .oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets, sets_intersect
+from .oracle import TABLE_BITS, _game, clause_masks, eval_qbf, satisfying_sets, sets_intersect
 
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
 # (core, universal parts, union of the parts' variables, largest part size) per group
@@ -81,11 +81,6 @@ class DisjointFamily:
 
 
 @dataclass(frozen=True)
-class HittingSet:
-    mask: int  # the universal bits of the hitting variables
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     small_k_cutoff: int = 2
 
@@ -104,7 +99,10 @@ class SolverStats:
     jointly satisfiable; ``collapse_leaves`` are FALSE with live groups left,
     each of which holds a large disjoint family; ``weight0_leaves`` are FALSE
     with no live group, every group left forced to its core.  The other
-    routes count one leaf of no kind."""
+    routes count one leaf of no kind.  The root is at depth 0: ``max_depth``
+    is the depth of the deepest node, and ``weight_trace`` holds the weights
+    along the first deepest root-to-leaf path, so on the search route
+    ``max_depth == len(weight_trace) - 1``."""
 
     leaves: int = 0
     sat_leaves: int = 0
@@ -258,10 +256,11 @@ def threshold(k: int, d: int) -> float:
     return (2**d) * d * math.log(k)
 
 
-def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFamily | HittingSet:
+def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFamily | int:
     """Greedily collect pairwise variable-disjoint universal parts in input
     order.  Success means ceil(x_threshold) of them; otherwise the variables
-    of the maximal family hit every part and come back as a hitting set."""
+    of the maximal family hit every part and come back as a hitting set: the
+    mask of their universal bits."""
     if (0, 0) in parts:
         raise ValueError("greedy search is undefined on groups with an empty universal part")
     need = math.ceil(x_threshold)
@@ -275,7 +274,7 @@ def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFami
         used |= variables
         if len(chosen) >= need:
             return DisjointFamily(tuple(chosen))
-    return HittingSet(used)
+    return used
 
 
 def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfMatrix:
@@ -297,7 +296,7 @@ def sat_check_core(
     propagation) with every variable existential.  An empty clause makes it
     False."""
     if sets is None:
-        return _play([*cores, *(carried or ())], 0)
+        return _game([*cores, *(carried or ())], 0)
     return sets_intersect([-1 if carried is None else carried, *map(sets.__getitem__, cores)])
 
 
@@ -310,60 +309,59 @@ class _Search:
     its satisfying set, or is None when the existential bits are too many for
     truth tables.  The cores of the forced groups travel from parent to child
     as ``carried``: the AND of their sets, or above the table cap a tuple of
-    their masks."""
+    their masks.  Each node also gets ``path``, the weights of the nodes
+    above it, from the root down."""
 
     def __init__(self, x_threshold: float, sets: dict[Mask, int] | None):
         self.x_threshold = x_threshold
         self.sets = sets
         self.stats = SolverStats()
-        self._trace: list[int] = []
-        self._best_trace: tuple[int, ...] = ()
 
-    def decide(self, node: Node, w: int, forced: list[Mask], depth: int, carried: Carried) -> bool:
+    def decide(
+        self, node: Node, w: int, forced: list[Mask], carried: Carried, path: tuple[int, ...]
+    ) -> bool:
         """The value of ``node``, of weight ``w``, whose restriction forced
-        the cores ``forced``; ``carried`` stands for the cores forced above.
-        The node is a TRUE leaf if its live and carried cores are jointly
+        the cores ``forced``; ``carried`` stands for the cores forced above
+        and ``path`` holds the weights above, each larger than ``w``.  The
+        node is a TRUE leaf if its live and carried cores are jointly
         satisfiable, and otherwise a FALSE leaf unless some group yields a
         hitting set to branch on."""
-        if self._trace and w >= self._trace[-1]:
+        if path and w >= path[-1]:
             raise SolverInvariantError("weight failed to decrease")
         for core in forced:
             carried = carried + (core,) if self.sets is None else carried & self.sets[core]
-        self._trace.append(w)
-        self.stats.max_depth = max(self.stats.max_depth, depth)
-        try:
-            # Every clause is core or part: a core model satisfies the
-            # restricted matrix whatever the universals do.
-            if sat_check_core([core for core, _, _, _ in node], self.sets, carried):
-                return self._base_case(node, True)
-            for _, parts, _, _ in node:
-                found = greedy_disjoint(parts, self.x_threshold)
-                if isinstance(found, HittingSet):
-                    hitting = found.mask
-                    for pos, neg in parts:
-                        if not (pos | neg) & hitting:
-                            raise SolverInvariantError("hitting set misses a universal part")
-                    return self._branch(node, hitting, depth, carried)
-            return self._base_case(node, False)
-        finally:
-            self._trace.pop()
+        path += (w,)
+        # Every clause is core or part: a core model satisfies the restricted
+        # matrix whatever the universals do.
+        if sat_check_core([core for core, _, _, _ in node], self.sets, carried):
+            return self._base_case(node, True, path)
+        for _, parts, _, _ in node:
+            hitting = greedy_disjoint(parts, self.x_threshold)
+            if not isinstance(hitting, DisjointFamily):
+                for pos, neg in parts:
+                    if not (pos | neg) & hitting:
+                        raise SolverInvariantError("hitting set misses a universal part")
+                return self._branch(node, hitting, carried, path)
+        return self._base_case(node, False, path)
 
-    def _branch(self, node: Node, hitting: int, depth: int, carried: Carried) -> bool:
+    def _branch(self, node: Node, hitting: int, carried: Carried, path: tuple[int, ...]) -> bool:
         # The assignments to the hitting bits, as submasks of ``hitting`` in
         # increasing order: the lowest bit, the smallest variable, flips first.
         true_bits = 0
         while True:
             self.stats.branches += 1
-            if not self.decide(*restrict_groups(node, hitting, true_bits), depth + 1, carried):
+            if not self.decide(*restrict_groups(node, hitting, true_bits), carried, path):
                 return False
             if true_bits == hitting:
                 return True
             true_bits = (true_bits - hitting) & hitting
 
-    def _base_case(self, node: Node, result: bool) -> bool:
-        """Count a leaf of value ``result`` by its kind, and return ``result``:
-        TRUE where the cores were jointly satisfiable, otherwise FALSE, by a
-        collapse of the live groups or with none left."""
+    def _base_case(self, node: Node, result: bool, path: tuple[int, ...]) -> bool:
+        """Count a leaf of value ``result`` by its kind, record ``path`` if it
+        is the deepest yet, and return ``result``: TRUE where the cores were
+        jointly satisfiable, otherwise FALSE, by a collapse of the live groups
+        or with none left.  Every inner node has a child, so the deepest node
+        is a leaf."""
         self.stats.leaves += 1
         if result:
             self.stats.sat_leaves += 1
@@ -371,8 +369,9 @@ class _Search:
             self.stats.collapse_leaves += 1
         else:
             self.stats.weight0_leaves += 1
-        if len(self._trace) > len(self._best_trace):
-            self._best_trace = tuple(self._trace)
+        if len(path) > len(self.stats.weight_trace):
+            self.stats.weight_trace = path
+            self.stats.max_depth = len(path) - 1
         return result
 
 
@@ -402,9 +401,8 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
         raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
     search = _Search(x_threshold, sets)
-    result = search.decide(live, weight, forced, 0, () if sets is None else -1)
+    result = search.decide(live, weight, forced, () if sets is None else -1, ())
     stats = search.stats
-    stats.weight_trace = search._best_trace
     stats.d = d
     if stats.max_depth > d * k ** (d - 1):
         raise SolverInvariantError("recursion exceeded the initial weight bound")

@@ -182,11 +182,14 @@ def test_solver_instrumentation():
     bound d*k^(d-1), and an all-universal clause at input is FALSE with no
     recursion at all."""
     rng = random.Random(50_005)
-    inspected = 0
+    inspected = searched = 0
     for instance in solver_corpus(50_006, 150, arity=3, max_k=5):
         result, stats = solve(instance)
         trace = stats.weight_trace
         assert all(a > b for a, b in zip(trace, trace[1:]))
+        if stats.route == "search":
+            assert len(trace) == stats.max_depth + 1
+            searched += 1
         _, existential = ae_blocks(instance)
         k = len(existential)
         d = max(instance.matrix.max_arity(), 1)
@@ -212,7 +215,8 @@ def test_solver_instrumentation():
         certified += 1
     report(
         "solver-instrumentation",
-        f"{inspected} traces/depth bounds checked, {certified} universal-clause certificates",
+        f"{inspected} traces/depth bounds checked ({searched} searched), "
+        f"{certified} universal-clause certificates",
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import fields
 
 import pytest
@@ -134,6 +135,23 @@ class TestOracleCommand:
         for name, text in (("t", TRUE_INSTANCE), ("f", FALSE_INSTANCE)):
             path = write(workdir / f"{name}.qdimacs", text)
             assert main(["solve", path]) == main(["oracle", path])
+
+    def test_recursion_too_deep_errors(self, workdir, capsys):
+        # The game recurses once per variable it branches on: one per clause
+        # (i, n + i).  A low recursion limit makes a small input too deep.
+        n = 400
+        clauses = "".join(f"{i} {n + i} 0\n" for i in range(1, n + 1))
+        path = write(workdir / "deep.qdimacs", f"p cnf {2 * n} {n}\n{clauses}")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            code = main(["oracle", path, "--bound", str(2 * n)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "recursion" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestReduceCommand:

@@ -20,11 +20,10 @@ from feqbf.formulas import (
 from feqbf.generate import random_dnf, random_forall_exists
 from feqbf import solver
 from feqbf.reductions import reduce_dnf_to_fe_dqbf
-from feqbf.oracle import TABLE_BITS, _play, clause_masks, eval_qbf, satisfying_sets
+from feqbf.oracle import TABLE_BITS, _game, clause_masks, eval_qbf, satisfying_sets
 from feqbf.solver import (
     DisjointFamily,
     FalseCertificate,
-    HittingSet,
     SolverConfig,
     SolverInvariantError,
     core_projection,
@@ -288,9 +287,8 @@ class TestGreedyDisjoint:
     def test_hitting_set_on_failure(self):
         parts = M(F(1, 2), F(2, 3))
         result = greedy_disjoint(parts, 2)
-        assert isinstance(result, HittingSet)
-        assert result.mask == 0b11  # variables 1 and 2
-        assert all((pos | neg) & result.mask for pos, neg in parts)
+        assert result == 0b11  # variables 1 and 2
+        assert all((pos | neg) & result for pos, neg in parts)
 
     def test_single_clause_family(self):
         result = greedy_disjoint(M(F(1)), 1)
@@ -377,7 +375,7 @@ class TestSatCheckCoreTables:
             for _ in range(12):
                 # Around 4.3 clauses per variable sits near the 3-SAT threshold.
                 cores = random_cores(rng, k, rng.randint(0, 5 * k)) if k else []
-                expected = _play(cores, 0)
+                expected = _game(cores, 0)
                 assert self.check(cores, k) == expected, (k, cores)
                 answers.add(expected)
         assert answers == {True, False}
@@ -587,7 +585,7 @@ class TestSolve:
 
 class TestTableCap:
     """The search checks its nodes' cores with truth tables up to
-    ``TABLE_BITS`` existential variables and with ``_play`` above."""
+    ``TABLE_BITS`` existential variables and with ``_game`` above."""
 
     @staticmethod
     def solve_corpus(monkeypatch, k, seed, pure):
@@ -746,7 +744,7 @@ class TestInvariants:
     def test_hitting_set_missing_a_part_raises(self, monkeypatch):
         monkeypatch.setattr(
             "feqbf.solver.greedy_disjoint",
-            lambda parts, x_threshold: HittingSet(0),
+            lambda parts, x_threshold: 0,
         )
         # The group of core x2, whose universal parts {x1} and {-x1} need a
         # hitting set; the cores x2 and -x2 are jointly unsatisfiable, so the
@@ -755,6 +753,20 @@ class TestInvariants:
             [(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1), F(-2, 1)], 4
         )
         with pytest.raises(SolverInvariantError, match="hitting set misses a universal part"):
+            solve(instance)
+
+    def test_weight_failing_to_decrease_raises(self, monkeypatch):
+        # A restriction that hands back its parent's node and weight: the
+        # root's cores x2 and -x2 are jointly unsatisfiable, so the search
+        # branches on x1, and the first child weighs what the root did.
+        monkeypatch.setattr(
+            "feqbf.solver.restrict_groups",
+            lambda node, bits, true_bits: (node, sum(group[3] for group in node), []),
+        )
+        instance = make(
+            [(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1), F(-2, 1)], 4
+        )
+        with pytest.raises(SolverInvariantError, match="weight failed to decrease"):
             solve(instance)
 
     def test_universal_only_clause_reaching_the_search_raises(self, monkeypatch):
@@ -771,7 +783,8 @@ class TestInvariants:
         root = Path(__file__).resolve().parents[1]
         completed = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestInvariants::test_hitting_set_missing_a_part_raises"],
+             f"{__file__}::TestInvariants::test_hitting_set_missing_a_part_raises",
+             f"{__file__}::TestInvariants::test_weight_failing_to_decrease_raises"],
             cwd=root,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True,
@@ -779,7 +792,7 @@ class TestInvariants:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
-        assert "1 passed" in completed.stdout
+        assert "2 passed" in completed.stdout
 
 
 def emit_failure(instance):
