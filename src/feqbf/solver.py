@@ -5,11 +5,12 @@ clause is core or part, so a node whose cores are jointly satisfiable is
 TRUE whatever the universals do: each node checks its cores first.  If they
 are not and every group's family of universal parts contains a large
 pairwise-disjoint subfamily, the universal player can force every group down
-to its core, and the node is FALSE.  Otherwise some group admits a small
-hitting set of universal variables and the solver branches over all of its
-assignments.  A weight measure (the sum over the live groups of the largest
-universal part) strictly decreases along every branch, which bounds the
-recursion.
+to its core, and the node is FALSE.  Otherwise some groups admit a small
+hitting set of universal variables, and the solver branches over all the
+assignments of the smallest one.  A weight measure (the sum over the live
+groups of the largest universal part) strictly decreases along every branch,
+which bounds the recursion.  Every k takes this search after
+``preprocess``: below k = 2 the threshold and the bounds are those of k = 2.
 
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root (``partition_groups``), which
@@ -54,7 +55,8 @@ from .formulas import (
     is_tautological,
     normalize_prefix,
 )
-from .oracle import TABLE_BITS, _game, clause_masks, eval_qbf, satisfying_sets, sets_intersect
+from .oracle import TABLE_BITS, _game, clause_masks, satisfying_sets, sets_intersect
+from .oracle import eval_qbf  # unused here; perfbench/tracer.py wraps solver.eval_qbf
 
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
 # (core, universal parts, union of the parts' variables, largest part size) per group
@@ -82,6 +84,9 @@ class DisjointFamily:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Unused by ``solve``; kept only because perfbench/tracer.py reads
+    ``SolverConfig().small_k_cutoff`` to label runs."""
+
     small_k_cutoff: int = 2
 
     def __post_init__(self) -> None:
@@ -92,14 +97,14 @@ class SolverConfig:
 @dataclass
 class SolverStats:
     """Run statistics.  ``route`` names what decided the run:
-    ``false_certificate``, ``small_k_oracle`` or ``search``.  ``d`` is the
-    arity of the matrix left by ``preprocess`` (at least 1), or 0 when a
-    false certificate decided the run.  The search leaves come in three
-    kinds, which sum to ``leaves``: ``sat_leaves`` are TRUE, their cores
-    jointly satisfiable; ``collapse_leaves`` are FALSE with live groups left,
-    each of which holds a large disjoint family; ``weight0_leaves`` are FALSE
-    with no live group, every group left forced to its core.  The other
-    routes count one leaf of no kind.  The root is at depth 0: ``max_depth``
+    ``false_certificate`` or ``search``.  ``d`` is the arity of the matrix
+    left by ``preprocess`` (at least 1), or 0 when a false certificate
+    decided the run.  The search leaves come in three kinds, which sum to
+    ``leaves``: ``sat_leaves`` are TRUE, their cores jointly satisfiable;
+    ``collapse_leaves`` are FALSE with live groups left, each of which holds
+    a large disjoint family; ``weight0_leaves`` are FALSE with no live group,
+    every group left forced to its core.  A false certificate counts one
+    leaf of no kind.  The root is at depth 0: ``max_depth``
     is the depth of the deepest node, and ``weight_trace`` holds the weights
     along the first deepest root-to-leaf path, so on the search route
     ``max_depth == len(weight_trace) - 1``."""
@@ -250,7 +255,7 @@ def threshold(k: int, d: int) -> float:
     at this size a union bound over the cores shows that one universal
     assignment falsifies a part in every group."""
     if k < 2:
-        raise ValueError("threshold is undefined for k < 2; route small k to the oracle")
+        raise ValueError("threshold is undefined for k < 2; solve uses the threshold of k = 2")
     if d < 1:
         raise ValueError("arity must be positive")
     return (2**d) * d * math.log(k)
@@ -325,7 +330,8 @@ class _Search:
         and ``path`` holds the weights above, each larger than ``w``.  The
         node is a TRUE leaf if its live and carried cores are jointly
         satisfiable, and otherwise a FALSE leaf unless some group yields a
-        hitting set to branch on."""
+        hitting set; it branches on the one with the fewest bits, the first
+        such in group order."""
         if path and w >= path[-1]:
             raise SolverInvariantError("weight failed to decrease")
         for core in forced:
@@ -335,14 +341,23 @@ class _Search:
         # matrix whatever the universals do.
         if sat_check_core([core for core, _, _, _ in node], self.sets, carried):
             return self._base_case(node, True, path)
+        best = None
         for _, parts, _, _ in node:
             hitting = greedy_disjoint(parts, self.x_threshold)
-            if not isinstance(hitting, DisjointFamily):
-                for pos, neg in parts:
-                    if not (pos | neg) & hitting:
-                        raise SolverInvariantError("hitting set misses a universal part")
-                return self._branch(node, hitting, carried, path)
-        return self._base_case(node, False, path)
+            if isinstance(hitting, DisjointFamily):
+                continue
+            size = hitting.bit_count()
+            if best is None or size < best[0]:
+                best = size, hitting, parts
+                if size == 1:
+                    break
+        if best is None:
+            return self._base_case(node, False, path)
+        _, hitting, parts = best
+        for pos, neg in parts:
+            if not (pos | neg) & hitting:
+                raise SolverInvariantError("hitting set misses a universal part")
+        return self._branch(node, hitting, carried, path)
 
     def _branch(self, node: Node, hitting: int, carried: Carried, path: tuple[int, ...]) -> bool:
         # The assignments to the hitting bits, as submasks of ``hitting`` in
@@ -381,18 +396,21 @@ def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
     return d * d * x_threshold * k ** (d - 1)
 
 
-def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bool, SolverStats]:
-    """Decide a forall-exists QBF; returns the truth value and run statistics."""
-    cfg = config or SolverConfig()
-    prepared = preprocess(instance)
+def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
+    """Decide a forall-exists QBF; returns the truth value and run statistics.
+    The threshold and the depth and leaf bounds take k as at least 2.  The
+    union bound behind the collapse holds at the threshold of k = 2: a node
+    with k <= 2 has at most 8 live cores, and a random universal assignment
+    leaves each one's disjoint family unfalsified with probability at most
+    4^(-d)."""
+    prepared = preprocess(instance)  # looked up by name: perfbench/tracer.py labels routes here
     if isinstance(prepared, FalseCertificate):
         return False, SolverStats(leaves=1, route="false_certificate")
     universal, existential = ae_blocks(prepared)
     k = len(existential)
+    kk = max(k, 2)
     d = max(prepared.matrix.max_arity(), 1)
-    if k <= cfg.small_k_cutoff:
-        return eval_qbf(prepared), SolverStats(d=d, leaves=1, route="small_k_oracle")
-    x_threshold = threshold(k, d)
+    x_threshold = threshold(kk, d)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
     # Cores never change below the root, so they are checked and their
     # satisfying sets built once.
@@ -404,8 +422,8 @@ def solve(instance: QbfInstance, config: SolverConfig | None = None) -> tuple[bo
     result = search.decide(live, weight, forced, () if sets is None else -1, ())
     stats = search.stats
     stats.d = d
-    if stats.max_depth > d * k ** (d - 1):
+    if stats.max_depth > d * kk ** (d - 1):
         raise SolverInvariantError("recursion exceeded the initial weight bound")
-    if math.log2(max(stats.leaves, 1)) > leaf_bound_log2(k, d, x_threshold) + 1e-9:
+    if math.log2(max(stats.leaves, 1)) > leaf_bound_log2(kk, d, x_threshold) + 1e-9:
         raise SolverInvariantError("leaf count exceeded the recursion-tree bound")
     return result, stats

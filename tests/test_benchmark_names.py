@@ -38,7 +38,8 @@ def test_tracer_counts_one_call_per_route():
     instances = (
         # The all-universal clause (1) is a false certificate.
         forall_exists((1,), (2,), [(1,), (2,)]),
-        # k = 2 goes to the small-k oracle.
+        # k = 2 reaches the search too; the tracer labels it small_k_oracle
+        # from the k that preprocess leaves.
         forall_exists((1,), (2, 3), [(1, 2), (-2, 3)]),
         # k = 3 reaches the search, whose groups have universal parts.
         forall_exists((1, 2), (3, 4, 5), [(1, 3), (-1, 4), (2, 5), (-3, -4, -5)]),

@@ -20,7 +20,7 @@ from feqbf.formulas import (
 from feqbf.generate import random_dnf, random_forall_exists
 from feqbf import solver
 from feqbf.reductions import reduce_dnf_to_fe_dqbf
-from feqbf.oracle import TABLE_BITS, _game, clause_masks, eval_qbf, satisfying_sets
+from feqbf.oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, eval_qbf, satisfying_sets
 from feqbf.solver import (
     DisjointFamily,
     FalseCertificate,
@@ -492,13 +492,25 @@ class TestSolve:
         assert stats.collapse_leaves == 1
         assert eval_qbf(instance) is False
 
-    def test_small_k_routes_to_oracle(self):
-        instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2)
-        result, stats = solve(instance, SolverConfig(small_k_cutoff=2))
-        assert result is True
-        assert stats.route == "small_k_oracle"
-        assert stats.leaves == 1
-        assert stats.branches == 0
+    def test_small_k_takes_the_search(self):
+        # k = 0 (a tautology, dropped by preprocess), k = 1 and k = 2 all
+        # reach the search, with the threshold of k = 2.
+        instances = (
+            make([(FORALL, (1, 2))], [F(1, -1)], 2),
+            make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 2),
+            make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2), F(-1, -2)], 2),
+            make([(FORALL, (1, 2)), (EXISTS, (3, 4))], [F(1, 3), F(2, -3), F(-3, 4), F(-2, -4)], 4),
+            make([(FORALL, (1, 2)), (EXISTS, (3, 4))], [F(1, 3), F(-1, -3), F(2, 4), F(-2, 3, -4)], 4),
+        )
+        assert {len(instance.prefix[-1].vars) for instance in instances[1:]} == {1, 2}
+        runs = [solve(instance) for instance in instances]
+        for instance, (result, stats) in zip(instances, runs):
+            assert stats.route == "search"
+            assert result == eval_qbf(instance), emit_failure(instance)
+        assert {result for result, _ in runs} == {True, False}
+        # One clause, satisfied by its core: one TRUE leaf at the root.
+        stats = runs[1][1]
+        assert (stats.leaves, stats.sat_leaves, stats.branches) == (1, 1, 0)
 
     def test_agrees_with_reference_on_core_instances(self):
         # Every clause keeps an existential literal, so preprocess passes each
@@ -583,6 +595,121 @@ class TestSolve:
         assert eval_qbf(instance) is False
 
 
+def disjoint_parts_adversary(parts):
+    """forall a1..aP b1..bP x exists y1 y2: (y1 | ai | bi) for each i, then
+    (y2 | x) and (-y2 | -x).  TRUE: y1 true and y2 = -x.  The group of y1
+    holds P disjoint parts, too few to collapse, so its hitting set has 2P
+    bits; the group of y2 is hit by x alone."""
+    a, b = range(1, parts + 1), range(parts + 1, 2 * parts + 1)
+    x, y1, y2 = 2 * parts + 1, 2 * parts + 2, 2 * parts + 3
+    clauses = [F(y1, ai, bi) for ai, bi in zip(a, b)] + [F(y2, x), F(-y2, -x)]
+    return make([(FORALL, range(1, x + 1)), (EXISTS, (y1, y2))], clauses, y2)
+
+
+def copy_instance(rng, n, k, *, clash):
+    """forall x1..xn exists y1..yk: each yi copies its own universal by
+    (-x | y)(x | -y), and 3n noise clauses each hold a literal of some yi and
+    the opposite literal of its source, so the copy satisfies them.  TRUE;
+    with ``clash``, y1 also copies a second universal, and the instance is
+    FALSE: the universals set the two sources apart."""
+    universal, ys = range(1, n + 1), range(n + 1, n + k + 1)
+    sources = rng.sample(universal, k + 1)
+    copies = list(zip(sources, ys))
+    if clash:
+        copies.append((sources[k], ys[0]))
+    clauses = [c for x, y in copies for c in (F(-x, y), F(x, -y))]
+    for _ in range(3 * n):
+        x, y = rng.choice(copies[:k])
+        sign = rng.choice((1, -1))
+        others = rng.sample([u for u in universal if u != x], rng.randint(0, 2))
+        clauses.append(F(sign * y, -sign * x, *(u if rng.random() < 0.5 else -u for u in others)))
+    return make([(FORALL, universal), (EXISTS, ys)], clauses, n + k)
+
+
+def small_k_instance(rng):
+    """A random instance with k in {0, 1, 2} and 6-14 universals.  Half of
+    those with k > 0 are arity 2 at first: each core literal, with
+    probability 1/2, gets 6 or more parts of one distinct universal each,
+    enough for the collapse at the threshold of k = 2, ceil(8 ln 2) = 6.
+    Then come random clauses of width 1-3, each with an existential literal
+    while k > 0."""
+    k, n = rng.randint(0, 2), rng.randint(6, 14)
+    existential = range(n + 1, n + k + 1)
+
+    def sign(v):
+        return v if rng.random() < 0.5 else -v
+
+    clauses = []
+    if k and rng.random() < 0.5:
+        for y in existential:
+            for lit in (y, -y):
+                if rng.random() < 0.5:
+                    clauses += [F(lit, sign(u)) for u in rng.sample(range(1, n + 1), rng.randint(6, n))]
+    for _ in range(rng.randint(0 if clauses else 1, 6)):
+        vars_ = rng.sample(range(1, n + k + 1), rng.randint(1, 3))
+        if k and not any(v > n for v in vars_):
+            vars_[0] = rng.choice(existential)
+        clauses.append(F(*map(sign, dict.fromkeys(vars_))))
+    return make([(FORALL, range(1, n + 1)), (EXISTS, existential)], clauses, n + k)
+
+
+class TestSmallK:
+    """At most two existentials: the search decides them with the threshold
+    and bounds of k = 2, and reaches sizes past the oracle's bound."""
+
+    def test_disjoint_parts_adversary(self):
+        # Branching on the smallest hitting set, x, decides it in two leaves
+        # whatever P is; the first group's 2P bits would give 2^(2P) leaves.
+        instance = disjoint_parts_adversary(10)
+        result, stats = solve(instance)
+        assert result is eval_qbf(instance) is True
+        assert (stats.leaves, stats.branches, stats.route) == (2, 2, "search")
+        instance = disjoint_parts_adversary(14)
+        assert instance.matrix.num_vars == 31
+        with pytest.raises(OracleLimitError):
+            eval_qbf(instance)
+        result, stats = solve(instance)
+        assert result is True
+        assert (stats.leaves, stats.sat_leaves, stats.branches) == (2, 2, 2)
+
+    @pytest.mark.parametrize("n", [30, 60, 100])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_copy_constraints_past_the_oracle_bound(self, n, k):
+        rng = random.Random(n + k)
+        for clash in (False, True):
+            instance = copy_instance(rng, n, k, clash=clash)
+            result, stats = solve(instance)
+            assert result is not clash, emit_failure(instance)
+            assert stats.route == "search"
+            assert stats.branches > 0
+
+    def test_depth_bound_takes_k_as_two(self):
+        # k = 1 and d = 3: the tree reaches depth 4, past d * 1^(d-1) = 3
+        # and within d * 2^(d-1) = 12.
+        instance = make(
+            [(FORALL, range(1, 9)), (EXISTS, (9,))],
+            [F(-9, -7, 2), F(-9, -4), F(-9, -2), F(-9, 4, 6), F(-8, -2, 9), F(-8, 3, 9)],
+            9,
+        )
+        result, stats = solve(instance)
+        assert result == eval_qbf(instance)
+        assert (stats.d, stats.max_depth) == (3, 4)
+
+    def test_agrees_with_oracle_on_seeded_small_k(self):
+        rng = random.Random(37)
+        results, collapses, searched = set(), 0, 0
+        for _ in range(300):
+            instance = small_k_instance(rng)
+            result, stats = solve(instance)
+            assert result == eval_qbf(instance), emit_failure(instance)
+            results.add(result)
+            collapses += stats.collapse_leaves > 0
+            searched += stats.route == "search"
+        assert results == {True, False}
+        assert collapses > 0
+        assert searched > 150
+
+
 class TestTableCap:
     """The search checks its nodes' cores with truth tables up to
     ``TABLE_BITS`` existential variables and with ``_game`` above."""
@@ -640,11 +767,13 @@ class TestTableCap:
 
 class TestSearchShape:
     # (result, leaves, branches, max_depth, sat_leaves, collapse_leaves,
-    # weight0_leaves, weight_trace) of the instances below.  The branch order
-    # has not changed since the search state became bitmasks.  A node whose
-    # cores are jointly satisfiable is a TRUE leaf, so every FALSE leaf here
-    # is left with no live group; each row's tree is no larger than the one
-    # the search built before it checked the cores at every node.
+    # weight0_leaves, weight_trace) of the instances below.  A node branches
+    # on the smallest hitting set among its groups.  A node whose cores are
+    # jointly satisfiable is a TRUE leaf, so every FALSE leaf here is left
+    # with no live group.  Each row's tree has no more leaves or branches
+    # than the one the search built before it checked the cores at every
+    # node, except the last: it has 3 branches where the first group's
+    # hitting set gave 2.
     PINNED = (
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
         (False, 3, 6, 3, 2, 0, 1, (5, 3, 2, 0)),
@@ -655,7 +784,7 @@ class TestSearchShape:
         (False, 1, 3, 3, 0, 0, 1, (4, 3, 1, 0)),
         (False, 1, 3, 3, 0, 0, 1, (8, 6, 2, 0)),
         (True, 1, 0, 0, 1, 0, 0, (2,)),
-        (False, 1, 2, 2, 0, 0, 1, (5, 1, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (5, 4, 1, 0)),
     )
 
     def test_matches_pinned_shapes(self):
@@ -678,23 +807,26 @@ class TestSearchShape:
 
 
 class TestSearchTree:
-    """``(result, leaves, branches, max_depth)`` of a seeded corpus.  The
-    results have not changed since the search began; each tree is no larger
-    than the one built before every node checked its cores."""
+    """``(result, leaves, branches, max_depth)`` of a seeded corpus, each node
+    branching on the smallest hitting set among its groups.  The results
+    have not changed since the search began.  Each tree has no more leaves
+    or branches than the one built before every node checked its cores,
+    except rows 9 and 28 (counted from 0): each has one branch more than
+    with the first group's hitting set."""
 
     PINNED = (
         # 24 core matrices, n 6-10 and k 3-6
         (True, 1, 0, 0), (False, 2, 4, 3), (False, 1, 3, 3), (False, 1, 2, 2),
         (True, 1, 0, 0), (False, 1, 3, 3), (False, 2, 3, 2), (True, 1, 0, 0),
-        (True, 1, 0, 0), (False, 2, 3, 2), (True, 1, 0, 0), (True, 1, 0, 0),
+        (True, 1, 0, 0), (False, 2, 4, 3), (True, 1, 0, 0), (True, 1, 0, 0),
         (False, 1, 1, 1), (False, 1, 3, 3), (False, 1, 3, 3), (False, 2, 5, 4),
         (False, 2, 2, 1), (True, 1, 0, 0), (True, 1, 0, 0), (True, 1, 0, 0),
         (False, 1, 3, 3), (False, 2, 5, 4), (True, 1, 0, 0), (False, 1, 2, 2),
         # theorem 2 at d = 3 (k = 14) and d = 4 (k = 12)
-        (False, 3, 4, 2), (False, 3, 6, 4), (False, 25, 35, 3), (False, 2, 4, 3),
-        (False, 2, 4, 3), (True, 29, 38, 3), (True, 28, 38, 4), (True, 28, 36, 3),
+        (False, 2, 4, 3), (False, 3, 6, 4), (False, 18, 30, 4), (False, 2, 4, 3),
+        (False, 2, 5, 4), (True, 18, 28, 4), (True, 21, 34, 4), (True, 19, 30, 4),
         # theorem 2 of random_dnf(6, 32) at d = 3: k = 18, above the table cap
-        (True, 20, 26, 2), (True, 23, 28, 2), (False, 31, 41, 3), (False, 9, 13, 4),
+        (True, 15, 22, 3), (True, 16, 24, 3), (False, 18, 29, 4), (False, 8, 13, 4),
     )
 
     @staticmethod
