@@ -4,6 +4,12 @@ Variables are positive integers and a literal is a signed integer whose sign
 carries the polarity (DIMACS convention).  Clauses and terms are frozensets of
 literals.  Every container here is immutable after construction and every
 operation is a pure function, so values can be shared freely across threads.
+
+The constructors check their literals in bulk: ``CnfMatrix`` and
+``DnfFormula`` test the union of their rows for 0 and for variables beyond
+``num_vars``, and ``QbfInstance`` tests the variables of that union against
+the prefix.  The rows are walked literal by literal only when a test fails,
+to name the first offender.
 """
 
 from __future__ import annotations
@@ -26,16 +32,23 @@ def literal_sort_key(lit: int) -> tuple[int, bool]:
 
 
 def is_tautological(clause: Clause) -> bool:
-    """True when the clause contains a variable in both polarities."""
-    return any(-lit in clause for lit in clause)
+    """True when the clause contains a variable in both polarities, that is,
+    when it has fewer variables than literals."""
+    return len(set(map(abs, clause))) < len(clause)
 
 
-def _check_literals(lits: Iterable[int], num_vars: int, what: str) -> None:
-    for lit in lits:
-        if lit == 0:
-            raise ValueError(f"{what} may not contain the literal 0")
-        if abs(lit) > num_vars:
-            raise ValueError(f"variable {abs(lit)} exceeds declared count {num_vars}")
+def _check_literals(rows: tuple[frozenset[int], ...], num_vars: int, what: str) -> None:
+    """Reject the literal 0 and variables beyond ``num_vars``, naming the
+    first offender in row order."""
+    lits = frozenset().union(*rows)
+    if 0 not in lits and (not lits or -num_vars <= min(lits) and max(lits) <= num_vars):
+        return
+    for row in rows:
+        for lit in row:
+            if lit == 0:
+                raise ValueError(f"{what} may not contain the literal 0")
+            if abs(lit) > num_vars:
+                raise ValueError(f"variable {abs(lit)} exceeds declared count {num_vars}")
 
 
 @dataclass(frozen=True)
@@ -51,14 +64,13 @@ class CnfMatrix:
     num_vars: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", tuple(frozenset(c) for c in self.clauses))
+        object.__setattr__(self, "clauses", tuple(map(frozenset, self.clauses)))
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        for clause in self.clauses:
-            _check_literals(clause, self.num_vars, "a clause")
+        _check_literals(self.clauses, self.num_vars, "a clause")
 
     def max_arity(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
+        return max(map(len, self.clauses), default=0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +85,10 @@ class DnfFormula:
     num_vars: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(frozenset(t) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(map(frozenset, self.terms)))
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        for term in self.terms:
-            _check_literals(term, self.num_vars, "a term")
+        _check_literals(self.terms, self.num_vars, "a term")
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,10 @@ class QbfInstance:
                 if v > self.matrix.num_vars:
                     raise ValueError(f"prefix variable {v} exceeds declared count {self.matrix.num_vars}")
                 seen.add(v)
-        for clause in self.matrix.clauses:
+        clauses = self.matrix.clauses
+        if seen.issuperset(map(abs, frozenset().union(*clauses))):
+            return
+        for clause in clauses:
             for lit in clause:
                 if abs(lit) not in seen:
                     raise ValueError(f"matrix variable {abs(lit)} is not bound by the prefix")

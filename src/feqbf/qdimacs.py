@@ -5,6 +5,13 @@ QDIMACS follows the standard: comment lines ``c ...``, a header
 terminated by 0, and clause lines of integers terminated by 0.  The DNF
 format has the same shape with header ``p dnf <nvars> <nterms>`` and terms
 in place of clauses.
+
+Each line is checked as a whole: its integers are parsed in one ``map``, and
+the terminator, a 0 inside the line and the range of its literals are tested
+on the list (``0 in``, ``min``, ``max``).  A clause line is walked literal by
+literal only when the range test fails, to name the first offender.  A
+prefix line's variables, which each occur once in a file, are checked one
+by one for their range and for a second declaration.
 """
 
 from __future__ import annotations
@@ -43,40 +50,47 @@ def _parse_header(line_no: int, line: str, kind: str) -> tuple[int, int]:
 
 
 def _parse_int_line(line_no: int, line: str) -> list[int]:
+    """The integers of a 0-terminated line, without the terminator."""
     try:
-        values = [int(tok) for tok in line.split()]
+        values = list(map(int, line.split()))
     except ValueError:
         raise FormatError(line_no, "non-integer field") from None
-    if not values or values[-1] != 0:
+    if not values or values.pop() != 0:
         raise FormatError(line_no, "line must be terminated by 0")
-    if any(v == 0 for v in values[:-1]):
+    if 0 in values:
         raise FormatError(line_no, "unexpected 0 before the line terminator")
-    return values[:-1]
+    return values
 
 
-def _read(text: str, kind: str, noun: str, other=None) -> tuple[int, list[list[int]]]:
+def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[list[int]]]:
     """The header ``p <kind> <nvars> <count>`` and the ``count`` rows (``noun``)
-    of literals over 1..nvars after it, as ``(nvars, rows)``.  ``other(line_no,
-    line, num_vars, rows)`` sees each line first and returns True if it took it."""
+    of literals over 1..nvars after it, as ``(nvars, rows)``.  A line whose
+    first field is ``a`` or ``e`` goes to ``prefix_line(line_no, line,
+    num_vars, rows)`` when it is given, and is read as a row otherwise."""
     num_vars = None
     rows: list[list[int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if not line:
             continue
-        if line.startswith("p"):
+        head = line[0]
+        if head == "c":
+            continue
+        if head == "p":
             if num_vars is not None:
                 raise FormatError(line_no, "duplicate header")
             num_vars, count = _parse_header(line_no, line, kind)
             continue
         if num_vars is None:
             raise FormatError(line_no, f"missing 'p {kind}' header")
-        if other is not None and other(line_no, line, num_vars, rows):
+        if prefix_line is not None and head in "ae" and not line[1:2].strip():
+            prefix_line(line_no, line, num_vars, rows)
             continue
         row = _parse_int_line(line_no, line)
-        for lit in row:
-            if abs(lit) > num_vars:
-                raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
+        if row and (min(row) < -num_vars or max(row) > num_vars):
+            for lit in row:
+                if abs(lit) > num_vars:
+                    raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
         rows.append(row)
     if num_vars is None:
         raise FormatError(1, f"missing 'p {kind}' header")
@@ -106,9 +120,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
     blocks: list[tuple[str, list[int]]] = []
     declared: dict[int, int] = {}
 
-    def prefix_line(line_no: int, line: str, num_vars: int, clauses) -> bool:
-        if line.split(None, 1)[0] not in ("a", "e"):
-            return False
+    def prefix_line(line_no: int, line: str, num_vars: int, clauses) -> None:
         if clauses:
             raise FormatError(line_no, "prefix line after the first clause")
         vars_ = _parse_int_line(line_no, line[1:])
@@ -119,7 +131,6 @@ def parse_qdimacs(text: str) -> QbfInstance:
                 raise FormatError(line_no, f"variable {v} already declared on line {declared[v]}")
             declared[v] = line_no
         blocks.append((FORALL if line[0] == "a" else EXISTS, vars_))
-        return True
 
     num_vars, clauses = _read(text, "cnf", "clauses", prefix_line)
     free = [v for v in range(1, num_vars + 1) if v not in declared]

@@ -42,6 +42,7 @@ its live cores to the oracle's game as they are.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +56,7 @@ from .formulas import (
     is_tautological,
     normalize_prefix,
 )
-from .oracle import TABLE_BITS, _game, clause_masks, satisfying_sets, sets_intersect
+from .oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, satisfying_sets, sets_intersect
 from .oracle import eval_qbf  # unused here; perfbench/tracer.py wraps solver.eval_qbf
 
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
@@ -126,7 +127,7 @@ def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     the one ``parse_qdimacs`` binds free variables in, is ignored."""
     prefix = instance.prefix
     if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
-        occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
+        occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
         if occurring.isdisjoint(prefix[0].vars):
             prefix = prefix[1:]
     quants = [b.quantifier for b in prefix]
@@ -146,17 +147,23 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     remains (the universal player falsifies it).  Afterwards every clause has
     a non-empty existential core, and the prefix is the one ``ae_blocks``
     reads: an outer block it ignores is dropped, so every route after it sees
-    one universal block followed by one existential block."""
+    one universal block followed by one existential block.  Each clause is
+    tested with set operations on its variables, and an instance that loses
+    no clause and whose prefix already has that shape comes back as it is,
+    without a second run of ``QbfInstance``'s checks."""
     universal, existential = ae_blocks(instance)
     e_set = set(existential)
+    clauses = instance.matrix.clauses
     kept = []
-    for clause in instance.matrix.clauses:
+    for clause in clauses:
         if is_tautological(clause):
             continue
-        if not any(abs(lit) in e_set for lit in clause):
+        if e_set.isdisjoint(map(abs, clause)):
             return FalseCertificate(clause)
         kept.append(clause)
     prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
+    if len(kept) == len(clauses) and prefix == instance.prefix:
+        return instance
     return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
 
 
@@ -298,10 +305,18 @@ def sat_check_core(
     the other clauses' sets, and the answer is whether the AND of the cores'
     sets with it is nonzero.  Without ``sets``, ``carried`` is a tuple of
     masks, and the oracle's engine decides (backtracking with unit
-    propagation) with every variable existential.  An empty clause makes it
+    propagation) with every variable existential; it recurses once per
+    branching variable, and a check that branches deeper than Python's
+    recursion limit raises ``OracleLimitError``.  An empty clause makes it
     False."""
     if sets is None:
-        return _game([*cores, *(carried or ())], 0)
+        try:
+            return _game([*cores, *(carried or ())], 0)
+        except RecursionError:
+            raise OracleLimitError(
+                "the core SAT check branches deeper than Python's recursion limit "
+                f"({sys.getrecursionlimit()})"
+            ) from None
     return sets_intersect([-1 if carried is None else carried, *map(sets.__getitem__, cores)])
 
 

@@ -219,3 +219,63 @@ class TestPrefixAndInstances:
     def test_tautology_detection(self):
         assert is_tautological(F(1, -1, 2))
         assert not is_tautological(F(1, 2))
+        assert not is_tautological(F())
+        assert is_tautological(F(-3, 3))
+
+
+class TestValidationMessages:
+    """Where several literals are at fault, the message names the first in
+    clause order, each clause read in its frozenset's iteration order."""
+
+    @pytest.mark.parametrize("cls,what", [(CnfMatrix, "a clause"), (DnfFormula, "a term")])
+    def test_literal_zero(self, cls, what):
+        with pytest.raises(ValueError) as caught:
+            cls((F(1), F(0)), 2)
+        assert str(caught.value) == f"{what} may not contain the literal 0"
+
+    @pytest.mark.parametrize("cls", [CnfMatrix, DnfFormula])
+    @pytest.mark.parametrize("lit", [3, -3])
+    def test_variable_beyond_the_count(self, cls, lit):
+        with pytest.raises(ValueError) as caught:
+            cls((F(1, 2), F(lit)), 2)
+        assert str(caught.value) == "variable 3 exceeds declared count 2"
+
+    @pytest.mark.parametrize("cls", [CnfMatrix, DnfFormula])
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ((F(1, 2), F(5, -7)), "variable 7 exceeds declared count 4"),
+            ((F(5, -7, 9, -11),), "variable 7 exceeds declared count 4"),
+            ((F(5), F(0)), "variable 5 exceeds declared count 4"),
+            ((F(0, 5),), "may not contain the literal 0"),
+        ],
+    )
+    def test_first_offender_is_named(self, cls, rows, message):
+        with pytest.raises(ValueError) as caught:
+            cls(rows, 4)
+        assert str(caught.value).endswith(message)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="num_vars must be non-negative"):
+            CnfMatrix((), -1)
+
+    def test_unbound_matrix_variable(self):
+        with pytest.raises(ValueError) as caught:
+            QbfInstance((QuantifierBlock("a", (1,)),), CnfMatrix((F(1, -2), F(3)), 3))
+        assert str(caught.value) == "matrix variable 2 is not bound by the prefix"
+        with pytest.raises(ValueError) as caught:
+            QbfInstance((QuantifierBlock("a", (2,)),), CnfMatrix((F(1, -3), F(4)), 4))
+        assert str(caught.value) == "matrix variable 1 is not bound by the prefix"
+
+    def test_prefix_variable_beyond_the_count(self):
+        with pytest.raises(ValueError) as caught:
+            QbfInstance((QuantifierBlock("a", (1, 3)),), CnfMatrix((F(1),), 2))
+        assert str(caught.value) == "prefix variable 3 exceeds declared count 2"
+
+    def test_variable_bound_twice(self):
+        with pytest.raises(ValueError) as caught:
+            QbfInstance(
+                (QuantifierBlock("a", (1, 2)), QuantifierBlock("e", (3, 2))),
+                CnfMatrix((F(1),), 3),
+            )
+        assert str(caught.value) == "variable 2 bound twice in the prefix"

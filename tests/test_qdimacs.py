@@ -125,3 +125,54 @@ class TestDnfFormat:
     def test_variable_out_of_range(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_dnf("p dnf 1 1\n-4 0\n")
+
+
+class TestErrorMessages:
+    """Each check names its line and, where several literals are at fault,
+    the first in line order."""
+
+    @pytest.mark.parametrize(
+        "text,line_no,message",
+        [
+            ("p cnf 2 1\na 1 0\ne 2 0\n1 -3 0\n", 4, "variable 3 out of range 1..2"),
+            ("p cnf 2 1\na 1 3 0\ne 2 0\n1 2 0\n", 2, "variable 3 out of range 1..2"),
+            ("p cnf 2 1\na -1 0\n1 0\n", 2, "variable -1 out of range 1..2"),
+            ("p cnf 4 1\n3 -7 5 -9 0\n", 2, "variable 7 out of range 1..4"),
+            ("p cnf 2 1\na 1 1 3 0\n1 0\n", 2, "variable 1 already declared on line 2"),
+            ("p cnf 2 1\na 1 0\ne 1 3 0\n1 0\n", 3, "variable 1 already declared on line 2"),
+            ("p cnf 2 1\n1 0 2 0\n", 2, "unexpected 0 before the line terminator"),
+            ("p cnf 2 1\na 1 0 2 0\n1 0\n", 2, "unexpected 0 before the line terminator"),
+            ("p cnf 2 2\n1 0\n0 0\n", 3, "unexpected 0 before the line terminator"),
+            ("p cnf 2 1\n1 2\n", 2, "line must be terminated by 0"),
+            ("p cnf 2 1\na 1\n1 0\n", 2, "line must be terminated by 0"),
+            ("p cnf 2 1\ne\n1 0\n", 2, "line must be terminated by 0"),
+            ("p cnf 2 1\n1 x 0\n", 2, "non-integer field"),
+            ("p cnf 2 1\na1 2 0\n1 0\n", 2, "non-integer field"),
+            ("p cnf 2 1\nab 0\n1 0\n", 2, "non-integer field"),
+        ],
+    )
+    def test_qdimacs(self, text, line_no, message):
+        with pytest.raises(FormatError) as caught:
+            parse_qdimacs(text)
+        assert str(caught.value) == f"line {line_no}: {message}"
+        assert caught.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p dnf 2 1\n-3 0\n", "variable 3 out of range 1..2"),
+            ("p dnf 4 1\n3 -7 5 -9 0\n", "variable 7 out of range 1..4"),
+            ("p dnf 2 1\n1 0 0\n", "unexpected 0 before the line terminator"),
+            # A DNF has no prefix lines.
+            ("p dnf 2 1\na 1 0\n", "non-integer field"),
+        ],
+    )
+    def test_dnf(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            parse_dnf(text)
+        assert str(caught.value) == f"line 2: {message}"
+
+    def test_tab_after_the_quantifier(self):
+        # Variable 2 is free, so it comes first, in the outer block.
+        instance = parse_qdimacs("p cnf 2 1\ne\t1 0\n1 0\n")
+        assert instance.prefix == (QuantifierBlock("e", (2, 1)),)

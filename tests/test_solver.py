@@ -108,7 +108,26 @@ class TestPreprocess:
 
     def test_clean_instance_unchanged(self):
         instance = make([(FORALL, (1,)), (EXISTS, (2,))], [F(1, 2), F(2)], 2)
-        assert preprocess(instance) == instance
+        assert preprocess(instance) is instance
+
+    def test_ignored_outer_block_is_dropped(self):
+        # The outer existential block binds variable 3, which no clause holds.
+        instance = make([(EXISTS, (3,)), (FORALL, (1,)), (EXISTS, (2,))], [F(1, 2)], 3)
+        result = preprocess(instance)
+        assert result.prefix == normalize_prefix([(FORALL, (1,)), (EXISTS, (2,))])
+        assert result.matrix == instance.matrix
+
+    def test_tautology_with_an_existential_literal_removed(self):
+        instance = make(
+            [(FORALL, (1, 2)), (EXISTS, (3, 4))], [F(3, -3, 1), F(4, -4), F(1, 4)], 4
+        )
+        assert preprocess(instance).matrix.clauses == (F(1, 4),)
+
+    def test_certificate_skips_an_earlier_universal_tautology(self):
+        instance = make(
+            [(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, -1), F(1, 3), F(-2, 1), F(2)], 3
+        )
+        assert preprocess(instance) == FalseCertificate(F(-2, 1))
 
     def test_rejects_wrong_prefix_shape(self):
         exists_forall = make([(EXISTS, (1,)), (FORALL, (2,))], [F(1, 2)], 2)
@@ -763,6 +782,37 @@ class TestTableCap:
         # node's SAT check gets the tuple of their masks.
         calls = self.solve_corpus(monkeypatch, TABLE_BITS + 1, 5, pure=True)
         assert all(isinstance(carried, tuple) and carried for _, carried in calls)
+
+    def test_core_check_deeper_than_the_limit_names_its_cause(self):
+        # forall 1 exists 2..301: (1 | 2) and (1+i | 151+i) for i = 1..150.  TRUE,
+        # above the table cap, and the root's core check branches once per pair,
+        # past the recursion limit of 120.
+        script = (
+            "import sys\n"
+            "from feqbf.formulas import CnfMatrix, QbfInstance, normalize_prefix\n"
+            "from feqbf.oracle import OracleLimitError\n"
+            "from feqbf.solver import solve\n"
+            "P = 150\n"
+            "clauses = [frozenset((1, 2))] + [frozenset((1 + i, 1 + P + i)) for i in range(1, P + 1)]\n"
+            "prefix = normalize_prefix([('a', (1,)), ('e', range(2, 2 * P + 2))])\n"
+            "instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), 2 * P + 1))\n"
+            "sys.setrecursionlimit(120)\n"
+            "try:\n"
+            "    solve(instance)\n"
+            "except OracleLimitError as exc:\n"
+            "    print(exc)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "core SAT check" in completed.stdout
+        assert "recursion limit (120)" in completed.stdout
 
 
 class TestSearchShape:
