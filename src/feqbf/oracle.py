@@ -20,13 +20,15 @@ rest.  One walk over the source bits, highest first, builds phi's truth table
 over all source assignments as one int: a node stands for the block of
 assignments that agree on the bits assigned so far, and carries the AND of
 the residual truth tables of the clauses whose source part the block
-falsifies, so a block whose AND is 0 is False as a whole and a block below
-every source part is decided at once.  When the residuals need the game, the
-walk plays one game per distinct set of residuals left.  psi's table comes
-from the same walk (``falsifying_table``), and the mismatches are the XOR of
-the two; theorem 1's base case reads its clauses from that table too.  DNF
-validity is decided by the game instead: a DNF is valid iff the CNF of its
-negated terms is unsatisfiable, and the game prunes where a table would not.
+falsifies, so a block whose AND is 0 is False as a whole, a block whose AND
+meets that of every clause still to be tested is True as a whole, and a
+block below every source part is decided at once.  When the residuals need
+the game, the walk plays one game per distinct set of residuals left.
+psi's table is built without a walk, by whole-table operations on per-bit
+tables (``falsifying_table``), and the mismatches are the XOR of the two;
+theorem 1's base case reads its clauses from that table too.  DNF validity
+is decided by the game instead: a DNF is valid iff the CNF of its negated
+terms is unsatisfiable, and the game prunes where a table would not.
 The tests check all of them against the unpruned evaluators in
 ``tests/oracle_helpers.py``.  A configurable variable bound refuses inputs
 with more variables to branch on than it allows: the game's time and its
@@ -35,6 +37,7 @@ recursion depth grow with them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .formulas import (
@@ -51,6 +54,10 @@ DEFAULT_VARIABLE_BOUND = 24
 TABLE_BITS = 16
 # The mismatching assignments an EquivalenceReport lists; it counts them all.
 MAX_MISMATCHES = 32
+# The low bits over which falsifying_table builds one chunk of its table: a
+# 2^16-bit chunk is 8 KB.  Fixed apart from TABLE_BITS, which only gates the
+# choice between tables and the game.
+_CHUNK_BITS = 16
 
 
 class OracleLimitError(ValueError):
@@ -169,20 +176,7 @@ def satisfying_sets(masks, shift: int, width: int) -> list[int]:
     have no bits above the window."""
     if width > TABLE_BITS:
         raise ValueError(f"a truth table over {width} bits exceeds TABLE_BITS = {TABLE_BITS}")
-    full = (1 << (1 << width)) - 1
-    size = 1 << max(width - 3, 0)  # bytes per table
-    true_of = []
-    for i in range(width):
-        # Bit tau of the table for bit i is bit i of tau.  For i < 3 the
-        # pattern repeats within each byte; above, it alternates runs of
-        # 2^(i-3) zero bytes and 2^(i-3) 0xff bytes.
-        if i < 3:
-            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size
-        else:
-            half = 1 << (i - 3)
-            pattern = (bytes(half) + b"\xff" * half) * (size // (2 * half))
-        true_of.append(int.from_bytes(pattern, "little") & full)
-    false_of = [full ^ table for table in true_of]
+    true_of, false_of = _bit_tables(width)
     sets = []
     for pos, neg in masks:
         satisfied = 0
@@ -193,6 +187,26 @@ def satisfying_sets(masks, shift: int, width: int) -> list[int]:
                 bits ^= low
         sets.append(satisfied)
     return sets
+
+
+@functools.cache
+def _bit_tables(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(true_of, false_of)`` over 2^width-bit tables: bit tau of
+    ``true_of[i]`` is bit i of tau, and ``false_of[i]`` is its complement.
+    Kept per width; width 16 holds 32 tables of 8 KB."""
+    full = (1 << (1 << width)) - 1
+    size = 1 << max(width - 3, 0)  # bytes per table
+    true_of = []
+    for i in range(width):
+        # For i < 3 the pattern repeats within each byte; above, it
+        # alternates runs of 2^(i-3) zero bytes and 2^(i-3) 0xff bytes.
+        if i < 3:
+            pattern = bytes((0xAA, 0xCC, 0xF0)[i : i + 1]) * size
+        else:
+            half = 1 << (i - 3)
+            pattern = (bytes(half) + b"\xff" * half) * (size // (2 * half))
+        true_of.append(int.from_bytes(pattern, "little") & full)
+    return tuple(true_of), tuple(full ^ table for table in true_of)
 
 
 def sets_intersect(sets) -> bool:
@@ -222,10 +236,41 @@ def falsifying_table(terms, variables) -> int:
     """A 2^n-bit int, n = len(variables), whose bit a is set iff no term
     holds under the assignment a, bit i of a holding ``variables[i]``.
 
-    A term holds iff its negation, as a clause, is falsified, so this is
-    ``_walk`` over the negated terms, each carrying the table 0."""
-    masks = clause_masks(terms, {var: i for i, var in enumerate(variables)})
-    return _walk([((neg, pos), 0, 0) for pos, neg in masks], len(variables))
+    The assignments where a term holds are the AND of the tables of its
+    literals (``_bit_tables``), and the result is the complement of their
+    OR.  Above ``_CHUNK_BITS`` variables the table is built in chunks over
+    the low ``_CHUNK_BITS`` bits, one per assignment to the high bits, each
+    from the terms whose high literals that assignment satisfies, and the
+    chunks are joined as bytes, so no int wider than a chunk is built before
+    the join."""
+    n = len(variables)
+    width = min(n, _CHUNK_BITS)
+    true_of, false_of = _bit_tables(width)
+    full = (1 << (1 << width)) - 1
+    low = (1 << width) - 1
+    split = [
+        (pos >> width, neg >> width, pos & low, neg & low)
+        for pos, neg in clause_masks(terms, {var: i for i, var in enumerate(variables)})
+        if not pos & neg  # x and -x: the term never holds
+    ]
+    chunks = []
+    for high in range(1 << (n - width)):
+        some = 0
+        for high_pos, high_neg, pos, neg in split:
+            if high_pos & ~high or high_neg & high:
+                continue
+            holds = full
+            for bits, tables in ((pos, true_of), (neg, false_of)):
+                while bits:
+                    bit = bits & -bits
+                    holds &= tables[bit.bit_length() - 1]
+                    bits ^= bit
+            some |= holds
+        chunks.append(full ^ some)
+    if len(chunks) == 1:
+        return chunks[0]
+    size = 1 << (width - 3)  # bytes per chunk
+    return int.from_bytes(b"".join(chunk.to_bytes(size, "little") for chunk in chunks), "little")
 
 
 @dataclass(frozen=True)
@@ -278,9 +323,10 @@ def check_equivalence(
     any suffix.
 
     Both sides are 2^n-bit truth tables, bit sigma holding the value at
-    sigma, built by one walk over blocks of source assignments (``_walk``)
-    rather than sigma by sigma; the mismatches are the set bits of their
-    XOR.  On phi's side the walk carries the AND of the residual truth
+    sigma, built rather than evaluated sigma by sigma; the mismatches are
+    the set bits of their XOR.  psi's side is the complement of
+    ``falsifying_table``.  phi's side is one walk over blocks of source
+    assignments (``_walk``), which carries the AND of the residual truth
     tables of the clauses a block leaves unsatisfied, or, when the residual
     clauses need the game, plays one game per distinct set of them
     (``_phi_table``).  ``var_bound`` limits the source variables and,
@@ -387,7 +433,11 @@ def _walk(parts, n: int, decide=None) -> int:
     of its lowest bit, where all its literals are assigned, so a node carries
     the AND and the OR of the parts falsified so far.  A node whose AND is 0
     is 0 for its whole block; below the lowest bit of any part the rest of
-    the block agrees, and ``decide`` is asked once for it."""
+    the block agrees, and ``decide`` is asked once for it.  Without
+    ``decide`` a node whose AND meets ``rest[b]``, the AND of the tables of
+    every part still to be tested, is 1 for its whole block: whichever of
+    those parts an assignment in the block falsifies, one residual
+    assignment lies in all their tables."""
     common, key = -1, 0
     buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     floor = n
@@ -403,13 +453,23 @@ def _walk(parts, n: int, decide=None) -> int:
         buckets[low].append((pos, neg, table, ids))
         floor = min(floor, low)
     block = (1 << (1 << floor)) - 1
+    # rest[b]: the AND of the tables of the parts whose lowest bit is below b.
+    rest = [-1]
+    for bucket in buckets:
+        below = rest[-1]
+        for _, _, table, _ in bucket:
+            below &= table
+        rest.append(below)
 
     def node(b: int, a: int, common: int, key: int) -> int:
         # Bits b..n-1 of a are assigned, and so is every part whose lowest bit is b or above.
         if not common:
             return 0
-        if b == floor:
-            return block if decide is None or decide(key) else 0
+        if decide is None:
+            if common & rest[b]:
+                return (1 << (1 << b)) - 1
+        elif b == floor:
+            return block if decide(key) else 0
         b -= 1
         halves = []
         for a in (a, a | 1 << b):
@@ -421,4 +481,7 @@ def _walk(parts, n: int, decide=None) -> int:
             halves.append(node(b, a, c, k))
         return halves[0] | halves[1] << (1 << b)
 
-    return node(n, 0, common, key)
+    try:
+        return node(n, 0, common, key)
+    finally:
+        del node  # node refers to itself: without this, each walk is a reference cycle

@@ -230,8 +230,10 @@ def _base_case(terms, universe, ids, provenance, level):
     """Brute-force conversion: one clause per falsifying assignment, in
     ascending order of its encoding, split to arity 4 with fresh innermost
     existential variables.  The falsifying assignments are the set bits of
-    ``oracle.falsifying_table``, a 2^n-bit int, and there may be up to 2^n of
-    them, so it refuses more than ``DEFAULT_VARIABLE_BOUND`` variables."""
+    ``oracle.falsifying_table``, a 2^n-bit int built by whole-table
+    operations, in chunks of 2^16 assignments above 16 variables.  There may
+    be up to 2^n of them, so it refuses more than ``DEFAULT_VARIABLE_BOUND``
+    variables."""
     n = len(universe)
     if n > DEFAULT_VARIABLE_BOUND:
         raise ReductionError(

@@ -1,8 +1,9 @@
 """Independent brute-force helpers used as test oracles.
 
 These deliberately avoid the library's evaluation code paths: everything is
-done by exhaustive enumeration over assignment dictionaries, so the tests
-check the package against a second, slower route."""
+done by exhaustive enumeration, over assignment dictionaries or, in
+``falsifying_table_reference``, over integer encodings, so the tests check
+the package against a second, slower route."""
 
 from __future__ import annotations
 
@@ -44,13 +45,30 @@ def dnf_valid_reference(terms, variables):
 
 def falsifying_table_reference(terms, variables):
     """An int whose bit a is set iff no term holds under the assignment a,
-    bit i of a holding ``variables[i]``."""
-    variables = list(variables)
-    table = 0
-    for sigma in all_assignments(variables):
-        if not dnf_true_under(terms, sigma):
-            table |= 1 << sum(sigma[var] << i for i, var in enumerate(variables))
-    return table
+    bit i of a holding ``variables[i]``.
+
+    It tests every encoding a against every term in turn, as ``a & mask ==
+    value`` over the term's own literals, and builds the int once from the
+    bits, so that it stays usable at 20 variables."""
+    position = {var: i for i, var in enumerate(variables)}
+    checks = []
+    for term in terms:
+        if any(-lit in term for lit in term):
+            continue  # x and -x: the term holds under no assignment
+        mask = value = 0
+        for lit in term:
+            mask |= 1 << position[abs(lit)]
+            value |= (lit > 0) << position[abs(lit)]
+        checks.append((mask, value))
+    bits = []
+    for a in range(1 << len(position)):
+        for mask, value in checks:
+            if a & mask == value:
+                bits.append("0")
+                break
+        else:
+            bits.append("1")
+    return int("".join(reversed(bits)), 2)
 
 
 def cnf_satisfiable(clauses, variables):

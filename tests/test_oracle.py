@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from feqbf.oracle import (
     eval_qbf,
     is_dnf_valid,
 )
-from feqbf.reductions import reduce_dnf_to_fe_dqbf
+from feqbf.reductions import reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
 from oracle_helpers import (
     cnf_satisfiable,
     dnf_true_under,
@@ -306,6 +307,22 @@ class TestDnfAgainstReference:
             variables = rng.sample(range(1, n + 1), n)  # any order of the bits
             expected = falsifying_table_reference(terms, variables)
             assert oracle.falsifying_table(terms, variables) == expected, (terms, variables)
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_chunked_falsifying_table_matches_reference(self, n):
+        # Above 16 variables the table is built in chunks over the low 16
+        # bits, one per assignment to the high ones.  Random terms mix low and
+        # high literals; one term has high literals only, one both kinds, and
+        # two are contradictory.  With the empty term no assignment is left.
+        rng = random.Random(f"chunks-{n}")
+        variables = list(range(1, n + 1))
+        terms = random_clauses(rng, n, 12)
+        terms += [F(*range(17, n + 1)), F(-n, 2), F(3, -3), F(n, -n, 1)]
+        expected = falsifying_table_reference(terms, variables)
+        assert 0 < expected < (1 << (1 << n)) - 1
+        assert oracle.falsifying_table(terms, variables) == expected
+        terms.insert(0, F())
+        assert oracle.falsifying_table(terms, variables) == falsifying_table_reference(terms, variables) == 0
 
 
 class TestCheckEquivalence:
@@ -645,3 +662,63 @@ class TestBlockWalk:
         assert report.mismatch_count == 2**18
         assert report.mismatch_encodings() == tuple(range(1 << 19, (1 << 19) + 32))
         assert peak < 2 * 1024 * 1024
+
+    def test_twenty_variable_falsifying_table_stays_within_two_megabytes(self):
+        # The 2^20-bit table is 128 KB; it is built from sixteen 8 KB chunks,
+        # and the peak counts the per-bit tables built afresh.
+        oracle._bit_tables.cache_clear()
+        terms = random_clauses(random.Random("chunk-memory"), 20, 40, widths=(3,))
+        tracemalloc.start()
+        try:
+            table = oracle.falsifying_table(terms, range(1, 21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < table < 1 << (1 << 20)
+        assert peak < 2 * 1024 * 1024
+
+    def test_all_win_cut_hides_no_mismatch(self):
+        # A block is won as a whole when one residual assignment satisfies
+        # every clause it can leave.  Breaking one clause of a theorem-2
+        # output must still show every mismatch the reference finds.
+        rng = random.Random("all-win-cut")
+        failing = 0
+        for n in range(6, 13):
+            for _ in range(2 if n < 10 else 1):
+                psi = random_dnf(n, rng.randint(2, 8 if n < 10 else 4), seed=rng.getrandbits(32))
+                phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+                clauses = list(phi.matrix.clauses)
+                i = rng.randrange(len(clauses))
+                if rng.random() < 0.5:
+                    del clauses[i]
+                else:
+                    lit = rng.choice(sorted(clauses[i]))
+                    clauses[i] = clauses[i] - {lit} | {-lit}
+                broken = QbfInstance(phi.prefix, CnfMatrix(tuple(clauses), phi.matrix.num_vars))
+                expected = reference_mismatches(psi, broken, tuple(range(1, n + 1)))
+                report = check_equivalence(psi, broken, mode="forall_exists")
+                assert report.mismatch_count == len(expected), (psi, broken)
+                assert report.mismatch_encodings() == expected[: oracle.MAX_MISMATCHES], (psi, broken)
+                failing += bool(expected)
+        assert failing >= 5
+
+
+def test_verify_leaves_no_reference_cycles():
+    # Every object of a verify operation is freed by reference counting, so
+    # with the cyclic collector off nothing is left for it to find: on the
+    # table path (theorem 2) and the game path (theorem 1).
+    psi2 = random_dnf(10, 20, seed=11)
+    psi1 = random_dnf(6, 10, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        phi2 = reduce_dnf_to_fe_dqbf(psi2, 3).instance
+        assert gc.collect() == 0
+        assert check_equivalence(psi2, phi2, mode="forall_exists").passed
+        assert gc.collect() == 0
+        phi1 = reduce_dnf_to_4qbf(psi1, 20).instance
+        assert gc.collect() == 0
+        assert check_equivalence(psi1, phi1).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
