@@ -32,7 +32,6 @@ from .oracle import (
 )
 from .qdimacs import FormatError, emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
 from .reductions import (
-    ReductionError,
     ReductionOutput,
     lambda_pair,
     pad_terms,
@@ -66,7 +65,6 @@ __all__ = [
     "OracleLimitError",
     "QbfInstance",
     "QuantifierBlock",
-    "ReductionError",
     "ReductionOutput",
     "SolverConfig",
     "SolverInvariantError",

@@ -25,11 +25,10 @@ meets that of every clause still to be tested is True as a whole, and a
 block below every source part is decided at once.  When the residuals need
 the game, the walk plays one game per distinct set of residuals left.
 psi's table is built without a walk, by whole-table operations on per-bit
-tables (``falsifying_table``), and the mismatches are the XOR of the two;
-theorem 1's base case reads its clauses from that table too.  DNF validity
-is decided by the game instead: a DNF is valid iff the CNF of its negated
-terms is unsatisfiable, and the game prunes where a table would not.
-The tests check all of them against the unpruned evaluators in
+tables (``falsifying_table``), and the mismatches are the XOR of the two.
+DNF validity is decided by the game instead: a DNF is valid iff the CNF of
+its negated terms is unsatisfiable, and the game prunes where a table would
+not.  The tests check all of them against the unpruned evaluators in
 ``tests/oracle_helpers.py``.  A configurable variable bound refuses inputs
 with more variables to branch on than it allows: the game's time and its
 recursion depth grow with them.

@@ -4,14 +4,16 @@ Both reductions turn a DNF over variables x into a closed prenex QBF whose
 matrix has bounded arity, preserving truth pointwise: for every assignment to
 x, the DNF holds iff the QBF's quantified suffix evaluates to True.
 
-``reduce_dnf_to_fe_dqbf`` keeps two quantifier blocks and arity d by spending
-one group of d-1 existential index variables per term.  ``reduce_dnf_to_4qbf``
-reaches arity 4 with O(log m) existential variables per level by encoding
-term indices in two universal selector vectors, adding a DNF that detects
-selector cheating, and recursing on that cheat formula until it is small
-enough to convert into one clause per falsifying assignment.  Recursing on
-m >= 17 terms reaches a fixed point (23, 49), (41, 129) or (75, 321)
-(variables, terms).
+Both end in one index gadget (``_index_gadget``): for every assignment to its
+DNF's variables, some assignment to its fresh existential index variables
+satisfies its clauses iff some term holds.  ``reduce_dnf_to_fe_dqbf`` is that
+gadget at arity d, after one universal block.  ``reduce_dnf_to_4qbf`` reaches
+arity 4 with O(log m) existential variables per level by encoding term
+indices in two universal selector vectors, adding a DNF that detects selector
+cheating, and recursing on that cheat formula while it is smaller; the last
+level is the gadget at arity 4.  The recursion stops at the latest at a
+fixed point (23, 49), (41, 129) or (75, 321) (variables, terms), whose
+gadget has 12, 21 or 27 variables.
 
 Both keep the DNF's variables 1..n and draw every introduced variable from
 one counter starting at n + 1.  Each introduced variable's role goes into
@@ -39,11 +41,6 @@ from .formulas import (
     normalize_prefix,
     split_clause_to_arity,
 )
-from .oracle import DEFAULT_VARIABLE_BOUND, falsifying_table
-
-
-class ReductionError(ValueError):
-    """Raised when a base threshold is too small for the recursion to shrink."""
 
 
 @dataclass(frozen=True)
@@ -94,35 +91,31 @@ def _sorted_lits(term: Term) -> list[int]:
     return sorted(term, key=literal_sort_key)
 
 
-def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
-    """Reduce a DNF to an equivalent forall-exists QBF of arity d.
+def _index_gadget(terms, d, ids, tag):
+    """Clauses of arity d over fresh existential index variables that some
+    index satisfies exactly when some term holds.
 
     The term count is padded up to r**(d-1) for r = ceil(m**(1/(d-1))).  Each
-    term index is encoded by d-1 blocks of r existential index variables; a
-    term literal l of term i becomes the clause (l or base_clause(i, blocks)).
-    One all-positive clause per block forces the chosen index to exist; those
-    clauses are split down to arity d with fresh existential link variables.
+    term index is encoded by d-1 blocks of r index variables; a term literal
+    l of term i becomes the clause (l or base_clause(i, blocks)).  One
+    all-positive clause per block forces the chosen index to exist; those
+    clauses are split down to arity d with fresh link variables.  Returns the
+    fresh variables' roles, prefixed by ``tag``, in id order, and the clauses.
     """
-    if d < 3:
-        raise ValueError("target arity must be at least 3")
-    if not psi.terms:
-        raise ValueError("source DNF must have at least one term")
-    n = psi.num_vars
-    m = len(psi.terms)
+    m = len(terms)
     r = 1
     while r ** (d - 1) < m:
         r += 1
-    padded = pad_terms(psi, r ** (d - 1))
-    ids = count(n + 1)
+    padded = tuple(terms) + (terms[-1],) * (r ** (d - 1) - m)
     index_blocks = [tuple(islice(ids, r)) for _ in range(d - 1)]
-    provenance = {
-        var: f"y{j + 1}[{i}]"
+    roles = {
+        var: f"{tag}y{j + 1}[{i}]"
         for j, block in enumerate(index_blocks)
         for i, var in enumerate(block)
     }
 
     clauses: list[Clause] = []
-    for i, term in enumerate(padded.terms):
+    for i, term in enumerate(padded):
         gadget = base_clause(i, index_blocks)
         for lit in _sorted_lits(term):
             clauses.append(frozenset({lit}) | gadget)
@@ -130,28 +123,36 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
     for j, block in enumerate(index_blocks):
         pieces, fresh = split_clause_to_arity(frozenset(block), d, ids)
         clauses.extend(pieces)
-        provenance.update((var, f"split_y{j + 1}") for var in fresh)
+        roles.update((var, f"{tag}split_y{j + 1}") for var in fresh)
+    return roles, clauses
 
-    # Every introduced variable is existential, in allocation order.
+
+def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
+    """Reduce a DNF to an equivalent forall-exists QBF of arity d: the
+    source variables, then the index gadget's variables."""
+    if d < 3:
+        raise ValueError("target arity must be at least 3")
+    if not psi.terms:
+        raise ValueError("source DNF must have at least one term")
+    n = psi.num_vars
+    ids = count(n + 1)
+    provenance, clauses = _index_gadget(psi.terms, d, ids, "")
     prefix = normalize_prefix([(FORALL, range(1, n + 1)), (EXISTS, provenance)])
     instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), next(ids) - 1))
-    return ReductionOutput(instance, provenance, ((n, m),))
+    return ReductionOutput(instance, provenance, ((n, len(psi.terms)),))
 
 
 def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOutput:
     """Reduce a DNF to an equivalent 4-ary QBF.
 
-    Recursive: while variables + terms exceed ``base_threshold``, the term
-    index is binary-encoded in existential variables y, mirrored by two
-    universal selector vectors z1/z2 (plus an escape variable w), and the
-    construction recurses on the cheat-detection DNF over (y, z1, z2, w).  At
-    or below the threshold the DNF is converted by enumerating falsifying
-    assignments and splitting the resulting long clauses to arity 4.  A
-    source with m >= 17 terms that recurses reaches a fixed point (23, 49),
-    (41, 129) or (75, 321), so O(log m) existentials hold per level only.
-
-    Raises ReductionError when a recursion step fails to shrink the problem
-    or a base case has more than ``DEFAULT_VARIABLE_BOUND`` variables.
+    Recursive: while variables + terms exceed ``base_threshold`` and the
+    cheat-detection DNF would be smaller, the term index is binary-encoded in
+    existential variables y, mirrored by two universal selector vectors z1/z2
+    (plus an escape variable w), and the construction recurses on that DNF
+    over (y, z1, z2, w).  Otherwise the level's DNF becomes theorem 2's index
+    gadget at arity 4, the innermost existential block.  The cheat DNF's
+    size depends on m alone, so the recursion stops at the latest at a fixed
+    point (23, 49), (41, 129) or (75, 321), and every input reduces.
     """
     if base_threshold < 4:
         raise ValueError("base threshold must be at least 4")
@@ -171,15 +172,20 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOu
 
 def _construct_level(terms, universe, ids, provenance, base_threshold, level):
     n, m = len(universe), len(terms)
-    if n + m <= base_threshold:
-        return _base_case(terms, universe, ids, provenance, level)
-
     length = 0
     while 4**length < m:
         length += 1
     m_padded = 4**length
-    padded = tuple(terms) + (terms[-1],) * (m_padded - m)
     root = 2**length  # sqrt of the padded term count
+    # The cheat DNF's variables and terms, known before any id is drawn, so a
+    # level that stops here leaves no hole in the numbering.
+    n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
+    if n + m <= base_threshold or n_next + m_next >= n + m:
+        roles, clauses = _index_gadget(terms, 4, ids, f"L{level}.base.")
+        provenance.update(roles)
+        return [(EXISTS, roles)], clauses, [(n, m)]
+
+    padded = tuple(terms) + (terms[-1],) * (m_padded - m)
     y = tuple(islice(ids, 2 * length))
     z1 = tuple(islice(ids, root))
     z2 = tuple(islice(ids, root))
@@ -205,58 +211,11 @@ def _construct_level(terms, universe, ids, provenance, base_threshold, level):
             for lit in _sorted_lits(binary_clause(j, half)):
                 cheat_terms.append(frozenset({selector[j], lit}))
 
-    new_universe = y + z1 + z2 + (w,)
-    n_next, m_next = len(new_universe), len(cheat_terms)
-    if n_next + m_next >= n + m:
-        if n <= DEFAULT_VARIABLE_BOUND:
-            advice = f"raise base_threshold to at least {n + m}"
-        else:
-            advice = (
-                f"the recursion is stuck at ({n}, {m}), and a base case of {n} "
-                f"variables exceeds the bound of {DEFAULT_VARIABLE_BOUND}"
-            )
-        raise ReductionError(
-            f"recursion does not shrink at level {level}: cheat formula has "
-            f"{n_next} variables + {m_next} terms >= {n} + {m}; {advice}"
-        )
     sub_suffix, sub_clauses, sub_trace = _construct_level(
-        cheat_terms, new_universe, ids, provenance, base_threshold, level + 1
+        cheat_terms, y + z1 + z2 + (w,), ids, provenance, base_threshold, level + 1
     )
     suffix = [(EXISTS, y), (FORALL, z1 + z2), (EXISTS, (w,))] + sub_suffix
     return suffix, clauses + sub_clauses, [(n, m)] + sub_trace
-
-
-def _base_case(terms, universe, ids, provenance, level):
-    """Brute-force conversion: one clause per falsifying assignment, in
-    ascending order of its encoding, split to arity 4 with fresh innermost
-    existential variables.  The falsifying assignments are the set bits of
-    ``oracle.falsifying_table``, a 2^n-bit int built by whole-table
-    operations, in chunks of 2^16 assignments above 16 variables.  There may
-    be up to 2^n of them, so it refuses more than ``DEFAULT_VARIABLE_BOUND``
-    variables."""
-    n = len(universe)
-    if n > DEFAULT_VARIABLE_BOUND:
-        raise ReductionError(
-            f"base case at level {level} has {n} variables and {len(terms)} terms; "
-            f"it can emit up to 2^{n} clauses, and the bound is {DEFAULT_VARIABLE_BOUND} variables"
-        )
-    # Bit a of the table is character a of its reversed binary string, so
-    # find() reads the set bits in one linear pass.
-    bits = bin(falsifying_table(terms, universe))[:1:-1]
-    clauses: list[Clause] = []
-    fresh: list[int] = []
-    assignment = bits.find("1")
-    while assignment >= 0:
-        long_clause = frozenset(
-            var if not assignment >> i & 1 else -var for i, var in enumerate(universe)
-        )
-        pieces, links = split_clause_to_arity(long_clause, 4, ids)
-        clauses.extend(pieces)
-        fresh.extend(links)
-        assignment = bits.find("1", assignment + 1)
-    provenance.update((v, f"L{level}.split") for v in fresh)
-    suffix = [(EXISTS, tuple(fresh))] if fresh else []
-    return suffix, clauses, [(n, len(terms))]
 
 
 def provenance_text(output: ReductionOutput) -> str:

@@ -13,7 +13,6 @@ from feqbf.formulas import CnfMatrix, QbfInstance, base_clause, binary_clause
 from feqbf.generate import random_dnf, random_forall_exists
 from feqbf.oracle import check_equivalence, eval_qbf, is_dnf_valid
 from feqbf.reductions import (
-    ReductionError,
     pad_terms,
     reduce_dnf_to_4qbf,
     reduce_dnf_to_fe_dqbf,
@@ -83,28 +82,20 @@ def test_theorem2_reduction():
 def test_theorem1_reduction():
     """60 seeded 3-DNFs (n <= 6, m <= 10) at thresholds 10, 20, 40.
 
-    Verified outputs must pass per-assignment equivalence, keep arity <= 4,
-    and shrink n+m strictly at every recursion level.  A threshold may be
-    rejected when the cheat-formula recursion would not shrink; that can only
-    happen at threshold 10 here, and the rejection must be justified.  The
+    Every output must pass per-assignment equivalence, keep arity <= 4,
+    and shrink n+m strictly at every recursion level.  The
     harness reports the fitted constant of the 6*log2(n+m) + c budget and
     checks the budget is non-decreasing but sub-linear across an m-sweep.
     """
     rng = random.Random(30_003)
     fitted = []
     verified = 0
-    rejected = 0
     for _ in range(60):
         n = rng.randint(1, 6)
         m = rng.randint(1, 10)
         psi = random_dnf(n, m, seed=rng.randrange(2**32))
         for base_threshold in (10, 20, 40):
-            try:
-                output = reduce_dnf_to_4qbf(psi, base_threshold)
-            except ReductionError:
-                assert base_threshold == 10 and n + m > 10
-                rejected += 1
-                continue
+            output = reduce_dnf_to_4qbf(psi, base_threshold)
             assert all(len(c) <= 4 for c in output.instance.matrix.clauses)
             sizes = [a + b for a, b in output.recursion_trace]
             assert all(x > y for x, y in zip(sizes, sizes[1:]))
@@ -112,7 +103,7 @@ def test_theorem1_reduction():
             assert rep.passed, rep.summary()
             fitted.append(output.existential_count - 6 * math.log2(n + m))
             verified += 1
-    assert verified > 0 and rejected < verified
+    assert verified == 180
     constant = max(fitted)
 
     # m-sweep at fixed n via padding (semantics preserved by construction)
@@ -126,7 +117,7 @@ def test_theorem1_reduction():
     assert counts[-1] - counts[0] < sweep[-1] - sweep[0]
     report(
         "theorem1-reduction",
-        f"{verified} verified, {rejected} justified threshold-10 rejections, "
+        f"{verified} verified, "
         f"fitted constant c = {constant:.2f}, sweep counts {counts}",
     )
 

@@ -178,12 +178,15 @@ class TestReduceCommand:
         dnf = write(workdir / "s.dnf", SMALL_DNF)
         assert main(["reduce", dnf, "--theorem", "2", "--d", "2"]) == 1
 
-    def test_non_shrinking_threshold_errors(self, workdir):
+    def test_non_shrinking_threshold_places_the_gadget(self, workdir, capsys):
         dnf = write(
             workdir / "wide.dnf",
             "p dnf 6 5\n1 2 3 0\n-1 4 0\n5 6 0\n-2 -5 0\n3 -6 0\n",
         )
-        assert main(["reduce", dnf, "--theorem", "1", "--base-threshold", "10"]) == 1
+        out = workdir / "wide.qdimacs"
+        assert main(["reduce", dnf, "--theorem", "1", "--base-threshold", "10", "--out", str(out)]) == 0
+        assert "existential_count=6 alternations=2" in capsys.readouterr().out
+        assert main(["verify", dnf, str(out)]) == 0
 
     def test_negate_cnf_flag(self, workdir):
         # (x1) & (-x1) is UNSAT, so its complement DNF is valid and the

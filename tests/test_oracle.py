@@ -703,12 +703,21 @@ class TestBlockWalk:
         assert failing >= 5
 
 
-def test_verify_leaves_no_reference_cycles():
+def test_verify_leaves_no_reference_cycles(monkeypatch):
     # Every object of a verify operation is freed by reference counting, so
     # with the cyclic collector off nothing is left for it to find: on the
-    # table path (theorem 2) and the game path (theorem 1).
+    # table path (theorem 2) and the game path (theorem 1, whose selectors
+    # are universal after the source: prefix A10 E2 A4 E7).
     psi2 = random_dnf(10, 20, seed=11)
-    psi1 = random_dnf(6, 10, seed=3)
+    psi1 = random_dnf(10, 3, seed=5)
+    games = []
+    original = oracle._game
+
+    def counting(clauses, universal, index):
+        games.append(index)
+        return original(clauses, universal, index)
+
+    monkeypatch.setattr(oracle, "_game", counting)
     gc.collect()
     gc.disable()
     try:
@@ -716,9 +725,12 @@ def test_verify_leaves_no_reference_cycles():
         assert gc.collect() == 0
         assert check_equivalence(psi2, phi2, mode="forall_exists").passed
         assert gc.collect() == 0
-        phi1 = reduce_dnf_to_4qbf(psi1, 20).instance
+        assert not games
+        phi1 = reduce_dnf_to_4qbf(psi1, 4).instance
+        assert [len(b.vars) for b in phi1.prefix] == [10, 2, 4, 7]
         assert gc.collect() == 0
         assert check_equivalence(psi1, phi1).passed
         assert gc.collect() == 0
+        assert games
     finally:
         gc.enable()

@@ -10,7 +10,6 @@ from feqbf.formulas import DnfFormula, EXISTS, FORALL
 from feqbf.generate import random_dnf
 from feqbf.oracle import check_equivalence, eval_qbf, is_dnf_valid
 from feqbf.reductions import (
-    ReductionError,
     lambda_pair,
     pad_terms,
     provenance_text,
@@ -18,6 +17,7 @@ from feqbf.reductions import (
     reduce_dnf_to_fe_dqbf,
 )
 from feqbf.qdimacs import emit_qdimacs
+from feqbf.solver import solve
 
 
 def F(*lits):
@@ -169,13 +169,42 @@ class TestTheorem2:
         assert provenance_text(first) == provenance_text(second)
 
 
+# SHA-256 of emit_qdimacs + provenance_text for theorem-2 outputs:
+# (n, m, seed, d), the existential count and the digest.  The rows at
+# (6, 25, d=3) and (10, 80, d=4) have r > d, so their index blocks are split.
+THEOREM2_DIGESTS = [
+    ((3, 1, 7, 3), 2, "223494f03f6023c702eaf210448a60465420c1cbb656b11dabc6a4274cf7317c"),
+    ((5, 9, 1, 3), 6, "950eaf4df9e8a5aee4a36efcc903d09f64e05afcbcb33471dd1cbe426d490ade"),
+    ((6, 25, 2, 3), 14, "b2b46207965d74ef0cb462d5935eda0022e9f151c5f127f5ed21abb1318b838e"),
+    ((8, 27, 3, 4), 9, "b17a40f8a09e1e910ae51da63bd7e56a501b5cabfde68067ad06c017f6bbf325"),
+    ((10, 80, 4, 4), 18, "6a70aee9b30921daa80088e24514096650ff034d14b489ac8d899d13351be761"),
+    ((7, 16, 5, 5), 8, "d4ccac07841a7c0a4eee0adcf2b6ad24888a1b8d3497415b9057584681ef9efb"),
+    ((9, 80, 6, 5), 12, "9909d0b737c502a0e4e9e9f724c760ff657192a775418600636e1a71018d0d5d"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, existential_count, digest",
+    THEOREM2_DIGESTS,
+    ids=["n{}-m{}-seed{}-d{}".format(*case) for case, *_ in THEOREM2_DIGESTS],
+)
+def test_theorem2_output_is_pinned(case, existential_count, digest):
+    n, m, seed, d = case
+    output = reduce_dnf_to_fe_dqbf(random_dnf(n, m, seed=seed), d)
+    assert output.recursion_trace == ((n, m),)
+    assert output.existential_count == existential_count
+    text = emit_qdimacs(output.instance) + provenance_text(output)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestTheorem1:
     def test_single_term_base_case(self):
+        # The index gadget at arity 4 with r = 1: one index variable per block.
         psi = DnfFormula((F(1),), 1)
         output = reduce_dnf_to_4qbf(psi, 20)
-        assert [b.quantifier for b in output.instance.prefix] == [FORALL]
-        assert output.instance.matrix.clauses == (F(1),)
-        assert output.existential_count == 0
+        assert [b.quantifier for b in output.instance.prefix] == [FORALL, EXISTS]
+        assert output.instance.matrix.clauses == (F(1, -2, -3, -4), F(2), F(3), F(4))
+        assert output.existential_count == 3
         assert eval_qbf(output.instance) is False
         assert is_dnf_valid(psi) is False
 
@@ -220,27 +249,115 @@ class TestTheorem1:
             assert len(output.recursion_trace) == 2
             assert check_equivalence(psi, output.instance, var_bound=40).passed
 
-    def test_rejects_non_shrinking_threshold(self):
+    def test_non_shrinking_level_places_the_gadget(self):
+        # 11 > 10, but the cheat DNF would have 13 variables + 17 terms.
         psi = random_dnf(6, 5, seed=11)
-        with pytest.raises(ReductionError, match="raise base_threshold"):
-            reduce_dnf_to_4qbf(psi, 10)
+        output = reduce_dnf_to_4qbf(psi, 10)
+        assert output.recursion_trace == ((6, 5),)
+        report = check_equivalence(psi, output.instance, var_bound=40)
+        assert report.passed, report.summary()
+        structural_checks(output, psi, 4)
 
     @pytest.mark.parametrize(
-        "base_threshold, message",
+        "base_threshold",
         [
-            # Level 1 cannot shrink (75, 321), and no threshold makes its
-            # base case of 75 variables enumerable.
-            (160, r"stuck at \(75, 321\), and a base case of 75 variables exceeds"),
-            # 396 = 75 + 321 makes level 1 the base case, of 2^75 assignments.
-            (396, r"base case at level 1 has 75 variables and 321 terms"),
+            # Level 1 cannot shrink (75, 321), so it places the gadget.
+            160,
+            # 396 = 75 + 321 makes level 1 the base case.
+            396,
         ],
     )
-    def test_fixed_point_raises_at_once(self, base_threshold, message):
+    def test_fixed_point_ends_in_the_gadget(self, base_threshold):
         psi = random_dnf(16, 1024, seed=1)
         start = time.perf_counter()
-        with pytest.raises(ReductionError, match=message):
-            reduce_dnf_to_4qbf(psi, base_threshold)
+        output = reduce_dnf_to_4qbf(psi, base_threshold)
         assert time.perf_counter() - start < 5.0
+        assert output.recursion_trace == ((16, 1024), (75, 321))
+        # Level 0's y and w, then 3 blocks of 7 index variables and 2 links each.
+        assert output.existential_count == 11 + 21 + 6 == 38
+        structural_checks(output, psi, 4)
+
+    @pytest.mark.parametrize(
+        "n, m, seed, trace, existential_count",
+        [
+            ((16, 64, 1, ((16, 64), (23, 49)), 19)),
+            ((16, 256, 1, ((16, 256), (41, 129)), 30)),
+            ((16, 1024, 1, ((16, 1024), (75, 321)), 38)),
+            ((20, 4096, 1, ((20, 4096), (141, 769), (75, 321)), 51)),
+        ],
+    )
+    def test_logarithmic_existentials(self, n, m, seed, trace, existential_count):
+        psi = random_dnf(n, m, seed=seed)
+        start = time.perf_counter()
+        output = reduce_dnf_to_4qbf(psi)
+        assert time.perf_counter() - start < 1.0
+        assert output.recursion_trace == trace
+        assert output.existential_count == existential_count
+        structural_checks(output, psi, 4)
+
+    def test_existentials_follow_the_trace(self):
+        # Each recursing level adds its 2L y bits and w; the gadget adds
+        # 3 blocks of r = ceil(m**(1/3)) and, for r > 4, ceil((r - 4) / 2)
+        # links per block.
+        for m in (1, 2, 3, 5, 9, 17, 40, 64, 100, 256, 300, 600, 1024, 1500):
+            for base_threshold in (4, 20, 100):
+                psi = random_dnf(16, m, seed=m)
+                output = reduce_dnf_to_4qbf(psi, base_threshold)
+                *levels, (_, m_base) = output.recursion_trace
+                expected = 0
+                for _, m_level in levels:
+                    length = math.ceil(math.log(m_level, 4) - 1e-9)
+                    expected += 2 * length + 1
+                r = 1
+                while r**3 < m_base:
+                    r += 1
+                expected += 3 * r + 3 * max(0, math.ceil((r - 4) / 2))
+                assert output.existential_count == expected, (m, base_threshold)
+                assert all(len(c) <= 4 for c in output.instance.matrix.clauses)
+                structural_checks(output, psi, 4)
+
+    def test_recursing_outputs_match_the_source(self):
+        # At threshold 4, n = 9..12 and m = 1..4 recurse once at L = 0 or 1
+        # (or place the gadget at level 0) and the gadget ends the trace.
+        rng = random.Random(59)
+        depths = set()
+        for _ in range(40):
+            n, m = rng.randint(9, 12), rng.randint(1, 4)
+            psi = random_dnf(n, m, seed=rng.randrange(2**32))
+            output = reduce_dnf_to_4qbf(psi, 4)
+            depths.add(len(output.recursion_trace))
+            report = check_equivalence(psi, output.instance, var_bound=40)
+            assert report.passed, report.summary()
+            structural_checks(output, psi, 4)
+        assert depths == {1, 2}
+
+    def test_one_level_at_length_two(self):
+        # m = 5..16 pads to 16 terms (L = 2), whose cheat DNF has 13 variables
+        # and 17 terms.  Vacuous low variables bring level 0 to n + m = 31, so
+        # it recurses once; the walk decides the vacuous bits as one block.
+        rng = random.Random(61)
+        for m in (5, 8):
+            n = 31 - m
+            inner = random_dnf(6, m, seed=rng.randrange(2**32))
+            shift = n - 6
+            psi = DnfFormula(
+                tuple(frozenset(lit + shift if lit > 0 else lit - shift for lit in term) for term in inner.terms),
+                n,
+            )
+            output = reduce_dnf_to_4qbf(psi, 4)
+            assert output.recursion_trace == ((n, m), (13, 17))
+            report = check_equivalence(psi, output.instance, var_bound=40)
+            assert report.passed, report.summary()
+
+    def test_solver_agrees_on_level_zero_gadgets(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            psi = random_dnf(rng.randint(1, 8), rng.randint(1, 12), seed=rng.randrange(2**32))
+            output = reduce_dnf_to_4qbf(psi, 20)
+            assert len(output.recursion_trace) == 1
+            assert [b.quantifier for b in output.instance.prefix] == [FORALL, EXISTS]
+            result, _ = solve(output.instance)
+            assert result == is_dnf_valid(psi)
 
     def test_rejects_tiny_threshold_and_empty_source(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -255,26 +372,26 @@ class TestTheorem1:
         assert emit_qdimacs(first.instance) == emit_qdimacs(second.instance)
 
 
-# SHA-256 of emit_qdimacs + provenance_text for theorem-1 outputs, as the
-# per-assignment base case emitted them: (n, m, seed, base_threshold), the
+# SHA-256 of emit_qdimacs + provenance_text for theorem-1 outputs, each
+# ending in the index gadget at arity 4: (n, m, seed, base_threshold), the
 # recursion trace, the existential count and the digest.
 THEOREM1_DIGESTS = [
-    ((16, 64, 1, 72), ((16, 64), (23, 49)), 2567,
-     "6d7e0dcfc0f35c16ca4d8be3a3356fe4097fd0d483d08cb97e36378274ab9e87"),
-    ((12, 3, 1, 20), ((12, 3),), 11200,
-     "d76ad596e2a55ef553c5e92acda1c85d9fd8f5bd0263907d562349cb048c2bdd"),
-    ((14, 2, 5, 20), ((14, 2),), 62720,
-     "3587a46b3826d44f363d602ecb2b383d969eddd653827a74bff2a502eefa61ca"),
-    ((7, 13, 1, 20), ((7, 13),), 52,
-     "5aed1e0e5a3af7d43e44e8b9731ea8a32ae4f88644661150334c8ce3b3147c7b"),
-    ((9, 17, 4, 30), ((9, 17),), 297,
-     "c668cbcddff550677fafcc905fea8a252120de90ffc89cb81d66c1278c1a7ab2"),
-    ((6, 8, 1, 20), ((6, 8),), 20,
-     "94bb23899edcb5b33dc571a21c2c34eb0ca87bed374e92c852c45b229f257df2"),
-    ((5, 20, 2, 30), ((5, 20),), 4,
-     "e2e601873a94426ae02cf49123f99e8db5d282d3540358aeab2cf246cf9fcdda"),
-    ((10, 40, 3, 60), ((10, 40),), 0,
-     "fb728611e33092d51490e64aaf4ea3d8f8f7e791555c2d15e9bad20e5770db6e"),
+    ((16, 64, 1, 72), ((16, 64), (23, 49)), 19,
+     "8c92b320097eccd0208a15aaba2ad2fd2acddfb917b4416bc029a7bc429a7d01"),
+    ((12, 3, 1, 20), ((12, 3),), 6,
+     "04b3683f3a0391357bf856a923433972c76474cb660d8372f6db45ff56fd289d"),
+    ((14, 2, 5, 20), ((14, 2),), 6,
+     "453f4388360689ded923639dc038f29d7ad2702927528914090569f5f50e6677"),
+    ((7, 13, 1, 20), ((7, 13),), 9,
+     "e1f13b5b35360fa553eff94fd17955ac0909929a77d2f72caad5e4c5fe68735e"),
+    ((9, 17, 4, 30), ((9, 17),), 9,
+     "7857ff2495a314e880513f1017772f53e28a89a2080f2c3ceaeb78f303ff1d34"),
+    ((6, 8, 1, 20), ((6, 8),), 6,
+     "086258423b1a50622170fbaa8d461b8f60e326df00ddf907a7753c6f75239c46"),
+    ((5, 20, 2, 30), ((5, 20),), 9,
+     "362bc22529a9590ed02f4ccfda8e3bbb1a7bb7b6e519d6de17200fd1affda7c5"),
+    ((10, 40, 3, 60), ((10, 40),), 12,
+     "d38a043d08dcba9cf6dd9d043d9919a27787d19940e97aeb8ff94397a859f59e"),
 ]
 
 
@@ -319,13 +436,18 @@ class TestProvenance:
                 lambda: reduce_dnf_to_4qbf(DnfFormula((F(1, -3, 5),), 5), 4),
                 {"L0.z1[0]", "L0.z2[0]", "L0.w"},
             ),
-            # Trace ((16, 64), (23, 49)): y bits, then a base case that splits.
+            # Trace ((16, 64), (23, 49)): y bits, then a gadget with r = 4.
             (
                 lambda: reduce_dnf_to_4qbf(random_dnf(16, 64, seed=1), 72),
-                {"L0.y[0]", "L0.z1[7]", "L0.w", "L1.split"},
+                {"L0.y[0]", "L0.z1[7]", "L0.w", "L1.base.y1[0]", "L1.base.y3[3]"},
+            ),
+            # Trace ((16, 256), (41, 129)): a gadget with r = 6 > 4 splits.
+            (
+                lambda: reduce_dnf_to_4qbf(random_dnf(16, 256, seed=1), 72),
+                {"L0.y[7]", "L1.base.y3[5]", "L1.base.split_y1", "L1.base.split_y3"},
             ),
         ],
-        ids=["theorem2-split", "theorem1-recursing", "theorem1-to-base-23"],
+        ids=["theorem2-split", "theorem1-recursing", "theorem1-to-base-23", "theorem1-to-base-41"],
     )
     def test_roles_match_their_blocks(self, build, some_roles):
         output = build()
