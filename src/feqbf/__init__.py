@@ -33,8 +33,6 @@ from .oracle import (
 from .qdimacs import FormatError, emit_dnf, emit_qdimacs, parse_dnf, parse_qdimacs
 from .reductions import (
     ReductionOutput,
-    lambda_pair,
-    pad_terms,
     provenance_text,
     reduce_dnf_to_4qbf,
     reduce_dnf_to_fe_dqbf,
@@ -79,9 +77,7 @@ __all__ = [
     "eval_qbf",
     "greedy_disjoint",
     "is_dnf_valid",
-    "lambda_pair",
     "normalize_prefix",
-    "pad_terms",
     "parse_dnf",
     "parse_qdimacs",
     "partition_groups",

@@ -153,6 +153,18 @@ class QbfInstance:
                     raise ValueError(f"matrix variable {abs(lit)} is not bound by the prefix")
 
 
+def bound_prefix(instance: QbfInstance) -> tuple[QuantifierBlock, ...]:
+    """The prefix without an outermost existential block whose variables
+    occur in no clause, such as the one ``parse_qdimacs`` binds free
+    variables in.  Such a block changes no value, so it is ignored."""
+    prefix = instance.prefix
+    if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
+        occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
+        if occurring.isdisjoint(prefix[0].vars):
+            return prefix[1:]
+    return prefix
+
+
 def apply_assignment_cnf(matrix: CnfMatrix, sigma: Assignment) -> CnfMatrix:
     """Simplify a CNF under a partial assignment.
 

@@ -45,6 +45,7 @@ from .formulas import (
     DnfFormula,
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps oracle.apply_assignment_cnf
+    bound_prefix,
 )
 
 DEFAULT_VARIABLE_BOUND = 24
@@ -175,17 +176,24 @@ def satisfying_sets(masks, shift: int, width: int) -> list[int]:
     have no bits above the window."""
     if width > TABLE_BITS:
         raise ValueError(f"a truth table over {width} bits exceeds TABLE_BITS = {TABLE_BITS}")
-    true_of, false_of = _bit_tables(width)
-    sets = []
-    for pos, neg in masks:
-        satisfied = 0
-        for bits, tables in ((pos >> shift, true_of), (neg >> shift, false_of)):
-            while bits:
-                low = bits & -bits
-                satisfied |= tables[low.bit_length() - 1]
-                bits ^= low
-        sets.append(satisfied)
-    return sets
+    tables = _bit_tables(width)
+    return [_satisfying_set(pos >> shift, neg >> shift, tables) for pos, neg in masks]
+
+
+def _satisfying_set(pos: int, neg: int, tables) -> int:
+    """The OR of the per-bit tables ``tables = (true_of, false_of)`` of the
+    literals of a ``(pos, neg)``-encoded clause: its satisfying set."""
+    true_of, false_of = tables
+    satisfied = 0
+    while pos:
+        low = pos & -pos
+        satisfied |= true_of[low.bit_length() - 1]
+        pos ^= low
+    while neg:
+        low = neg & -neg
+        satisfied |= false_of[low.bit_length() - 1]
+        neg ^= low
+    return satisfied
 
 
 @functools.cache
@@ -235,37 +243,25 @@ def falsifying_table(terms, variables) -> int:
     """A 2^n-bit int, n = len(variables), whose bit a is set iff no term
     holds under the assignment a, bit i of a holding ``variables[i]``.
 
-    The assignments where a term holds are the AND of the tables of its
-    literals (``_bit_tables``), and the result is the complement of their
-    OR.  Above ``_CHUNK_BITS`` variables the table is built in chunks over
-    the low ``_CHUNK_BITS`` bits, one per assignment to the high bits, each
-    from the terms whose high literals that assignment satisfies, and the
-    chunks are joined as bytes, so no int wider than a chunk is built before
-    the join."""
+    No term holds exactly where each term's negation, a clause, is
+    satisfied, so the result is the AND of those clauses' satisfying sets
+    (``_satisfying_set``).  Above ``_CHUNK_BITS`` variables the table is
+    built in chunks over the low ``_CHUNK_BITS`` bits, one per assignment to
+    the high bits: a clause's set over the low bits is built once and ANDed
+    into each chunk whose high assignment falsifies the clause's high
+    literals.  The chunks are joined as bytes, so no int wider than a chunk
+    is built before the join."""
     n = len(variables)
     width = min(n, _CHUNK_BITS)
-    true_of, false_of = _bit_tables(width)
-    full = (1 << (1 << width)) - 1
+    tables = _bit_tables(width)
     low = (1 << width) - 1
-    split = [
-        (pos >> width, neg >> width, pos & low, neg & low)
-        for pos, neg in clause_masks(terms, {var: i for i, var in enumerate(variables)})
-        if not pos & neg  # x and -x: the term never holds
-    ]
-    chunks = []
-    for high in range(1 << (n - width)):
-        some = 0
-        for high_pos, high_neg, pos, neg in split:
-            if high_pos & ~high or high_neg & high:
-                continue
-            holds = full
-            for bits, tables in ((pos, true_of), (neg, false_of)):
-                while bits:
-                    bit = bits & -bits
-                    holds &= tables[bit.bit_length() - 1]
-                    bits ^= bit
-            some |= holds
-        chunks.append(full ^ some)
+    chunks = [(1 << (1 << width)) - 1] * (1 << (n - width))
+    for pos, neg in clause_masks(terms, {var: i for i, var in enumerate(variables)}):
+        satisfied = _satisfying_set(neg & low, pos & low, tables)
+        high_pos, high_neg = pos >> width, neg >> width
+        for high, chunk in enumerate(chunks):
+            if not (high_pos & ~high or high_neg & high):
+                chunks[high] = chunk & satisfied
     if len(chunks) == 1:
         return chunks[0]
     size = 1 << (width - 3)  # bytes per chunk
@@ -316,10 +312,11 @@ def check_equivalence(
     """Compare psi(sigma) with phi(sigma) for every assignment to psi's variables.
 
     psi's variable i corresponds to the i-th variable of phi's outermost
-    universal block.  The variables of one block commute, so reordering that
-    block maps them differently.  In ``forall_exists`` mode the remainder of
-    the prefix must be exactly one existential block; ``general`` mode allows
-    any suffix.
+    universal block.  An outer block that ``bound_prefix`` drops is ignored,
+    as ``solve`` ignores it.  The variables of one block commute, so
+    reordering that block maps them differently.  In ``forall_exists`` mode
+    the remainder of the prefix must be exactly one existential block;
+    ``general`` mode allows any suffix.
 
     Both sides are 2^n-bit truth tables, bit sigma holding the value at
     sigma, built rather than evaluated sigma by sigma; the mismatches are
@@ -333,6 +330,9 @@ def check_equivalence(
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
+    prefix = bound_prefix(phi)
+    if prefix != phi.prefix:
+        phi = QbfInstance(prefix, phi.matrix)
     n = psi.num_vars
     if n > var_bound:
         raise OracleLimitError(f"{n} source variables exceed the brute-force bound {var_bound}")

@@ -4,26 +4,27 @@ Both reductions turn a DNF over variables x into a closed prenex QBF whose
 matrix has bounded arity, preserving truth pointwise: for every assignment to
 x, the DNF holds iff the QBF's quantified suffix evaluates to True.
 
-Both end in one index gadget (``_index_gadget``): for every assignment to its
-DNF's variables, some assignment to its fresh existential index variables
-satisfies its clauses iff some term holds.  ``reduce_dnf_to_fe_dqbf`` is that
-gadget at arity d, after one universal block.  ``reduce_dnf_to_4qbf`` reaches
-arity 4 with O(log m) existential variables per level by encoding term
-indices in two universal selector vectors, adding a DNF that detects selector
-cheating, and recursing on that cheat formula while it is smaller; the last
-level is the gadget at arity 4.  The recursion stops at the latest at a
-fixed point (23, 49), (41, 129) or (75, 321) (variables, terms), whose
-gadget has 12, 21 or 27 variables.
+Both select a term by its index, one digit per block of variables, through
+one encoder (``_selection``): literal l of term i becomes the clause (l or
+base_clause(i, blocks)).  Both end in one index gadget (``_index_gadget``),
+the selection over fresh existential blocks, which some index satisfies iff
+some term holds.  ``reduce_dnf_to_fe_dqbf`` is that gadget at arity d, after
+one universal block.  ``reduce_dnf_to_4qbf`` reaches arity 4 with O(log m)
+existential variables per level, one level per pass of a loop: a level
+selects through two universal blocks z1, z2, the index's two base-sqrt(m)
+digits, and hands a DNF that detects selector cheating to the next level
+while it is smaller; the last level is the gadget at arity 4.  The levels
+stop at the latest at a fixed point (23, 49), (41, 129) or (75, 321)
+(variables, terms), whose gadget has 12, 21 or 27 variables.
 
 Both keep the DNF's variables 1..n and draw every introduced variable from
 one counter starting at n + 1.  Each introduced variable's role goes into
-one dict as it is drawn, so the dict ascends and the provenance sidecar
-lists the variables in id order.
+one dict as it is drawn (``_draw``), so the dict ascends and the provenance
+sidecar lists the variables in id order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -34,7 +35,6 @@ from .formulas import (
     CnfMatrix,
     DnfFormula,
     QbfInstance,
-    Term,
     base_clause,
     binary_clause,
     literal_sort_key,
@@ -50,8 +50,8 @@ class ReductionOutput:
     The DNF's variable i is the instance's variable i, so variables 1..n
     lead the outermost universal block.  ``provenance`` maps each introduced
     variable, in ascending order, to its role.  ``recursion_trace`` records
-    (variables, terms) of the DNF at each recursion level, ending with the
-    base case.
+    (variables, terms) of the DNF at each level, ending with the level that
+    places the index gadget.
     """
 
     instance: QbfInstance
@@ -67,60 +67,44 @@ class ReductionOutput:
         return len(self.instance.prefix)
 
 
-def lambda_pair(i: int, m: int) -> tuple[int, int]:
-    """The bijection i -> (i // sqrt(m), i mod sqrt(m)) for perfect squares m."""
-    root = math.isqrt(m)
-    if root * root != m:
-        raise ValueError(f"{m} is not a perfect square")
-    if not 0 <= i < m:
-        raise ValueError(f"index {i} out of range 0..{m - 1}")
-    return i // root, i % root
+def _draw(ids, size, role, roles):
+    """The next ``size`` ids, each recorded in ``roles`` as ``role[i]``."""
+    block = tuple(islice(ids, size))
+    roles.update((var, f"{role}[{i}]") for i, var in enumerate(block))
+    return block
 
 
-def pad_terms(psi: DnfFormula, target: int) -> DnfFormula:
-    """Duplicate the last term until the formula has ``target`` terms."""
-    m = len(psi.terms)
-    if target < m:
-        raise ValueError(f"cannot pad {m} terms down to {target}")
-    if target > m and m == 0:
-        raise ValueError("cannot pad an empty formula")
-    return DnfFormula(psi.terms + (psi.terms[-1],) * (target - m), psi.num_vars)
-
-
-def _sorted_lits(term: Term) -> list[int]:
-    return sorted(term, key=literal_sort_key)
+def _selection(terms, blocks, extra: Clause = frozenset()) -> list[Clause]:
+    """The clauses (l or base_clause(i, blocks) or extra) for each literal l
+    of term i, literals in ``literal_sort_key`` order.  The terms are padded
+    by repeating the last one up to one per index, r**len(blocks) for blocks
+    of r variables."""
+    padded = tuple(terms) + (terms[-1],) * (len(blocks[0]) ** len(blocks) - len(terms))
+    clauses = []
+    for i, term in enumerate(padded):
+        index = base_clause(i, blocks) | extra
+        for lit in sorted(term, key=literal_sort_key):
+            clauses.append(frozenset({lit}) | index)
+    return clauses
 
 
 def _index_gadget(terms, d, ids, tag):
     """Clauses of arity d over fresh existential index variables that some
     index satisfies exactly when some term holds.
 
-    The term count is padded up to r**(d-1) for r = ceil(m**(1/(d-1))).  Each
-    term index is encoded by d-1 blocks of r index variables; a term literal
-    l of term i becomes the clause (l or base_clause(i, blocks)).  One
+    Each term index is written in d-1 blocks of r index variables, for the
+    least r with r**(d-1) >= m, and selected by ``_selection``.  One
     all-positive clause per block forces the chosen index to exist; those
     clauses are split down to arity d with fresh link variables.  Returns the
     fresh variables' roles, prefixed by ``tag``, in id order, and the clauses.
     """
-    m = len(terms)
     r = 1
-    while r ** (d - 1) < m:
+    while r ** (d - 1) < len(terms):
         r += 1
-    padded = tuple(terms) + (terms[-1],) * (r ** (d - 1) - m)
-    index_blocks = [tuple(islice(ids, r)) for _ in range(d - 1)]
-    roles = {
-        var: f"{tag}y{j + 1}[{i}]"
-        for j, block in enumerate(index_blocks)
-        for i, var in enumerate(block)
-    }
-
-    clauses: list[Clause] = []
-    for i, term in enumerate(padded):
-        gadget = base_clause(i, index_blocks)
-        for lit in _sorted_lits(term):
-            clauses.append(frozenset({lit}) | gadget)
-
-    for j, block in enumerate(index_blocks):
+    roles: dict[int, str] = {}
+    blocks = [_draw(ids, r, f"{tag}y{j + 1}", roles) for j in range(d - 1)]
+    clauses = _selection(terms, blocks)
+    for j, block in enumerate(blocks):
         pieces, fresh = split_clause_to_arity(frozenset(block), d, ids)
         clauses.extend(pieces)
         roles.update((var, f"{tag}split_y{j + 1}") for var in fresh)
@@ -145,77 +129,59 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
 def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOutput:
     """Reduce a DNF to an equivalent 4-ary QBF.
 
-    Recursive: while variables + terms exceed ``base_threshold`` and the
-    cheat-detection DNF would be smaller, the term index is binary-encoded in
-    existential variables y, mirrored by two universal selector vectors z1/z2
-    (plus an escape variable w), and the construction recurses on that DNF
-    over (y, z1, z2, w).  Otherwise the level's DNF becomes theorem 2's index
-    gadget at arity 4, the innermost existential block.  The cheat DNF's
-    size depends on m alone, so the recursion stops at the latest at a fixed
-    point (23, 49), (41, 129) or (75, 321), and every input reduces.
+    One level per pass: while variables + terms exceed ``base_threshold``
+    and the cheat-detection DNF would be smaller, the term index is
+    binary-encoded in existential variables y, mirrored by two universal
+    selector blocks z1/z2 (plus an escape variable w) that select the term,
+    and the next level takes the cheat DNF over (y, z1, z2, w).  Otherwise
+    the level's DNF becomes theorem 2's index gadget at arity 4, the
+    innermost existential block.  The cheat DNF's size depends on m alone,
+    so the levels stop at the latest at a fixed point (23, 49), (41, 129) or
+    (75, 321), and every input reduces.
     """
     if base_threshold < 4:
         raise ValueError("base threshold must be at least 4")
     if not psi.terms:
         raise ValueError("source DNF must have at least one term")
-    n = psi.num_vars
-    universe = tuple(range(1, n + 1))
+    n, terms = psi.num_vars, psi.terms
     ids = count(n + 1)
     provenance: dict[int, str] = {}
-    suffix, clauses, trace = _construct_level(
-        psi.terms, universe, ids, provenance, base_threshold, level=0
-    )
-    prefix = normalize_prefix([(FORALL, universe)] + suffix)
-    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), next(ids) - 1))
-    return ReductionOutput(instance, provenance, tuple(trace))
-
-
-def _construct_level(terms, universe, ids, provenance, base_threshold, level):
-    n, m = len(universe), len(terms)
-    length = 0
-    while 4**length < m:
-        length += 1
-    m_padded = 4**length
-    root = 2**length  # sqrt of the padded term count
-    # The cheat DNF's variables and terms, known before any id is drawn, so a
-    # level that stops here leaves no hole in the numbering.
-    n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
-    if n + m <= base_threshold or n_next + m_next >= n + m:
-        roles, clauses = _index_gadget(terms, 4, ids, f"L{level}.base.")
-        provenance.update(roles)
-        return [(EXISTS, roles)], clauses, [(n, m)]
-
-    padded = tuple(terms) + (terms[-1],) * (m_padded - m)
-    y = tuple(islice(ids, 2 * length))
-    z1 = tuple(islice(ids, root))
-    z2 = tuple(islice(ids, root))
-    w = next(ids)
-    provenance.update((v, f"L{level}.y[{i}]") for i, v in enumerate(y))
-    provenance.update((v, f"L{level}.z1[{j}]") for j, v in enumerate(z1))
-    provenance.update((v, f"L{level}.z2[{j}]") for j, v in enumerate(z2))
-    provenance[w] = f"L{level}.w"
-
+    blocks = [(FORALL, range(1, n + 1))]
     clauses: list[Clause] = []
-    for i, term in enumerate(padded):
-        j1, j2 = lambda_pair(i, m_padded)
-        gadget = frozenset({-z1[j1], -z2[j2], w})
-        for lit in _sorted_lits(term):
-            clauses.append(frozenset({lit}) | gadget)
+    trace = []
+    while True:
+        tag = f"L{len(trace)}."
+        m = len(terms)
+        trace.append((n, m))
+        length = 0
+        while 4**length < m:
+            length += 1
+        root = 2**length  # sqrt of the padded term count
+        # The cheat DNF's variables and terms, known before any id is drawn, so a
+        # level that stops here leaves no hole in the numbering.
+        n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
+        if n + m <= base_threshold or n_next + m_next >= n + m:
+            roles, gadget = _index_gadget(terms, 4, ids, tag + "base.")
+            prefix = normalize_prefix(blocks + [(EXISTS, roles)])
+            instance = QbfInstance(prefix, CnfMatrix(tuple(clauses + gadget), next(ids) - 1))
+            return ReductionOutput(instance, provenance | roles, tuple(trace))
 
-    # Cheat-detection DNF: true when w is off, or some selector bit is raised
-    # whose index disagrees with the binary encoding carried by y.
-    cheat_terms: list[Term] = [frozenset({-w})]
-    halves = (y[:length], y[length:])
-    for selector, half in zip((z1, z2), halves):
-        for j in range(root):
-            for lit in _sorted_lits(binary_clause(j, half)):
-                cheat_terms.append(frozenset({selector[j], lit}))
+        y = _draw(ids, 2 * length, tag + "y", provenance)
+        z1 = _draw(ids, root, tag + "z1", provenance)
+        z2 = _draw(ids, root, tag + "z2", provenance)
+        w = next(ids)
+        provenance[w] = tag + "w"
+        clauses += _selection(terms, (z1, z2), frozenset({w}))
+        blocks += [(EXISTS, y), (FORALL, z1 + z2), (EXISTS, (w,))]
 
-    sub_suffix, sub_clauses, sub_trace = _construct_level(
-        cheat_terms, y + z1 + z2 + (w,), ids, provenance, base_threshold, level + 1
-    )
-    suffix = [(EXISTS, y), (FORALL, z1 + z2), (EXISTS, (w,))] + sub_suffix
-    return suffix, clauses + sub_clauses, [(n, m)] + sub_trace
+        # Cheat-detection DNF: true when w is off, or some selector bit is raised
+        # whose index disagrees with the binary encoding carried by y.
+        terms = [frozenset({-w})]
+        for selector, half in zip((z1, z2), (y[:length], y[length:])):
+            for j in range(root):
+                for lit in sorted(binary_clause(j, half), key=literal_sort_key):
+                    terms.append(frozenset({selector[j], lit}))
+        n = n_next
 
 
 def provenance_text(output: ReductionOutput) -> str:

@@ -53,6 +53,7 @@ from .formulas import (
     CnfMatrix,
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps solver.apply_assignment_cnf
+    bound_prefix,
     is_tautological,
     normalize_prefix,
 )
@@ -122,14 +123,9 @@ class SolverStats:
 
 
 def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a forall-exists prefix into (universal, existential) variables.
-    An outermost existential block whose variables occur in no clause, such as
-    the one ``parse_qdimacs`` binds free variables in, is ignored."""
-    prefix = instance.prefix
-    if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
-        occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
-        if occurring.isdisjoint(prefix[0].vars):
-            prefix = prefix[1:]
+    """Split a forall-exists prefix into (universal, existential) variables,
+    ignoring an outer block that ``bound_prefix`` drops."""
+    prefix = bound_prefix(instance)
     quants = [b.quantifier for b in prefix]
     if quants == []:
         return (), ()

@@ -9,14 +9,10 @@ the code path under test.
 import math
 import random
 
-from feqbf.formulas import CnfMatrix, QbfInstance, base_clause, binary_clause
+from feqbf.formulas import CnfMatrix, DnfFormula, QbfInstance, base_clause, binary_clause
 from feqbf.generate import random_dnf, random_forall_exists
 from feqbf.oracle import check_equivalence, eval_qbf, is_dnf_valid
-from feqbf.reductions import (
-    pad_terms,
-    reduce_dnf_to_4qbf,
-    reduce_dnf_to_fe_dqbf,
-)
+from feqbf.reductions import reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
 from feqbf.solver import ae_blocks, solve
 from oracle_helpers import all_assignments, literal_true
 
@@ -106,12 +102,13 @@ def test_theorem1_reduction():
     assert verified == 180
     constant = max(fitted)
 
-    # m-sweep at fixed n via padding (semantics preserved by construction)
+    # m-sweep at fixed n by repeating the last term (semantics preserved)
     base = random_dnf(6, 5, seed=424242)
     counts = []
     sweep = [5, 8, 12, 16, 20, 26, 30, 34]
     for m in sweep:
-        output = reduce_dnf_to_4qbf(pad_terms(base, m), 40)
+        padded = DnfFormula(base.terms + base.terms[-1:] * (m - len(base.terms)), base.num_vars)
+        output = reduce_dnf_to_4qbf(padded, 40)
         counts.append(output.existential_count)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] - counts[0] < sweep[-1] - sweep[0]

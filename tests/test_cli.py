@@ -234,6 +234,15 @@ class TestVerifyCommand:
         assert main(["verify", dnf, swapped]) == 0
 
 
+    @pytest.mark.parametrize("mode", ["general", "forall_exists"])
+    def test_unused_declared_variable_is_ignored(self, workdir, mode):
+        # The header's variable 4 is bound in an outer existential block that
+        # no clause uses; solve and oracle ignore it, and so does verify.
+        dnf = write(workdir / "s.dnf", "p dnf 2 1\n1 2 0\n")
+        qbf = write(workdir / "s.qdimacs", "p cnf 4 3\na 1 2 0\ne 3 0\n1 3 0\n1 -3 0\n2 0\n")
+        assert main(["verify", dnf, qbf, "--mode", mode]) == 0
+
+
 class TestGenCommand:
     def test_deterministic_bytes(self, workdir):
         a, b = workdir / "a.dnf", workdir / "b.dnf"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -126,6 +127,16 @@ class TestBaseClause:
                             sigma[tuples[j][digits[j]]] for j in range(t)
                         )
                         assert falsified == expected
+
+    def test_two_selector_blocks_split_the_index(self):
+        # Theorem 1's selection over (z1, z2) of sqrt(m) variables each picks
+        # z1[i // sqrt(m)] and z2[i % sqrt(m)] for term i.
+        for m in (1, 4, 16, 64, 256, 1024, 4096):
+            root = math.isqrt(m)
+            z1 = tuple(range(1, root + 1))
+            z2 = tuple(range(root + 1, 2 * root + 1))
+            for i in range(m):
+                assert base_clause(i, (z1, z2)) == F(-z1[i // root], -z2[i % root])
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from feqbf.oracle import (
     eval_qbf,
     is_dnf_valid,
 )
+from feqbf.qdimacs import parse_qdimacs
 from feqbf.reductions import reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
 from oracle_helpers import (
     cnf_satisfiable,
@@ -450,6 +451,16 @@ class TestCheckEquivalence:
         phi = make([(FORALL, (1,)), (EXISTS, tuple(range(2, 31)))], [F(1, 2), F(1, -2)], 30)
         report = check_equivalence(psi, phi, mode="forall_exists")
         assert report.passed and report.total_assignments == 2
+
+    @pytest.mark.parametrize("mode", ["general", "forall_exists"])
+    def test_outer_block_of_unused_free_variables_is_ignored(self, mode):
+        # The header declares variable 4, which no prefix line or clause names:
+        # parse_qdimacs binds it in an outer existential block, as solve reads it.
+        phi = parse_qdimacs("p cnf 4 3\na 1 2 0\ne 3 0\n1 3 0\n1 -3 0\n2 0\n")
+        assert [(b.quantifier, b.vars) for b in phi.prefix][0] == (EXISTS, (4,))
+        assert check_equivalence(DnfFormula((F(1, 2),), 2), phi, mode=mode).passed
+        report = check_equivalence(DnfFormula((F(1),), 2), phi, mode=mode)
+        assert report.mismatches == ({1: True, 2: False},)
 
     def test_occurring_variables_over_the_bound_raise(self):
         psi = DnfFormula((F(1), F(-1)), 1)  # phi is true at both values of x1

@@ -9,61 +9,13 @@ import pytest
 from feqbf.formulas import DnfFormula, EXISTS, FORALL
 from feqbf.generate import random_dnf
 from feqbf.oracle import check_equivalence, eval_qbf, is_dnf_valid
-from feqbf.reductions import (
-    lambda_pair,
-    pad_terms,
-    provenance_text,
-    reduce_dnf_to_4qbf,
-    reduce_dnf_to_fe_dqbf,
-)
+from feqbf.reductions import provenance_text, reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
 from feqbf.qdimacs import emit_qdimacs
 from feqbf.solver import solve
 
 
 def F(*lits):
     return frozenset(lits)
-
-
-class TestLambdaPair:
-    def test_values(self):
-        assert lambda_pair(0, 16) == (0, 0)
-        assert lambda_pair(5, 16) == (1, 1)
-        assert lambda_pair(15, 16) == (3, 3)
-
-    def test_round_trip(self):
-        for m in (1, 4, 16, 64, 256, 1024, 4096):
-            root = math.isqrt(m)
-            for i in range(m):
-                j1, j2 = lambda_pair(i, m)
-                assert root * j1 + j2 == i
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="square"):
-            lambda_pair(0, 8)
-        with pytest.raises(ValueError, match="range"):
-            lambda_pair(16, 16)
-
-
-class TestPadTerms:
-    def test_pads_by_duplicating_last(self):
-        psi = DnfFormula((F(1), F(2), F(3)), 3)
-        padded = pad_terms(psi, 4)
-        assert padded.terms == (F(1), F(2), F(3), F(3))
-
-    def test_exact_size_unchanged(self):
-        psi = DnfFormula((F(1), F(2)), 2)
-        assert pad_terms(psi, 2) == psi
-
-    def test_rejects_shrinking(self):
-        with pytest.raises(ValueError):
-            pad_terms(DnfFormula((F(1), F(2)), 2), 1)
-
-    def test_validity_preserved(self):
-        rng = random.Random(37)
-        for _ in range(25):
-            psi = random_dnf(rng.randint(1, 6), rng.randint(1, 8), seed=rng.randrange(2**32))
-            padded = pad_terms(psi, len(psi.terms) + rng.randint(0, 5))
-            assert is_dnf_valid(padded) == is_dnf_valid(psi)
 
 
 def structural_checks(output, psi, max_arity):
@@ -392,6 +344,11 @@ THEOREM1_DIGESTS = [
      "362bc22529a9590ed02f4ccfda8e3bbb1a7bb7b6e519d6de17200fd1affda7c5"),
     ((10, 40, 3, 60), ((10, 40),), 12,
      "d38a043d08dcba9cf6dd9d043d9919a27787d19940e97aeb8ff94397a859f59e"),
+    # One cheat level, then two: the default threshold past the fixed point.
+    ((16, 1024, 1, 20), ((16, 1024), (75, 321)), 38,
+     "39411248a87636de7dc29e79cd57752982e090a97fd345e083efc4eaa60c83fe"),
+    ((20, 4096, 1, 20), ((20, 4096), (141, 769), (75, 321)), 51,
+     "93cc3d5b20a421eb0c7dc91cfa59077d56a9a83e66c070a65ca8e4daca49e42d"),
 ]
 
 
