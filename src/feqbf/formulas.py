@@ -15,6 +15,7 @@ to name the first offender.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 FORALL = "a"
@@ -218,12 +219,7 @@ def base_clause(i: int, tuples: Sequence[Sequence[int]]) -> Clause:
     the most significant digit) and contributes that variable negated, so the
     clause is falsified exactly when every digit-indexed variable is True.
     """
-    if not tuples:
-        raise ValueError("at least one variable tuple is required")
-    sizes = {len(tp) for tp in tuples}
-    if len(sizes) != 1:
-        raise ValueError("all tuples must have the same size")
-    n = sizes.pop()
+    n = _tuple_size(tuples)
     t = len(tuples)
     if not 0 <= i < n**t:
         raise ValueError(f"integer {i} not representable in base {n} with {t} digits")
@@ -233,6 +229,24 @@ def base_clause(i: int, tuples: Sequence[Sequence[int]]) -> Clause:
         remainder, digit = divmod(remainder, n)
         lits.append(-tp[digit])
     return frozenset(lits)
+
+
+def base_clauses(tuples: Sequence[Sequence[int]]) -> list[Clause]:
+    """``base_clause(i, tuples)`` for every i from 0 to n**t - 1, in order,
+    with the tuples checked once: ``product`` varies the last tuple fastest,
+    and the last tuple holds the least significant digit."""
+    _tuple_size(tuples)
+    return [frozenset([-var for var in chosen]) for chosen in product(*tuples)]
+
+
+def _tuple_size(tuples: Sequence[Sequence[int]]) -> int:
+    """The size n shared by the tuples of a base-n index."""
+    if not tuples:
+        raise ValueError("at least one variable tuple is required")
+    sizes = {len(tp) for tp in tuples}
+    if len(sizes) != 1:
+        raise ValueError("all tuples must have the same size")
+    return sizes.pop()
 
 
 def split_clause_to_arity(

@@ -22,8 +22,14 @@ assignments that agree on the bits assigned so far, and carries the AND of
 the residual truth tables of the clauses whose source part the block
 falsifies, so a block whose AND is 0 is False as a whole, a block whose AND
 meets that of every clause still to be tested is True as a whole, and a
-block below every source part is decided at once.  When the residuals need
-the game, the walk plays one game per distinct set of residuals left.
+block below every source part is decided at once.  The walk stops at a
+cut, a level that no source part spans, at most halfway down where one is
+free: the parts below it are combined once per low assignment, and a node
+at the cut emits its rows from those products.  The residual bits that
+only clauses without a source literal use are projected out of the tables
+first, so a table covers just the bits the source parts' residuals use.
+When the residuals need the game, the walk plays one game per distinct set
+of residuals left.
 psi's table is built without a walk, by whole-table operations on per-bit
 tables (``falsifying_table``), and the mismatches are the XOR of the two.
 DNF validity is decided by the game instead: a DNF is valid iff the CNF of
@@ -93,7 +99,7 @@ def _encode(instance: QbfInstance, n: int, var_bound: int) -> tuple[list, int]:
     follows in prefix order.  Only those later ones count against
     ``var_bound``; the game never branches on a variable that occurs in no
     clause."""
-    occurring = {abs(lit) for clause in instance.matrix.clauses for lit in clause}
+    occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
     prefix = [(v, b.quantifier) for b in instance.prefix for v in b.vars]
     rest = [(v, q) for v, q in prefix[n:] if v in occurring]
     if len(rest) > var_bound:
@@ -322,11 +328,14 @@ def check_equivalence(
     sigma, built rather than evaluated sigma by sigma; the mismatches are
     the set bits of their XOR.  psi's side is the complement of
     ``falsifying_table``.  phi's side is one walk over blocks of source
-    assignments (``_walk``), which carries the AND of the residual truth
-    tables of the clauses a block leaves unsatisfied, or, when the residual
+    assignments (``_walk``) down to a level that no clause's source
+    literals straddle, which carries the AND of the residual truth tables
+    of the clauses a block leaves unsatisfied, or, when the residual
     clauses need the game, plays one game per distinct set of them
-    (``_phi_table``).  ``var_bound`` limits the source variables and,
-    separately, the non-source variables that occur in some clause.
+    (``_phi_table``).  The residual variables that only clauses without a
+    source literal use are projected out of those tables.  ``var_bound``
+    limits the source variables and, separately, the non-source variables
+    that occur in some clause.
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -383,29 +392,54 @@ def _phi_table(masks, universal: int, n: int) -> int:
     ``(0, 0)`` of a clause with only source literals has the set 0.
     Otherwise a part carries 0 if one of its residuals is ``(0, 0)`` and -1
     if not, and one game is played per distinct set of residuals left that
-    no part has emptied."""
+    no part has emptied.
+
+    On the table path, the residual bits that only the residuals of the
+    source-free part ``(0, 0)`` use are projected out: they are renumbered
+    above the others unless they already are, the tables are built over the
+    whole window, and every part keeps the low 2^w-bit chunk of its AND, w
+    being the number of bits below them.  No other part depends on those
+    bits, so the source-free part's AND is OR-folded over its chunks
+    (``_project``): a chunk bit is set iff some assignment to the projected
+    bits extends it into every source-free residual's set."""
     src = (1 << n) - 1
     residual_ids: dict[tuple[int, int], int] = {}
     # The residuals left behind by each distinct source part, as a bit set.
     parts: dict[tuple[int, int], int] = {}
+    bearing = 0  # the bits of clauses with a source literal
     for pos, neg in masks:
         residual = residual_ids.setdefault((pos & ~src, neg & ~src), len(residual_ids))
         source = (pos & src, neg & src)
         parts[source] = parts.get(source, 0) | 1 << residual
+        if source != (0, 0):
+            bearing |= pos | neg
     residuals = list(residual_ids)
     occupied = 0
     for pos, neg in residuals:
         occupied |= pos | neg
     width = max(occupied.bit_length() - n, 0)
     if not universal >> n and width <= TABLE_BITS:
+        bearing >>= n  # from here on, bit b stands for bit n + b
+        free = occupied >> n & ~bearing  # the bits of source-free residuals alone
+        narrow = bearing.bit_length()
+        if free & (1 << narrow) - 1:
+            order = [b for b in range(width) if bearing >> b & 1]
+            order += [b for b in range(width) if free >> b & 1]
+            residuals = _renumber(residuals, order, n)
+            narrow = bearing.bit_count()
+        chunk = (1 << (1 << narrow)) - 1
         tables = satisfying_sets(residuals, n, width)
         carried = []
         for source, ids in parts.items():
             common = -1
-            for i, table in enumerate(tables):
-                if ids >> i & 1:
-                    common &= table
-            carried.append((source, common, ids))
+            rest = ids
+            while rest:
+                low = rest & -rest
+                common &= tables[low.bit_length() - 1]
+                rest ^= low
+            if source == (0, 0):
+                common = _project(common, width, narrow)
+            carried.append((source, common & chunk, ids))
         return _walk(carried, n)
     emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
     values: dict[int, bool] = {}
@@ -413,13 +447,39 @@ def _phi_table(masks, universal: int, n: int) -> int:
     def game(key: int) -> bool:
         value = values.get(key)
         if value is None:
-            value = values[key] = _game(
-                [r for i, r in enumerate(residuals) if key >> i & 1], universal, n
-            )
+            clauses = []
+            rest = key
+            while rest:
+                low = rest & -rest
+                clauses.append(residuals[low.bit_length() - 1])
+                rest ^= low
+            value = values[key] = _game(clauses, universal, n)
         return value
 
     carried = [(source, 0 if ids & emptied else -1, ids) for source, ids in parts.items()]
     return _walk(carried, n, game)
+
+
+def _renumber(masks, order, n: int) -> list[tuple[int, int]]:
+    """``(pos, neg)`` masks with bit n + ``order[i]`` moved to bit n + i,
+    for masks with no bit outside those."""
+    moves = [(n + b, 1 << n + i) for i, b in enumerate(order)]
+    return [
+        (sum(bit for b, bit in moves if pos >> b & 1), sum(bit for b, bit in moves if neg >> b & 1))
+        for pos, neg in masks
+    ]
+
+
+def _project(table: int, width: int, narrow: int) -> int:
+    """The 2^narrow-bit OR of the 2^narrow-bit chunks of a 2^width-bit
+    table: bit tau is set iff the table has a set bit whose low ``narrow``
+    bits are tau, that is, iff some assignment to the bits from ``narrow``
+    up extends tau into the table."""
+    while width > narrow:
+        width -= 1
+        half = 1 << width
+        table = (table | table >> half) & (1 << half) - 1
+    return table
 
 
 def _walk(parts, n: int, decide=None) -> int:
@@ -428,18 +488,24 @@ def _walk(parts, n: int, decide=None) -> int:
     falsifies is nonzero and, with ``decide``, ``decide`` holds on the OR of
     their ``ids``.
 
-    The walk assigns the bits from n-1 down.  A part is tested at the node
-    of its lowest bit, where all its literals are assigned, so a node carries
-    the AND and the OR of the parts falsified so far.  A node whose AND is 0
-    is 0 for its whole block; below the lowest bit of any part the rest of
-    the block agrees, and ``decide`` is asked once for it.  Without
-    ``decide`` a node whose AND meets ``rest[b]``, the AND of the tables of
-    every part still to be tested, is 1 for its whole block: whichever of
-    those parts an assignment in the block falsifies, one residual
-    assignment lies in all their tables."""
+    The walk assigns the bits from n-1 down to a cut, a level that no part
+    spans (has literals both below and at or above it).  The cut is the
+    highest such level up to n // 2, or the lowest bit of any part if that
+    is higher, below which every block agrees.  A part is tested at the node
+    of its lowest bit, where all its literals are assigned, so a node
+    carries the AND and the OR of the parts falsified so far.  A node whose
+    AND is 0 is 0 for its whole block.  Without ``decide`` a node whose AND
+    meets ``rest[b]``, the AND of the tables of every part still to be
+    tested, is 1 for its whole block: whichever of those parts an assignment
+    in the block falsifies, one residual assignment lies in all their
+    tables.  The parts below the cut are falsified by the low bits alone, so
+    the AND and the OR of the parts each low assignment falsifies are built
+    once, and a node at the cut emits its rows from them, one per distinct
+    low assignment, asking ``decide`` once per row."""
     common, key = -1, 0
     buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     floor = n
+    spanned = 0  # bit h set iff some part has literals below h and at or above it
     for (pos, neg), table, ids in parts:
         if pos & neg:
             continue  # x and -x: no assignment falsifies it
@@ -451,7 +517,11 @@ def _walk(parts, n: int, decide=None) -> int:
         low = (lits & -lits).bit_length() - 1
         buckets[low].append((pos, neg, table, ids))
         floor = min(floor, low)
-    block = (1 << (1 << floor)) - 1
+        spanned |= (1 << lits.bit_length()) - (2 << low)
+    cut = n // 2
+    while spanned >> cut & 1:
+        cut -= 1
+    cut = max(cut, floor)
     # rest[b]: the AND of the tables of the parts whose lowest bit is below b.
     rest = [-1]
     for bucket in buckets:
@@ -459,6 +529,20 @@ def _walk(parts, n: int, decide=None) -> int:
         for _, _, table, _ in bucket:
             below &= table
         rest.append(below)
+    # Row j at the cut is the block of low assignments j << floor .. (j + 1) << floor;
+    # lows[j] and keys[j] are the AND and the OR of the parts it falsifies.
+    count = 1 << (cut - floor)
+    lows, keys = [-1] * count, [0] * count
+    for bucket in buckets[floor:cut]:
+        for pos, neg, table, ids in bucket:
+            pos >>= floor
+            neg >>= floor
+            for j in range(count):
+                if not j & pos and j & neg == neg:
+                    lows[j] &= table
+                    keys[j] |= ids
+    block = (1 << (1 << floor)) - 1
+    rows = [block << (j << floor) for j in range(count)]
 
     def node(b: int, a: int, common: int, key: int) -> int:
         # Bits b..n-1 of a are assigned, and so is every part whose lowest bit is b or above.
@@ -467,8 +551,12 @@ def _walk(parts, n: int, decide=None) -> int:
         if decide is None:
             if common & rest[b]:
                 return (1 << (1 << b)) - 1
-        elif b == floor:
-            return block if decide(key) else 0
+            if b == cut:
+                return sum([row for row, low in zip(rows, lows) if common & low])
+        elif b == cut:
+            return sum(
+                [row for row, low, k in zip(rows, lows, keys) if common & low and decide(key | k)]
+            )
         b -= 1
         halves = []
         for a in (a, a | 1 << b):

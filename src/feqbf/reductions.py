@@ -35,7 +35,7 @@ from .formulas import (
     CnfMatrix,
     DnfFormula,
     QbfInstance,
-    base_clause,
+    base_clauses,
     binary_clause,
     literal_sort_key,
     normalize_prefix,
@@ -81,8 +81,8 @@ def _selection(terms, blocks, extra: Clause = frozenset()) -> list[Clause]:
     of r variables."""
     padded = tuple(terms) + (terms[-1],) * (len(blocks[0]) ** len(blocks) - len(terms))
     clauses = []
-    for i, term in enumerate(padded):
-        index = base_clause(i, blocks) | extra
+    for term, index in zip(padded, base_clauses(blocks)):
+        index |= extra
         for lit in sorted(term, key=literal_sort_key):
             clauses.append(frozenset({lit}) | index)
     return clauses

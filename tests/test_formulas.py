@@ -11,6 +11,7 @@ from feqbf.formulas import (
     QuantifierBlock,
     apply_assignment_cnf,
     base_clause,
+    base_clauses,
     binary_clause,
     is_tautological,
     normalize_prefix,
@@ -145,6 +146,20 @@ class TestBaseClause:
             base_clause(0, [(1, 2), (3,)])
         with pytest.raises(ValueError):
             base_clause(0, [])
+
+    def test_base_clauses_list_every_index_in_order(self):
+        for tuples in ([(4, 5, 6)], [(1, 2, 3), (4, 5, 6)], [(1, 2), (3, 4), (5, 6)]):
+            size = len(tuples[0]) ** len(tuples)
+            assert base_clauses(tuples) == [base_clause(i, tuples) for i in range(size)]
+
+    def test_base_clauses_check_the_tuples_as_base_clause_does(self):
+        for tuples, message in (
+            ([(1, 2), (3,)], "all tuples must have the same size"),
+            ([], "at least one variable tuple is required"),
+        ):
+            for build in (lambda: base_clause(0, tuples), lambda: base_clauses(tuples)):
+                with pytest.raises(ValueError, match=message):
+                    build()
 
 
 def _chain_equisatisfiable(original, pieces, fresh):

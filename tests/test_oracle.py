@@ -616,6 +616,39 @@ def wide_pair(rng, n):
     return DnfFormula(tuple(terms), n), QbfInstance(prefix, CnfMatrix(tuple(clauses), total))
 
 
+def cut_pair(rng, n):
+    """A random psi/phi pair for the walk's cut and the table path's
+    projection.  phi is forall x1..xn exists over 2-4 more variables, of
+    which 1-3, at random places, occur only in clauses without a source
+    literal.  Each other clause joins a source part of 1-3 literals over
+    neighbouring variables to a residual over the remaining variables or to
+    the empty residual; with n > 1, a part over x1 and a variable above
+    n // 2 sometimes joins them, which spans every level the cut may take."""
+    inner = list(range(n + 1, n + rng.randint(2, 4) + 1))
+    free = rng.sample(inner, rng.randint(1, len(inner) - 1))
+    bearing = [v for v in inner if v not in free]
+    prefix = normalize_prefix([(FORALL, tuple(range(1, n + 1))), (EXISTS, tuple(inner))])
+
+    def clause_over(variables):
+        return F(*(v if rng.random() < 0.5 else -v for v in variables))
+
+    pool = [frozenset()]
+    pool += [clause_over(rng.sample(bearing, rng.randint(1, min(2, len(bearing))))) for _ in range(3)]
+    clauses = []
+    for _ in range(rng.randint(2, 10)):
+        start = rng.randint(1, n)
+        near = range(start, min(start + rng.choices((0, 1, 2), (4, 2, 1))[0], n) + 1)
+        clauses.append(clause_over(rng.sample(near, rng.randint(1, len(near)))) | rng.choice(pool))
+    if n > 1 and rng.random() < 0.3:
+        clauses.append(clause_over((1, rng.randint(n // 2 + 1, n))) | rng.choice(pool))
+    for _ in range(rng.randint(1, 3)):
+        variables = rng.sample(free, rng.randint(1, len(free)))
+        clauses.append(clause_over(variables + rng.sample(bearing, rng.randint(0, 1))))
+    rng.shuffle(clauses)
+    terms = random_clauses(rng, n, rng.randint(0, 6))
+    return DnfFormula(tuple(terms), n), QbfInstance(prefix, CnfMatrix(tuple(clauses), inner[-1]))
+
+
 class TestBlockWalk:
     """check_equivalence builds both truth tables by one walk over blocks of
     source assignments and reports the lowest set bits of their XOR."""
@@ -712,6 +745,65 @@ class TestBlockWalk:
                 assert report.mismatch_encodings() == expected[: oracle.MAX_MISMATCHES], (psi, broken)
                 failing += bool(expected)
         assert failing >= 5
+
+    def test_cut_and_projection_match_reference(self, monkeypatch):
+        # The walk stops at the highest level up to n // 2 that no source
+        # part spans, and the table path projects out the residual variables
+        # that only source-free clauses use, renumbering them above the
+        # others where one lies below a variable of a source-bearing clause.
+        rng = random.Random("walk-cut")
+        spanning = cut = renumbered = in_place = 0
+        for _ in range(40):
+            psi, phi = cut_pair(rng, rng.randint(1, 10))
+            n = psi.num_vars
+            expected = reference_mismatches(psi, phi, tuple(range(1, n + 1)))
+            for by_games in (False, True):
+                with monkeypatch.context() as patched:
+                    if by_games:
+                        patched.setattr(oracle, "TABLE_BITS", -1)
+                        patched.setattr(oracle, "satisfying_sets", None)
+                    else:
+                        patched.setattr(oracle, "_game", None)
+                    report = check_equivalence(psi, phi, mode="forall_exists")
+                assert report.mismatch_count == len(expected), (psi, phi, by_games)
+                assert report.mismatch_encodings() == expected[: oracle.MAX_MISMATCHES], (psi, phi)
+            bearing, projected, parts = set(), set(), []
+            for clause in phi.matrix.clauses:
+                sources = {abs(lit) for lit in clause if abs(lit) <= n}
+                (bearing if sources else projected).update(abs(lit) for lit in clause if abs(lit) > n)
+                if sources:
+                    parts.append((min(sources), max(sources)))
+            projected -= bearing
+            # Level h splits x1..xh from the rest; a part over both spans it.
+            spanning += all(any(low <= h < high for low, high in parts) for h in range(1, n // 2 + 1))
+            cut += any(
+                all(not low <= h < high for low, high in parts) and any(high <= h for _, high in parts)
+                for h in range(1, n // 2 + 1)
+            )
+            if projected and bearing and min(projected) < max(bearing):
+                renumbered += 1
+            elif projected:
+                in_place += 1
+        counts = spanning, cut, renumbered, in_place
+        assert min(counts) >= 5, counts
+
+    def test_theorem_two_walk_receives_ten_bit_tables(self, monkeypatch):
+        # forall 10 exists 14: the 4 split links occur only in the
+        # at-least-one clauses, which have no source literal, so the walk
+        # gets tables over the 10 index variables alone.
+        psi = random_dnf(10, 20, seed=11)
+        phi = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        assert [len(b.vars) for b in phi.prefix] == [10, 14]
+        lengths = []
+        original = oracle._walk
+
+        def recording(parts, n, decide=None):
+            lengths.extend(table.bit_length() for _, table, _ in parts)
+            return original(parts, n, decide)
+
+        monkeypatch.setattr(oracle, "_walk", recording)
+        assert check_equivalence(psi, phi, mode="forall_exists").passed
+        assert 1 << 9 < max(lengths) <= 1 << 10
 
 
 def test_verify_leaves_no_reference_cycles(monkeypatch):
