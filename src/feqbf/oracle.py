@@ -24,10 +24,12 @@ falsifies, so a block whose AND is 0 is False as a whole, a block whose AND
 meets that of every clause still to be tested is True as a whole, and a
 block below every source part is decided at once.  The walk stops at a
 cut, a level that no source part spans, at most halfway down where one is
-free: the parts below it are combined once per low assignment, and a node
-at the cut emits its rows from those products.  The residual bits that
-only clauses without a source literal use are projected out of the tables
-first, so a table covers just the bits the source parts' residuals use.
+free and its rows fit ``_ROW_BITS``: the parts below it are combined once
+per low assignment, and a node at the cut emits its rows from those
+products.  The residual bits above those of every clause with a source
+literal, which only source-free clauses use, are projected out of the
+tables first, so a table ends at the highest bit the source parts' residuals
+use.
 When the residuals need the game, the walk plays one game per distinct set
 of residuals left.
 psi's table is built without a walk, by whole-table operations on per-bit
@@ -64,6 +66,9 @@ MAX_MISMATCHES = 32
 # 2^16-bit chunk is 8 KB.  Fixed apart from TABLE_BITS, which only gates the
 # choice between tables and the game.
 _CHUNK_BITS = 16
+# The most bits that check_equivalence's walk holds in the tables of its rows
+# below the cut, one table per row: 2^22 bits, 512 KB.
+_ROW_BITS = 1 << 22
 
 
 class OracleLimitError(ValueError):
@@ -332,8 +337,8 @@ def check_equivalence(
     literals straddle, which carries the AND of the residual truth tables
     of the clauses a block leaves unsatisfied, or, when the residual
     clauses need the game, plays one game per distinct set of them
-    (``_phi_table``).  The residual variables that only clauses without a
-    source literal use are projected out of those tables.  ``var_bound``
+    (``_phi_table``).  The residual variables after all those of the clauses
+    with a source literal are projected out of those tables.  ``var_bound``
     limits the source variables and, separately, the non-source variables
     that occur in some clause.
     """
@@ -394,14 +399,15 @@ def _phi_table(masks, universal: int, n: int) -> int:
     if not, and one game is played per distinct set of residuals left that
     no part has emptied.
 
-    On the table path, the residual bits that only the residuals of the
-    source-free part ``(0, 0)`` use are projected out: they are renumbered
-    above the others unless they already are, the tables are built over the
-    whole window, and every part keeps the low 2^w-bit chunk of its AND, w
-    being the number of bits below them.  No other part depends on those
+    On the table path, the residual bits above every bit of the clauses
+    with a source literal, which only the residuals of the source-free part
+    ``(0, 0)`` use, are projected out: the tables are built over the whole
+    window, and every part keeps the low 2^w-bit chunk of its AND, w being
+    the number of residual bits below them.  No other part depends on those
     bits, so the source-free part's AND is OR-folded over its chunks
     (``_project``): a chunk bit is set iff some assignment to the projected
-    bits extends it into every source-free residual's set."""
+    bits extends it into every source-free residual's set.  Theorem 2 and
+    its gadget draw the split links, the bits so projected, last."""
     src = (1 << n) - 1
     residual_ids: dict[tuple[int, int], int] = {}
     # The residuals left behind by each distinct source part, as a bit set.
@@ -419,14 +425,7 @@ def _phi_table(masks, universal: int, n: int) -> int:
         occupied |= pos | neg
     width = max(occupied.bit_length() - n, 0)
     if not universal >> n and width <= TABLE_BITS:
-        bearing >>= n  # from here on, bit b stands for bit n + b
-        free = occupied >> n & ~bearing  # the bits of source-free residuals alone
-        narrow = bearing.bit_length()
-        if free & (1 << narrow) - 1:
-            order = [b for b in range(width) if bearing >> b & 1]
-            order += [b for b in range(width) if free >> b & 1]
-            residuals = _renumber(residuals, order, n)
-            narrow = bearing.bit_count()
+        narrow = max(bearing.bit_length() - n, 0)
         chunk = (1 << (1 << narrow)) - 1
         tables = satisfying_sets(residuals, n, width)
         carried = []
@@ -460,16 +459,6 @@ def _phi_table(masks, universal: int, n: int) -> int:
     return _walk(carried, n, game)
 
 
-def _renumber(masks, order, n: int) -> list[tuple[int, int]]:
-    """``(pos, neg)`` masks with bit n + ``order[i]`` moved to bit n + i,
-    for masks with no bit outside those."""
-    moves = [(n + b, 1 << n + i) for i, b in enumerate(order)]
-    return [
-        (sum(bit for b, bit in moves if pos >> b & 1), sum(bit for b, bit in moves if neg >> b & 1))
-        for pos, neg in masks
-    ]
-
-
 def _project(table: int, width: int, narrow: int) -> int:
     """The 2^narrow-bit OR of the 2^narrow-bit chunks of a 2^width-bit
     table: bit tau is set iff the table has a set bit whose low ``narrow``
@@ -490,22 +479,24 @@ def _walk(parts, n: int, decide=None) -> int:
 
     The walk assigns the bits from n-1 down to a cut, a level that no part
     spans (has literals both below and at or above it).  The cut is the
-    highest such level up to n // 2, or the lowest bit of any part if that
-    is higher, below which every block agrees.  A part is tested at the node
-    of its lowest bit, where all its literals are assigned, so a node
-    carries the AND and the OR of the parts falsified so far.  A node whose
-    AND is 0 is 0 for its whole block.  Without ``decide`` a node whose AND
-    meets ``rest[b]``, the AND of the tables of every part still to be
-    tested, is 1 for its whole block: whichever of those parts an assignment
-    in the block falsifies, one residual assignment lies in all their
-    tables.  The parts below the cut are falsified by the low bits alone, so
-    the AND and the OR of the parts each low assignment falsifies are built
-    once, and a node at the cut emits its rows from them, one per distinct
-    low assignment, asking ``decide`` once per row."""
+    highest such level up to n // 2 whose rows' tables fit ``_ROW_BITS``,
+    or the lowest bit of any part if that is higher, below which every
+    block agrees.  A part is tested at the node of its lowest bit, where
+    all its literals are assigned, so a node carries the AND and the OR of
+    the parts falsified so far.  A node whose AND is 0 is 0 for its whole
+    block.  Without ``decide`` a node whose AND meets ``rest[b]``, the AND
+    of the tables of every part still to be tested, is 1 for its whole
+    block: whichever of those parts an assignment in the block falsifies,
+    one residual assignment lies in all their tables.  The parts below the
+    cut are falsified by the low bits alone, so the AND and the OR of the
+    parts each low assignment falsifies are built once, and a node at the
+    cut emits its rows from them, one per distinct low assignment, asking
+    ``decide`` once per row."""
     common, key = -1, 0
     buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     floor = n
     spanned = 0  # bit h set iff some part has literals below h and at or above it
+    widest = 0
     for (pos, neg), table, ids in parts:
         if pos & neg:
             continue  # x and -x: no assignment falsifies it
@@ -518,8 +509,10 @@ def _walk(parts, n: int, decide=None) -> int:
         buckets[low].append((pos, neg, table, ids))
         floor = min(floor, low)
         spanned |= (1 << lits.bit_length()) - (2 << low)
+        widest = max(widest, table.bit_length())
+    # No part has literals below the floor, so none spans it.
     cut = n // 2
-    while spanned >> cut & 1:
+    while cut > floor and (spanned >> cut & 1 or widest << cut - floor > _ROW_BITS):
         cut -= 1
     cut = max(cut, floor)
     # rest[b]: the AND of the tables of the parts whose lowest bit is below b.

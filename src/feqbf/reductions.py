@@ -81,7 +81,7 @@ def _selection(terms, blocks, extra: Clause = frozenset()) -> list[Clause]:
     of r variables."""
     padded = tuple(terms) + (terms[-1],) * (len(blocks[0]) ** len(blocks) - len(terms))
     clauses = []
-    for term, index in zip(padded, base_clauses(blocks)):
+    for term, index in zip(padded, base_clauses(blocks), strict=True):
         index |= extra
         for lit in sorted(term, key=literal_sort_key):
             clauses.append(frozenset({lit}) | index)

@@ -707,6 +707,33 @@ class TestBlockWalk:
         assert report.mismatch_encodings() == tuple(range(1 << 19, (1 << 19) + 32))
         assert peak < 2 * 1024 * 1024
 
+    @pytest.mark.parametrize("reaches_cut", [False, True])
+    def test_wide_rows_below_the_cut_stay_within_two_megabytes(self, reaches_cut):
+        # forall x1..x20 exists e1..e16: twelve parts (xi | ei) lie below
+        # every level the cut may take, and every residual table is 2^16
+        # bits, 8 KB.  One row per assignment to x1..x10 would hold 8 MB of
+        # tables; the rows' budget lowers the cut instead.
+        low = [F(i, 20 + i) for i in range(1, 13)] + [F(19, 33, 34, 35, 36)]
+        if reaches_cut:
+            # False iff one of x13..x18 is, or x20, x1 and x2 all are: the
+            # walk runs down to the cut along x13..x18 = 1.
+            high = frozenset(range(13, 19))
+            terms = (high | {20}, high | {1}, high | {2})
+            clauses = [F(20, -21, -22)] + [F(i) for i in range(13, 19)] + low
+        else:
+            # (x20)(-x20): False everywhere, pruned at the root.
+            terms, clauses = (), [F(20), F(-20)] + low
+        psi = DnfFormula(terms, 20)
+        phi = make([(FORALL, tuple(range(1, 21))), (EXISTS, tuple(range(21, 37)))], clauses, 36)
+        tracemalloc.start()
+        try:
+            report = check_equivalence(psi, phi, mode="forall_exists")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 * 1024 * 1024
+
     def test_twenty_variable_falsifying_table_stays_within_two_megabytes(self):
         # The 2^20-bit table is 128 KB; it is built from sixteen 8 KB chunks,
         # and the peak counts the per-bit tables built afresh.
@@ -749,10 +776,10 @@ class TestBlockWalk:
     def test_cut_and_projection_match_reference(self, monkeypatch):
         # The walk stops at the highest level up to n // 2 that no source
         # part spans, and the table path projects out the residual variables
-        # that only source-free clauses use, renumbering them above the
-        # others where one lies below a variable of a source-bearing clause.
+        # above those of every source-bearing clause, which only source-free
+        # clauses use.  Such variables below one of theirs stay in the tables.
         rng = random.Random("walk-cut")
-        spanning = cut = renumbered = in_place = 0
+        spanning = cut = kept = projected = 0
         for _ in range(40):
             psi, phi = cut_pair(rng, rng.randint(1, 10))
             n = psi.num_vars
@@ -767,24 +794,24 @@ class TestBlockWalk:
                     report = check_equivalence(psi, phi, mode="forall_exists")
                 assert report.mismatch_count == len(expected), (psi, phi, by_games)
                 assert report.mismatch_encodings() == expected[: oracle.MAX_MISMATCHES], (psi, phi)
-            bearing, projected, parts = set(), set(), []
+            bearing, free, parts = set(), set(), []
             for clause in phi.matrix.clauses:
                 sources = {abs(lit) for lit in clause if abs(lit) <= n}
-                (bearing if sources else projected).update(abs(lit) for lit in clause if abs(lit) > n)
+                (bearing if sources else free).update(abs(lit) for lit in clause if abs(lit) > n)
                 if sources:
                     parts.append((min(sources), max(sources)))
-            projected -= bearing
+            free -= bearing
             # Level h splits x1..xh from the rest; a part over both spans it.
             spanning += all(any(low <= h < high for low, high in parts) for h in range(1, n // 2 + 1))
             cut += any(
                 all(not low <= h < high for low, high in parts) and any(high <= h for _, high in parts)
                 for h in range(1, n // 2 + 1)
             )
-            if projected and bearing and min(projected) < max(bearing):
-                renumbered += 1
-            elif projected:
-                in_place += 1
-        counts = spanning, cut, renumbered, in_place
+            if free and bearing and min(free) < max(bearing):
+                kept += 1
+            elif free:
+                projected += 1
+        counts = spanning, cut, kept, projected
         assert min(counts) >= 5, counts
 
     def test_theorem_two_walk_receives_ten_bit_tables(self, monkeypatch):
