@@ -6,15 +6,25 @@ terminated by 0, and clause lines of integers terminated by 0.  The DNF
 format has the same shape with header ``p dnf <nvars> <nterms>`` and terms
 in place of clauses.
 
-Each line is checked as a whole: its integers are parsed in one ``map``, and
-the terminator, a 0 inside the line and the range of its literals are tested
-on the list (``0 in``, ``min``, ``max``).  A clause line is walked literal by
-literal only when the range test fails, to name the first offender.  A
-prefix line's variables, which each occur once in a file, are checked one
-by one for their range and for a second declaration.
+From the first clause or term line on, the rest of the text is read in one
+pass (``_bulk_rows``): every line must end in `` 0`` and hold no other
+`` 0``, and every other token must be a key of a table from the strings of
+the nonzero literals in range to their values.  Anything else, such as a
+comment or blank line among the rows, a tab before the terminator, ``+3``,
+``03``, ``-0``, a lone ``0`` or a late header or prefix line, makes the pass
+decline, and the per-line walk reads the section from its first line, so
+every error names its line as before.  The walk checks each line as a
+whole: its integers are parsed in one ``map``, and the terminator, a 0
+inside the line and the range of its literals are tested on the list (``0
+in``, ``min``, ``max``).  A row is walked literal by literal only when the
+range test fails, to name the first offender.  A prefix line's variables,
+which each occur once in a file, are checked one by one for their range and
+for a second declaration.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .formulas import (
     EXISTS,
@@ -62,14 +72,41 @@ def _parse_int_line(line_no: int, line: str) -> list[int]:
     return values
 
 
-def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[list[int]]]:
+def _bulk_rows(lines: list[str], num_vars: int) -> list[frozenset[int]] | None:
+    """The rows of ``lines``, a section of row lines each ending in `` 0``, read
+    in one pass, or None to hand the section to the per-line walk.  The lines
+    are joined and split at `` 0``: one piece per line means each line holds
+    no other `` 0``.  Each token is then looked up in a table of the strings
+    of the nonzero literals over 1..num_vars, which rejects anything but a
+    nonzero literal in range written as ``str`` writes it.  The table is built
+    only while it has no more entries than the section has tokens."""
+    if not all(map(str.endswith, lines, repeat(" 0"))):
+        return None
+    pieces = " ".join(lines).split(" 0")
+    if len(pieces) != len(lines) + 1:
+        return None
+    fields = list(map(str.split, pieces[:-1]))
+    if 2 * num_vars > sum(map(len, fields)):
+        return None
+    table = {str(lit): lit for lit in range(-num_vars, num_vars + 1)}
+    del table["0"]
+    try:
+        return list(map(frozenset, map(map, repeat(table.__getitem__), fields)))
+    except KeyError:
+        return None
+
+
+def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[frozenset[int]]]:
     """The header ``p <kind> <nvars> <count>`` and the ``count`` rows (``noun``)
     of literals over 1..nvars after it, as ``(nvars, rows)``.  A line whose
     first field is ``a`` or ``e`` goes to ``prefix_line(line_no, line,
-    num_vars, rows)`` when it is given, and is read as a row otherwise."""
+    num_vars, rows)`` when it is given, and is read as a row otherwise.  The
+    lines from the first row on go to ``_bulk_rows`` once; where it declines,
+    they are walked one by one."""
     num_vars = None
-    rows: list[list[int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    rows: list[frozenset[int]] = []
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -86,17 +123,22 @@ def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[
         if prefix_line is not None and head in "ae" and not line[1:2].strip():
             prefix_line(line_no, line, num_vars, rows)
             continue
+        if not rows:  # the first row: the walk appends it or raises
+            bulk = _bulk_rows(lines[line_no - 1 :], num_vars)
+            if bulk is not None:
+                rows = bulk
+                break
         row = _parse_int_line(line_no, line)
         if row and (min(row) < -num_vars or max(row) > num_vars):
             for lit in row:
                 if abs(lit) > num_vars:
                     raise FormatError(line_no, f"variable {abs(lit)} out of range 1..{num_vars}")
-        rows.append(row)
+        rows.append(frozenset(row))
     if num_vars is None:
         raise FormatError(1, f"missing 'p {kind}' header")
     if len(rows) != count:
         raise FormatError(
-            len(text.splitlines()) or 1,
+            len(lines) or 1,
             f"header declares {count} {noun} but {len(rows)} were given",
         )
     return num_vars, rows
@@ -135,7 +177,7 @@ def parse_qdimacs(text: str) -> QbfInstance:
     num_vars, clauses = _read(text, "cnf", "clauses", prefix_line)
     free = [v for v in range(1, num_vars + 1) if v not in declared]
     prefix = normalize_prefix([(EXISTS, free)] + blocks if free else blocks)
-    return QbfInstance(prefix, CnfMatrix(tuple(map(frozenset, clauses)), num_vars))
+    return QbfInstance(prefix, CnfMatrix(tuple(clauses), num_vars))
 
 
 def emit_qdimacs(instance: QbfInstance) -> str:
@@ -147,7 +189,7 @@ def parse_dnf(text: str) -> tuple[DnfFormula, int]:
     """Parse the DNF format; returns the formula and the number of dropped
     contradictory terms (a term containing both x and -x is unsatisfiable)."""
     num_vars, rows = _read(text, "dnf", "terms")
-    terms = [term for term in map(frozenset, rows) if not is_tautological(term)]
+    terms = [term for term in rows if not is_tautological(term)]
     return DnfFormula(tuple(terms), num_vars), len(rows) - len(terms)
 
 

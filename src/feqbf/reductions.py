@@ -78,12 +78,13 @@ def _selection(terms, blocks, extra: Clause = frozenset()) -> list[Clause]:
     """The clauses (l or base_clause(i, blocks) or extra) for each literal l
     of term i, literals in ``literal_sort_key`` order.  The terms are padded
     by repeating the last one up to one per index, r**len(blocks) for blocks
-    of r variables."""
-    padded = tuple(terms) + (terms[-1],) * (len(blocks[0]) ** len(blocks) - len(terms))
+    of r variables; each term is sorted once, before the padding."""
+    padded = [sorted(term, key=literal_sort_key) for term in terms]
+    padded += [padded[-1]] * (len(blocks[0]) ** len(blocks) - len(terms))
     clauses = []
-    for term, index in zip(padded, base_clauses(blocks), strict=True):
+    for lits, index in zip(padded, base_clauses(blocks), strict=True):
         index |= extra
-        for lit in sorted(term, key=literal_sort_key):
+        for lit in lits:
             clauses.append(frozenset({lit}) | index)
     return clauses
 

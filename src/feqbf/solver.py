@@ -42,8 +42,10 @@ its live cores to the oracle's game as they are.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from .formulas import (
@@ -143,34 +145,46 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     remains (the universal player falsifies it).  Afterwards every clause has
     a non-empty existential core, and the prefix is the one ``ae_blocks``
     reads: an outer block it ignores is dropped, so every route after it sees
-    one universal block followed by one existential block.  Each clause is
-    tested with set operations on its variables, and an instance that loses
-    no clause and whose prefix already has that shape comes back as it is,
+    one universal block followed by one existential block.  The common case,
+    no tautology and an existential literal in every clause, is tested over
+    all clauses in two passes that iterate in C.  Only when either fails is
+    each clause tested in turn, to drop the tautologies and name the first
+    all-universal clause left as the certificate.  An instance that loses no
+    clause and whose prefix already has that shape comes back as it is,
     without a second run of ``QbfInstance``'s checks."""
     universal, existential = ae_blocks(instance)
-    e_set = set(existential)
     clauses = instance.matrix.clauses
-    kept = []
-    for clause in clauses:
-        if is_tautological(clause):
-            continue
-        if e_set.isdisjoint(map(abs, clause)):
-            return FalseCertificate(clause)
-        kept.append(clause)
+    e_lits = frozenset([*existential, *map(operator.neg, existential)])
+    no_tautology = all(map(frozenset.isdisjoint, clauses, map(map, repeat(operator.neg), clauses)))
+    if no_tautology and not any(map(e_lits.isdisjoint, clauses)):
+        kept = clauses
+    else:
+        kept = []
+        for clause in clauses:
+            if is_tautological(clause):
+                continue
+            if e_lits.isdisjoint(clause):
+                return FalseCertificate(clause)
+            kept.append(clause)
     prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
     if len(kept) == len(clauses) and prefix == instance.prefix:
         return instance
     return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
 
 
-def _summary(parts: tuple[Mask, ...]) -> tuple[int, int]:
-    """``(used, heaviest)`` of a group: the union of its parts' variables and
-    the size of its largest part."""
-    used = heaviest = 0
-    for pos, neg in parts:
-        used |= pos | neg
-        heaviest = max(heaviest, (pos | neg).bit_count())
-    return used, heaviest
+def core_key(core: Mask) -> list[int]:
+    """The sort key of a core: its literals in bit order, a literal on bit b
+    as 2(b + 1), plus 1 if it is negative.  Lists compare element by element
+    and a prefix first, so cores order as their literals do, by variable and
+    positive first."""
+    pos, neg = core
+    both = pos | neg
+    key = []
+    while both:
+        low = both & -both
+        key.append(2 * low.bit_length() + (neg & low > 0))
+        both ^= low
+    return key
 
 
 def partition_groups(
@@ -183,7 +197,8 @@ def partition_groups(
     bits shifted down, its universal part the low bits.  Parts are
     deduplicated in first-occurrence order.  A group holding the bare part
     ``(0, 0)``, from a purely existential clause, is forced.  The groups come
-    in core order: literals by variable, positive first, compared as tuples."""
+    in core order (``core_key``): literals by variable, positive first,
+    compared as lists."""
     u = len(universal)
     low = (1 << u) - 1
     bit_of = {v: i for i, v in enumerate([*sorted(universal), *sorted(existential)])}
@@ -191,19 +206,20 @@ def partition_groups(
     for pos, neg in clause_masks(matrix.clauses, bit_of):
         groups.setdefault((pos >> u, neg >> u), {})[pos & low, neg & low] = None
 
-    def core_key(core: Mask) -> list[tuple[int, int]]:
-        pos, neg = core
-        both = pos | neg
-        return [(bit, neg >> bit & 1) for bit in range(both.bit_length()) if both >> bit & 1]
-
     live, forced, weight = [], [], 0
     for core in sorted(groups, key=core_key):
-        if (0, 0) in groups[core]:
+        parts = groups[core]
+        if (0, 0) in parts:
             forced.append(core)
             continue
-        parts = tuple(groups[core])
-        used, heaviest = _summary(parts)
-        live.append((core, parts, used, heaviest))
+        used = heaviest = 0
+        for pos, neg in parts:
+            variables = pos | neg
+            used |= variables
+            size = variables.bit_count()
+            if size > heaviest:
+                heaviest = size
+        live.append((core, tuple(parts), used, heaviest))
         weight += heaviest
     return live, weight, forced
 

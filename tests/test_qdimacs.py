@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from feqbf import qdimacs
 from feqbf.formulas import CnfMatrix, DnfFormula, QuantifierBlock
-from feqbf.generate import random_forall_exists
+from feqbf.generate import random_dnf, random_forall_exists
 from feqbf.qdimacs import (
     FormatError,
     emit_dnf,
@@ -176,3 +177,140 @@ class TestErrorMessages:
         # Variable 2 is free, so it comes first, in the outer block.
         instance = parse_qdimacs("p cnf 2 1\ne\t1 0\n1 0\n")
         assert instance.prefix == (QuantifierBlock("e", (2, 1)),)
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its error's text."""
+    try:
+        return parse(text)
+    except FormatError as error:
+        return str(error)
+
+
+def perturb(text, rng):
+    """``text`` with one edit among its rows, of a kind that the bulk read
+    declines or that the per-line walk reads in its own way."""
+    lines = text.splitlines()
+    first = next((i for i, line in enumerate(lines) if line[0] not in "pae"), len(lines))
+    i = rng.randrange(first, len(lines) + 1)
+    row = i < len(lines)
+    kind = rng.choice(
+        ["comment", "blank", "crlf", "tab", "trailing", "plus", "zero_pad", "minus_zero",
+         "lone_zero", "late_line", "wide_header"]
+    )
+    if kind == "comment":
+        lines.insert(i, "c a comment 0")
+    elif kind == "blank":
+        lines.insert(i, rng.choice(["", "   "]))
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "tab" and row:
+        lines[i] = lines[i].replace(" ", "\t")
+    elif kind == "trailing" and row:
+        lines[i] += rng.choice([" ", "  \t"])
+    elif kind in ("plus", "zero_pad") and row:
+        fields = lines[i].split()
+        j = rng.randrange(len(fields))
+        lit = fields[j]
+        sign, digits = ("-", lit[1:]) if lit.startswith("-") else ("", lit)
+        fields[j] = "+" + lit if kind == "plus" else sign + "0" + digits
+        lines[i] = " ".join(fields)
+    elif kind == "minus_zero" and row:
+        # A terminator the walk accepts, or a 0 before the terminator.
+        fields = lines[i].split()
+        fields.insert(rng.choice([len(fields) - 1, 0]), "-0")
+        lines[i] = " ".join(fields[:-1] if rng.random() < 0.5 else fields)
+    elif kind == "lone_zero":
+        lines.insert(i, "0")
+        if rng.random() < 0.5:
+            fields = lines[0].split()
+            lines[0] = " ".join(fields[:3] + [str(int(fields[3]) + 1)])
+    elif kind == "late_line":
+        lines.insert(i, rng.choice([lines[0], "a 1 0", "e 1 0"]))
+    elif kind == "wide_header":
+        fields = lines[0].split()
+        lines[0] = " ".join(fields[:2] + [str(int(fields[2]) + 1000), fields[3]])
+    return "\n".join(lines) + "\n"
+
+
+def decline(lines, num_vars):
+    return None
+
+
+class TestBulkRead:
+    """From the first row on, ``_read`` hands the rest of the text to one bulk
+    pass; where that pass declines, the per-line walk reads it."""
+
+    def qdimacs_corpus(self):
+        rng = random.Random(29)
+        texts = []
+        for _ in range(300):
+            n, k = rng.randint(0, 8), rng.randint(1, 8)
+            instance = random_forall_exists(
+                n, k, rng.randint(0, 30), arity=rng.randint(1, 4), seed=rng.randrange(2**32)
+            )
+            texts.append(emit_qdimacs(instance))
+        return texts
+
+    def dnf_corpus(self):
+        rng = random.Random(29)
+        return [
+            emit_dnf(
+                random_dnf(rng.randint(1, 10), rng.randint(0, 30), arity=rng.randint(1, 4),
+                           seed=rng.randrange(2**32))
+            )
+            for _ in range(300)
+        ]
+
+    @pytest.mark.parametrize(
+        "parse,corpus", [(parse_qdimacs, "qdimacs_corpus"), (parse_dnf, "dnf_corpus")]
+    )
+    def test_bulk_read_matches_the_per_line_walk(self, monkeypatch, parse, corpus):
+        rng = random.Random(7)
+        texts = getattr(self, corpus)()
+        texts += [perturb(text, rng) for text in texts for _ in range(4)]
+        bulk = [outcome(parse, text) for text in texts]
+        monkeypatch.setattr(qdimacs, "_bulk_rows", decline)
+        walk = [outcome(parse, text) for text in texts]
+        for text, a, b in zip(texts, bulk, walk):
+            assert a == b, text
+        # Both kinds of outcome occur among the perturbed texts.
+        assert any(isinstance(a, str) for a in bulk) and any(not isinstance(a, str) for a in bulk)
+
+    def test_emitted_text_takes_the_bulk_read(self):
+        for text in self.qdimacs_corpus() + self.dnf_corpus():
+            lines = text.splitlines()
+            first = next((i for i, line in enumerate(lines) if line[0] not in "pae"), len(lines))
+            rows = lines[first:]
+            num_vars = int(lines[0].split()[2])
+            if rows and 2 * num_vars <= sum(len(line.split()) - 1 for line in rows):
+                assert qdimacs._bulk_rows(rows, num_vars) is not None, text
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["1 -1 0", "0"],
+            ["1 -1 0", ""],
+            ["1 -1 0", "c 0"],
+            ["1 -1  ", "1 0"],
+            ["1 -1", "1 0 -1 0"],
+            ["1 -1 0 0"],
+            ["1\t0 -1 0"],
+            ["0 1 -1 0"],
+            ["+1 -1 0"],
+            ["01 -1 0"],
+            ["1 -0 -1 0"],
+            ["1 -1 -0"],
+            ["1 2 0", "-1 -1 0"],
+            ["e 1 0", "-1 1 0"],
+        ],
+    )
+    def test_declines(self, lines):
+        # Over one variable the table has two entries, which every case here
+        # reaches but the first five.
+        assert qdimacs._bulk_rows(lines, 1) is None
+
+    def test_table_only_within_the_token_count(self):
+        # Four table entries for two variables: two tokens are too few.
+        assert qdimacs._bulk_rows(["1 -2 0"], 2) is None
+        assert qdimacs._bulk_rows(["1 -2 0", "2 0", " -1 0"], 2) == [F(1, -2), F(2), F(-1)]

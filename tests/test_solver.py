@@ -26,6 +26,8 @@ from feqbf.solver import (
     FalseCertificate,
     SolverConfig,
     SolverInvariantError,
+    ae_blocks,
+    core_key,
     core_projection,
     greedy_disjoint,
     leaf_bound_log2,
@@ -138,6 +140,84 @@ class TestPreprocess:
         )
         with pytest.raises(ValueError, match="prefix"):
             preprocess(three_blocks)
+
+
+def preprocess_per_clause(instance):
+    """``preprocess`` as one test per clause, the reference for its bulk
+    passes: drop each tautology, and certify the first all-universal clause
+    left."""
+    universal, existential = ae_blocks(instance)
+    kept = []
+    for clause in instance.matrix.clauses:
+        if len(set(map(abs, clause))) < len(clause):
+            continue
+        if set(existential).isdisjoint(map(abs, clause)):
+            return FalseCertificate(clause)
+        kept.append(clause)
+    return make([(FORALL, universal), (EXISTS, existential)], kept, instance.matrix.num_vars)
+
+
+class TestPreprocessBulk:
+    def test_matches_the_per_clause_reference(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(2000):
+            n, k = rng.randint(1, 4), rng.randint(0, 3)
+            universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
+            clauses = []
+            for _ in range(rng.randint(0, 6)):
+                pool = rng.choice([universal, range(1, n + k + 1)])
+                chosen = rng.sample(pool, rng.randint(1, len(pool)))
+                lits = {v if rng.random() < 0.5 else -v for v in chosen}
+                if rng.random() < 0.2:
+                    v = rng.choice(pool)
+                    lits |= {v, -v}
+                clauses.append(frozenset(lits))
+            instance = make([(FORALL, universal), (EXISTS, existential)], clauses, n + k)
+            expected = preprocess_per_clause(instance)
+            assert preprocess(instance) == expected, clauses
+            e_set = set(existential)
+            for clause in clauses:
+                tautology = len(set(map(abs, clause))) < len(clause)
+                seen.add((tautology, e_set.isdisjoint(map(abs, clause))))
+            seen.add(type(expected))
+        # Tautologies with and without an existential literal, all-universal
+        # clauses, and both outcomes all occur.
+        assert seen >= {(True, True), (True, False), (False, True), (False, False)}
+        assert seen >= {FalseCertificate, QbfInstance}
+
+    def test_tautological_all_universal_clause_is_no_certificate(self):
+        instance = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, -1, 2), F(2, 3)], 3)
+        assert preprocess(instance) == make(
+            [(FORALL, (1, 2)), (EXISTS, (3,))], [F(2, 3)], 3
+        )
+
+
+def tuple_core_key(core):
+    """The sort key of a core as a list of ``(bit, sign)`` per literal: the
+    reference for ``core_key``."""
+    pos, neg = core
+    both = pos | neg
+    return [(bit, neg >> bit & 1) for bit in range(both.bit_length()) if both >> bit & 1]
+
+
+class TestCoreKey:
+    def test_orders_as_bit_sign_tuples(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            cores = [(0, 0)]
+            for _ in range(rng.randint(1, 8)):
+                both = rng.getrandbits(rng.randint(1, 20))
+                neg = both & rng.getrandbits(20)
+                cores.append((both & ~neg, neg))
+            # Cores whose literals are a prefix of another core's.
+            for pos, neg in list(cores):
+                low = (1 << rng.randint(0, max(pos | neg, 1).bit_length())) - 1
+                cores.append((pos & low, neg & low))
+            for a in cores:
+                for b in cores:
+                    assert (core_key(a) < core_key(b)) == (tuple_core_key(a) < tuple_core_key(b))
+                    assert (core_key(a) == core_key(b)) == (a == b)
 
 
 class TestPartitionGroups:
