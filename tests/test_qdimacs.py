@@ -187,12 +187,17 @@ def outcome(parse, text):
         return str(error)
 
 
+def first_row(lines):
+    """The index of the first row of emitted text, after its header and
+    prefix lines."""
+    return next((i for i, line in enumerate(lines) if line[0] not in "pae"), len(lines))
+
+
 def perturb(text, rng):
     """``text`` with one edit among its rows, of a kind that the bulk read
     declines or that the per-line walk reads in its own way."""
     lines = text.splitlines()
-    first = next((i for i, line in enumerate(lines) if line[0] not in "pae"), len(lines))
-    i = rng.randrange(first, len(lines) + 1)
+    i = rng.randrange(first_row(lines), len(lines) + 1)
     row = i < len(lines)
     kind = rng.choice(
         ["comment", "blank", "crlf", "tab", "trailing", "plus", "zero_pad", "minus_zero",
@@ -237,37 +242,40 @@ def decline(lines, num_vars):
     return None
 
 
+def qdimacs_corpus():
+    rng = random.Random(29)
+    return [
+        emit_qdimacs(
+            random_forall_exists(
+                rng.randint(0, 8), rng.randint(1, 8), rng.randint(0, 30),
+                arity=rng.randint(1, 4), seed=rng.randrange(2**32),
+            )
+        )
+        for _ in range(300)
+    ]
+
+
+def dnf_corpus():
+    rng = random.Random(29)
+    return [
+        emit_dnf(
+            random_dnf(rng.randint(1, 10), rng.randint(0, 30), arity=rng.randint(1, 4),
+                       seed=rng.randrange(2**32))
+        )
+        for _ in range(300)
+    ]
+
+
 class TestBulkRead:
     """From the first row on, ``_read`` hands the rest of the text to one bulk
     pass; where that pass declines, the per-line walk reads it."""
 
-    def qdimacs_corpus(self):
-        rng = random.Random(29)
-        texts = []
-        for _ in range(300):
-            n, k = rng.randint(0, 8), rng.randint(1, 8)
-            instance = random_forall_exists(
-                n, k, rng.randint(0, 30), arity=rng.randint(1, 4), seed=rng.randrange(2**32)
-            )
-            texts.append(emit_qdimacs(instance))
-        return texts
-
-    def dnf_corpus(self):
-        rng = random.Random(29)
-        return [
-            emit_dnf(
-                random_dnf(rng.randint(1, 10), rng.randint(0, 30), arity=rng.randint(1, 4),
-                           seed=rng.randrange(2**32))
-            )
-            for _ in range(300)
-        ]
-
     @pytest.mark.parametrize(
-        "parse,corpus", [(parse_qdimacs, "qdimacs_corpus"), (parse_dnf, "dnf_corpus")]
+        "parse,corpus", [(parse_qdimacs, qdimacs_corpus), (parse_dnf, dnf_corpus)]
     )
     def test_bulk_read_matches_the_per_line_walk(self, monkeypatch, parse, corpus):
         rng = random.Random(7)
-        texts = getattr(self, corpus)()
+        texts = corpus()
         texts += [perturb(text, rng) for text in texts for _ in range(4)]
         bulk = [outcome(parse, text) for text in texts]
         monkeypatch.setattr(qdimacs, "_bulk_rows", decline)
@@ -278,10 +286,9 @@ class TestBulkRead:
         assert any(isinstance(a, str) for a in bulk) and any(not isinstance(a, str) for a in bulk)
 
     def test_emitted_text_takes_the_bulk_read(self):
-        for text in self.qdimacs_corpus() + self.dnf_corpus():
+        for text in qdimacs_corpus() + dnf_corpus():
             lines = text.splitlines()
-            first = next((i for i, line in enumerate(lines) if line[0] not in "pae"), len(lines))
-            rows = lines[first:]
+            rows = lines[first_row(lines) :]
             num_vars = int(lines[0].split()[2])
             if rows and 2 * num_vars <= sum(len(line.split()) - 1 for line in rows):
                 assert qdimacs._bulk_rows(rows, num_vars) is not None, text
