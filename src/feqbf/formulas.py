@@ -7,14 +7,15 @@ operation is a pure function, so values can be shared freely across threads.
 
 The constructors check their literals in bulk: ``CnfMatrix`` and
 ``DnfFormula`` test the union of their rows for 0 and for variables beyond
-``num_vars``, and ``QbfInstance`` tests the variables of that union against
-the prefix.  The rows are walked literal by literal only when a test fails,
-to name the first offender.
+``num_vars``.  ``CnfMatrix`` keeps the variables of that union as
+``variables``, the one set that ``QbfInstance`` tests against the prefix and
+that ``bound_prefix`` and the oracle read.  The rows are walked literal by
+literal only when a test fails, to name the first offender.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -38,12 +39,12 @@ def is_tautological(clause: Clause) -> bool:
     return len(set(map(abs, clause))) < len(clause)
 
 
-def _check_literals(rows: tuple[frozenset[int], ...], num_vars: int, what: str) -> None:
-    """Reject the literal 0 and variables beyond ``num_vars``, naming the
-    first offender in row order."""
+def _check_literals(rows: tuple[frozenset[int], ...], num_vars: int, what: str) -> frozenset[int]:
+    """The variables of ``rows``.  Reject the literal 0 and variables beyond
+    ``num_vars``, naming the first offender in row order."""
     lits = frozenset().union(*rows)
     if 0 not in lits and (not lits or -num_vars <= min(lits) and max(lits) <= num_vars):
-        return
+        return frozenset(map(abs, lits))
     for row in rows:
         for lit in row:
             if lit == 0:
@@ -58,17 +59,19 @@ class CnfMatrix:
 
     Duplicate clauses are allowed (reductions pad by repetition); literals
     within one clause are deduplicated by the frozenset representation.  The
-    empty clause denotes the constant False.
+    empty clause denotes the constant False.  ``variables``, the variables
+    that occur in some clause, is derived and takes no part in ``==``.
     """
 
     clauses: tuple[Clause, ...]
     num_vars: int
+    variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(map(frozenset, self.clauses)))
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        _check_literals(self.clauses, self.num_vars, "a clause")
+        object.__setattr__(self, "variables", _check_literals(self.clauses, self.num_vars, "a clause"))
 
     def max_arity(self) -> int:
         return max(map(len, self.clauses), default=0)
@@ -145,10 +148,9 @@ class QbfInstance:
                 if v > self.matrix.num_vars:
                     raise ValueError(f"prefix variable {v} exceeds declared count {self.matrix.num_vars}")
                 seen.add(v)
-        clauses = self.matrix.clauses
-        if seen.issuperset(map(abs, frozenset().union(*clauses))):
+        if seen.issuperset(self.matrix.variables):
             return
-        for clause in clauses:
+        for clause in self.matrix.clauses:
             for lit in clause:
                 if abs(lit) not in seen:
                     raise ValueError(f"matrix variable {abs(lit)} is not bound by the prefix")
@@ -160,8 +162,7 @@ def bound_prefix(instance: QbfInstance) -> tuple[QuantifierBlock, ...]:
     variables in.  Such a block changes no value, so it is ignored."""
     prefix = instance.prefix
     if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
-        occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
-        if occurring.isdisjoint(prefix[0].vars):
+        if instance.matrix.variables.isdisjoint(prefix[0].vars):
             return prefix[1:]
     return prefix
 

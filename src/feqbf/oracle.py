@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from .formulas import (
     EXISTS,
     FORALL,
+    CnfMatrix,
     DnfFormula,
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps oracle.apply_assignment_cnf
@@ -94,26 +95,25 @@ def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) 
     """Evaluate a prenex QBF by game-tree search with unit propagation.
     Universal variables take the AND of both branches, existential ones the OR.
     Only the variables that occur in some clause count against ``var_bound``."""
-    return _game(*_encode(instance, 0, var_bound))
+    return _game(*_encode(instance.prefix, instance.matrix, 0, var_bound))
 
 
-def _encode(instance: QbfInstance, n: int, var_bound: int) -> tuple[list, int]:
-    """The matrix of ``instance`` as masks for the game, and its universal
-    bits.  The first ``n`` prefix variables take bits 0..n-1, whether or not
-    they occur in a clause; every later variable that occurs in some clause
-    follows in prefix order.  Only those later ones count against
-    ``var_bound``; the game never branches on a variable that occurs in no
-    clause."""
-    occurring = set(map(abs, frozenset().union(*instance.matrix.clauses)))
-    prefix = [(v, b.quantifier) for b in instance.prefix for v in b.vars]
-    rest = [(v, q) for v, q in prefix[n:] if v in occurring]
+def _encode(prefix, matrix: CnfMatrix, n: int, var_bound: int) -> tuple[list, int]:
+    """``matrix`` as masks for the game under ``prefix``, a tuple of
+    quantifier blocks, and its universal bits.  The first ``n`` prefix
+    variables take bits 0..n-1, whether or not they occur in a clause; every
+    later variable in ``matrix.variables`` follows in prefix order.  Only
+    those later ones count against ``var_bound``; the game never branches on
+    a variable that occurs in no clause."""
+    order = [(v, b.quantifier) for b in prefix for v in b.vars]
+    rest = [(v, q) for v, q in order[n:] if v in matrix.variables]
     if len(rest) > var_bound:
         raise OracleLimitError(
             f"{len(rest)} quantified variables remain in the game; bound is {var_bound}"
         )
-    order = prefix[:n] + rest
+    order = order[:n] + rest
     universal = sum(1 << i for i, (_, q) in enumerate(order) if q == FORALL)
-    return clause_masks(instance.matrix.clauses, {v: i for i, (v, _) in enumerate(order)}), universal
+    return clause_masks(matrix.clauses, {v: i for i, (v, _) in enumerate(order)}), universal
 
 
 def _game(clauses: list[tuple[int, int]], universal: int, index: int = 0) -> bool:
@@ -345,17 +345,15 @@ def check_equivalence(
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
     prefix = bound_prefix(phi)
-    if prefix != phi.prefix:
-        phi = QbfInstance(prefix, phi.matrix)
     n = psi.num_vars
     if n > var_bound:
         raise OracleLimitError(f"{n} source variables exceed the brute-force bound {var_bound}")
     if n:
-        if not phi.prefix or phi.prefix[0].quantifier != FORALL:
+        if not prefix or prefix[0].quantifier != FORALL:
             raise ValueError(
                 "variable mapping incomplete: the QBF's outermost block must be universal"
             )
-        outer = len(phi.prefix[0].vars)
+        outer = len(prefix[0].vars)
         if outer < n:
             raise ValueError(
                 f"variable mapping incomplete: outermost block binds {outer} "
@@ -363,10 +361,10 @@ def check_equivalence(
             )
     if mode == "forall_exists":
         # Without source variables there is no universal x: all of the prefix is suffix.
-        suffix = [b.quantifier for b in (phi.prefix[1:] if n else phi.prefix)]
-        if (n and len(phi.prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
+        suffix = [b.quantifier for b in (prefix[1:] if n else prefix)]
+        if (n and len(prefix[0].vars) != n) or suffix not in ([], [EXISTS]):
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
-    masks, universal = _encode(phi, n, var_bound)
+    masks, universal = _encode(prefix, phi.matrix, n, var_bound)
     not_psi = falsifying_table(psi.terms, range(1, n + 1))
     diff = _phi_table(masks, universal, n) ^ not_psi ^ ((1 << (1 << n)) - 1)
     mismatch_count = diff.bit_count()

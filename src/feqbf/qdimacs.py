@@ -6,20 +6,20 @@ terminated by 0, and clause lines of integers terminated by 0.  The DNF
 format has the same shape with header ``p dnf <nvars> <nterms>`` and terms
 in place of clauses.
 
-From the first clause or term line on, the rest of the text is read in one
-pass (``_bulk_rows``): every line must end in `` 0`` and hold no other
-`` 0``, and every other token must be a key of a table from the strings of
-the nonzero literals in range to their values.  Anything else, such as a
-comment or blank line among the rows, a tab before the terminator, ``+3``,
-``03``, ``-0``, a lone ``0`` or a late header or prefix line, makes the pass
-decline, and the per-line walk reads the section from its first line, so
-every error names its line as before.  The walk checks each line as a
-whole: its integers are parsed in one ``map``, and the terminator, a 0
-inside the line and the range of its literals are tested on the list (``0
-in``, ``min``, ``max``).  A row is walked literal by literal only when the
-range test fails, to name the first offender.  A prefix line's variables,
-which each occur once in a file, are checked one by one for their range and
-for a second declaration.
+From the first clause or term line to the last non-blank line, the text is
+read in one pass (``_bulk_rows``): every line must end in `` 0`` and hold no
+other `` 0``, and every other token must be a key of a table from the
+strings of the nonzero literals in range to their values.  Anything else,
+such as a comment or blank line among the rows, a tab before the
+terminator, ``+3``, ``03``, ``-0``, a lone ``0`` or a late header or prefix
+line, makes the pass decline, and the per-line walk reads the section from
+its first line, so every error names its line as before.  The walk checks
+each line as a whole: its integers are parsed in one ``map``, and the
+terminator, a 0 inside the line and the range of its literals are tested on
+the list (``0 in``, ``min``, ``max``).  A row is walked literal by literal
+only when the range test fails, to name the first offender.  A prefix
+line's variables, which each occur once in a file, are checked one by one
+for their range and for a second declaration.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[
     of literals over 1..nvars after it, as ``(nvars, rows)``.  A line whose
     first field is ``a`` or ``e`` goes to ``prefix_line(line_no, line,
     num_vars, rows)`` when it is given, and is read as a row otherwise.  The
-    lines from the first row on go to ``_bulk_rows`` once; where it declines,
-    they are walked one by one."""
+    lines from the first row to the last non-blank one go to ``_bulk_rows``
+    once; where it declines, they are walked one by one."""
     num_vars = None
     rows: list[frozenset[int]] = []
     lines = text.splitlines()
@@ -124,7 +124,8 @@ def _read(text: str, kind: str, noun: str, prefix_line=None) -> tuple[int, list[
             prefix_line(line_no, line, num_vars, rows)
             continue
         if not rows:  # the first row: the walk appends it or raises
-            bulk = _bulk_rows(lines[line_no - 1 :], num_vars)
+            end = next(i for i in range(len(lines), 0, -1) if lines[i - 1].strip())
+            bulk = _bulk_rows(lines[line_no - 1 : end], num_vars)
             if bulk is not None:
                 rows = bulk
                 break

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -13,10 +14,12 @@ from feqbf.formulas import (
     base_clause,
     base_clauses,
     binary_clause,
+    bound_prefix,
     is_tautological,
     normalize_prefix,
     split_clause_to_arity,
 )
+from feqbf.solver import preprocess
 from oracle_helpers import all_assignments, clause_falsifiers, literal_true
 
 
@@ -305,3 +308,65 @@ class TestValidationMessages:
                 CnfMatrix((F(1),), 3),
             )
         assert str(caught.value) == "variable 2 bound twice in the prefix"
+
+
+def random_clauses(rng, num_vars):
+    """Up to eight clauses over 1..num_vars, each possibly empty."""
+    return tuple(
+        frozenset(rng.choice((v, -v)) for v in rng.sample(range(1, num_vars + 1), size))
+        for size in (rng.randint(0, num_vars) for _ in range(rng.randint(0, 8)))
+    )
+
+
+class TestMatrixVariables:
+    def test_variables_are_those_of_the_clauses(self):
+        rng = random.Random(30)
+        cases = [((), 0), ((), 3), ((F(),), 2), ((F(), F(-2)), 2)]
+        cases += [(random_clauses(rng, n), n) for n in (rng.randint(1, 9) for _ in range(200))]
+        for clauses, num_vars in cases:
+            matrix = CnfMatrix(clauses, num_vars)
+            assert matrix.variables == {abs(lit) for clause in clauses for lit in clause}
+            assert isinstance(matrix.variables, frozenset)
+
+    def test_variables_take_no_part_in_equality_hash_or_repr(self):
+        a = CnfMatrix((F(1, -2), F(3)), 4)
+        b = CnfMatrix([F(-2, 1), F(3)], 4)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"CnfMatrix(clauses={a.clauses!r}, num_vars=4)"
+        assert a != CnfMatrix((F(1, -2), F(3)), 5)
+
+    def test_replace_builds_the_set_again(self):
+        matrix = CnfMatrix((F(1, -2), F(3)), 4)
+        replaced = dataclasses.replace(matrix, clauses=(F(-4), F(4, 2)))
+        assert replaced.variables == {2, 4}
+        assert dataclasses.replace(matrix, clauses=()).variables == frozenset()
+
+    def test_preprocess_drops_a_variable_that_occurs_only_in_a_tautology(self):
+        prefix = (QuantifierBlock("a", (1, 2)), QuantifierBlock("e", (3,)))
+        instance = QbfInstance(prefix, CnfMatrix((F(1, 3), F(2, -2, 3)), 3))
+        assert instance.matrix.variables == {1, 2, 3}
+        reduced = preprocess(instance)
+        assert reduced.matrix.clauses == (F(1, 3),)
+        assert reduced.matrix.variables == {1, 3}
+
+
+class TestBoundPrefix:
+    def test_outer_existential_block_of_absent_variables_is_dropped(self):
+        prefix = normalize_prefix([("e", (4, 5)), ("a", (1,)), ("e", (2, 3))])
+        instance = QbfInstance(prefix, CnfMatrix((F(1, 2), F(-1, 3)), 5))
+        assert bound_prefix(instance) == prefix[1:]
+
+    def test_outer_existential_block_with_one_occurring_variable_is_kept(self):
+        prefix = normalize_prefix([("e", (4, 5)), ("a", (1,)), ("e", (2, 3))])
+        instance = QbfInstance(prefix, CnfMatrix((F(1, 2), F(-1, 3, 5)), 5))
+        assert bound_prefix(instance) == prefix
+
+    def test_one_block_prefix_is_kept(self):
+        prefix = (QuantifierBlock("e", (1, 2)),)
+        for clauses in ((), (F(1),)):
+            assert bound_prefix(QbfInstance(prefix, CnfMatrix(clauses, 2))) == prefix
+
+    def test_outer_universal_block_is_kept(self):
+        prefix = (QuantifierBlock("a", (4, 5)), QuantifierBlock("e", (1, 2)))
+        instance = QbfInstance(prefix, CnfMatrix((F(1, 2),), 5))
+        assert bound_prefix(instance) == prefix

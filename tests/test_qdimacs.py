@@ -321,3 +321,32 @@ class TestBulkRead:
         # Four table entries for two variables: two tokens are too few.
         assert qdimacs._bulk_rows(["1 -2 0"], 2) is None
         assert qdimacs._bulk_rows(["1 -2 0", "2 0", " -1 0"], 2) == [F(1, -2), F(2), F(-1)]
+
+    @pytest.mark.parametrize(
+        "parse,corpus", [(parse_qdimacs, qdimacs_corpus), (parse_dnf, dnf_corpus)]
+    )
+    def test_trailing_blank_lines_keep_the_bulk_read(self, monkeypatch, parse, corpus):
+        bulk_rows = qdimacs._bulk_rows
+        returned = []
+
+        def spy(lines, num_vars):
+            returned.append(bulk_rows(lines, num_vars))
+            return returned[-1]
+
+        monkeypatch.setattr(qdimacs, "_bulk_rows", spy)
+        bulk_reads = 0
+        for text in corpus():
+            returned.clear()
+            expected = parse(text)
+            took_bulk = [rows is not None for rows in returned]
+            for tail in ("\n\n", "\n  \n\t\n"):
+                returned.clear()
+                assert parse(text + tail) == expected, text
+                assert [rows is not None for rows in returned] == took_bulk, text
+            bulk_reads += any(took_bulk)
+        assert bulk_reads > 0
+
+    def test_trailing_blank_lines_keep_the_count_error_line(self):
+        with pytest.raises(FormatError) as caught:
+            parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n\n\n")
+        assert str(caught.value) == "line 6: header declares 2 clauses but 1 were given"
