@@ -85,7 +85,7 @@ def cmd_reduce(args) -> int:
     else:
         psi = _load_dnf(args.path)
     if args.theorem == 1:
-        output: ReductionOutput = reduce_dnf_to_4qbf(psi, args.base_threshold)
+        output: ReductionOutput = reduce_dnf_to_4qbf(psi)
     else:
         output = reduce_dnf_to_fe_dqbf(psi, args.d)
     text = emit_qdimacs(output.instance)
@@ -95,7 +95,9 @@ def cmd_reduce(args) -> int:
         sys.stdout.write(text)
     if args.provenance:
         Path(args.provenance).write_text(provenance_text(output))
-    print(f"existential_count={output.existential_count} alternations={output.alternations}")
+    # Without --out, stdout holds the instance alone, so it pipes into solve.
+    summary = f"existential_count={output.existential_count} alternations={output.alternations}"
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -143,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("path")
     p_reduce.add_argument("--theorem", type=int, choices=(1, 2), required=True)
     p_reduce.add_argument("--d", type=int, default=3, help="target arity (theorem 2)")
-    p_reduce.add_argument("--base-threshold", type=int, default=20, help="theorem 1 base case size")
     p_reduce.add_argument("--out", default=None)
     p_reduce.add_argument("--provenance", default=None)
     p_reduce.add_argument("--negate-cnf", action="store_true",

@@ -8,14 +8,15 @@ Both select a term by its index, one digit per block of variables, through
 one encoder (``_selection``): literal l of term i becomes the clause (l or
 base_clause(i, blocks)).  Both end in one index gadget (``_index_gadget``),
 the selection over fresh existential blocks, which some index satisfies iff
-some term holds.  ``reduce_dnf_to_fe_dqbf`` is that gadget at arity d, after
-one universal block.  ``reduce_dnf_to_4qbf`` reaches arity 4 with O(log m)
-existential variables per level, one level per pass of a loop: a level
+some term holds; ``_gadget_size`` sizes it.  ``reduce_dnf_to_fe_dqbf`` is
+that gadget at arity d, after one universal block.  ``reduce_dnf_to_4qbf``
+reaches arity 4 with O(log m) existential variables per level: a cheat level
 selects through two universal blocks z1, z2, the index's two base-sqrt(m)
 digits, and hands a DNF that detects selector cheating to the next level
 while it is smaller; the last level is the gadget at arity 4.  The levels
-stop at the latest at a fixed point (23, 49), (41, 129) or (75, 321)
-(variables, terms), whose gadget has 12, 21 or 27 variables.
+can go on at the latest to a fixed point (23, 49), (41, 129) or (75, 321)
+(variables, terms), whose gadget has 12, 21 or 27 variables; by default they
+stop at the level count with the fewest existential variables.
 
 Both keep the DNF's variables 1..n and draw every introduced variable from
 one counter starting at n + 1.  Each introduced variable's role goes into
@@ -26,7 +27,7 @@ sidecar lists the variables in id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 from .formulas import (
     EXISTS,
@@ -89,19 +90,28 @@ def _selection(terms, blocks, extra: Clause = frozenset()) -> list[Clause]:
     return clauses
 
 
+def _gadget_size(m: int, d: int) -> tuple[int, int]:
+    """The index gadget's block size r for m terms at arity d, the least r
+    with r**(d-1) >= m, and its existential count: d-1 blocks of r index
+    variables, each block's clause split to arity d with ceil((r-d)/(d-2))
+    links when r > d."""
+    r = 1
+    while r ** (d - 1) < m:
+        r += 1
+    return r, (d - 1) * (r + max(0, r - 3) // (d - 2))
+
+
 def _index_gadget(terms, d, ids, tag):
     """Clauses of arity d over fresh existential index variables that some
     index satisfies exactly when some term holds.
 
-    Each term index is written in d-1 blocks of r index variables, for the
-    least r with r**(d-1) >= m, and selected by ``_selection``.  One
-    all-positive clause per block forces the chosen index to exist; those
-    clauses are split down to arity d with fresh link variables.  Returns the
-    fresh variables' roles, prefixed by ``tag``, in id order, and the clauses.
+    Each term index is written in d-1 blocks of r index variables, r from
+    ``_gadget_size``, and selected by ``_selection``.  One all-positive
+    clause per block forces the chosen index to exist; those clauses are
+    split down to arity d with fresh link variables.  Returns the fresh
+    variables' roles, prefixed by ``tag``, in id order, and the clauses.
     """
-    r = 1
-    while r ** (d - 1) < len(terms):
-        r += 1
+    r, _ = _gadget_size(len(terms), d)
     roles: dict[int, str] = {}
     blocks = [_draw(ids, r, f"{tag}y{j + 1}", roles) for j in range(d - 1)]
     clauses = _selection(terms, blocks)
@@ -127,46 +137,54 @@ def reduce_dnf_to_fe_dqbf(psi: DnfFormula, d: int) -> ReductionOutput:
     return ReductionOutput(instance, provenance, ((n, len(psi.terms)),))
 
 
-def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOutput:
+def reduce_dnf_to_4qbf(psi: DnfFormula, levels: int | None = None) -> ReductionOutput:
     """Reduce a DNF to an equivalent 4-ary QBF.
 
-    One level per pass: while variables + terms exceed ``base_threshold``
-    and the cheat-detection DNF would be smaller, the term index is
-    binary-encoded in existential variables y, mirrored by two universal
-    selector blocks z1/z2 (plus an escape variable w) that select the term,
-    and the next level takes the cheat DNF over (y, z1, z2, w).  Otherwise
-    the level's DNF becomes theorem 2's index gadget at arity 4, the
+    Each cheat level binary-encodes the term index in 2L existential
+    variables y, for the least L with 4**L >= m, mirrored by two universal
+    selector blocks z1/z2 of 2**L variables (plus an escape variable w) that
+    select the term; the next level takes the cheat DNF over (y, z1, z2, w).
+    The last level's DNF becomes theorem 2's index gadget at arity 4, the
     innermost existential block.  The cheat DNF's size depends on m alone,
-    so the levels stop at the latest at a fixed point (23, 49), (41, 129) or
-    (75, 321), and every input reduces.
+    and a level follows only while it is smaller than the last, so the
+    levels end at the latest at a fixed point (23, 49), (41, 129) or (75,
+    321), and every input reduces.
+
+    ``levels`` is the number of cheat levels, ended sooner by the fixed
+    point.  By default it is the count whose output has the fewest
+    existential variables, 2L + 1 per cheat level plus the gadget's, and
+    the fewest levels on a tie.
     """
-    if base_threshold < 4:
-        raise ValueError("base threshold must be at least 4")
     if not psi.terms:
         raise ValueError("source DNF must have at least one term")
-    n, terms = psi.num_vars, psi.terms
-    ids = count(n + 1)
-    provenance: dict[int, str] = {}
-    blocks = [(FORALL, range(1, n + 1))]
-    clauses: list[Clause] = []
-    trace = []
+    if levels is not None and levels < 0:
+        raise ValueError("levels must be at least 0")
+    # Every level's (variables, terms) and L, known before any id is drawn.
+    sizes = [(psi.num_vars, len(psi.terms))]
+    lengths = []
     while True:
-        tag = f"L{len(trace)}."
-        m = len(terms)
-        trace.append((n, m))
-        length = 0
-        while 4**length < m:
-            length += 1
+        n, m = sizes[-1]
+        length = ((m - 1).bit_length() + 1) // 2  # the least L with 4**L >= m
+        lengths.append(length)
         root = 2**length  # sqrt of the padded term count
-        # The cheat DNF's variables and terms, known before any id is drawn, so a
-        # level that stops here leaves no hole in the numbering.
         n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
-        if n + m <= base_threshold or n_next + m_next >= n + m:
-            roles, gadget = _index_gadget(terms, 4, ids, tag + "base.")
-            prefix = normalize_prefix(blocks + [(EXISTS, roles)])
-            instance = QbfInstance(prefix, CnfMatrix(tuple(clauses + gadget), next(ids) - 1))
-            return ReductionOutput(instance, provenance | roles, tuple(trace))
+        if n_next + m_next >= n + m:
+            break
+        sizes.append((n_next, m_next))
+    if levels is None:
+        spent = accumulate((2 * length + 1 for length in lengths), initial=0)
+        costs = [k + _gadget_size(m, 4)[1] for k, (_, m) in zip(spent, sizes)]
+        levels = costs.index(min(costs))
+    sizes = sizes[: levels + 1]
 
+    terms = psi.terms
+    ids = count(psi.num_vars + 1)
+    provenance: dict[int, str] = {}
+    blocks = [(FORALL, range(1, psi.num_vars + 1))]
+    clauses: list[Clause] = []
+    for level, length in enumerate(lengths[: len(sizes) - 1]):
+        tag = f"L{level}."
+        root = 2**length
         y = _draw(ids, 2 * length, tag + "y", provenance)
         z1 = _draw(ids, root, tag + "z1", provenance)
         z2 = _draw(ids, root, tag + "z2", provenance)
@@ -182,7 +200,11 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, base_threshold: int = 20) -> ReductionOu
             for j in range(root):
                 for lit in sorted(binary_clause(j, half), key=literal_sort_key):
                     terms.append(frozenset({selector[j], lit}))
-        n = n_next
+
+    roles, gadget = _index_gadget(terms, 4, ids, f"L{len(sizes) - 1}.base.")
+    prefix = normalize_prefix(blocks + [(EXISTS, roles)])
+    instance = QbfInstance(prefix, CnfMatrix(tuple(clauses + gadget), next(ids) - 1))
+    return ReductionOutput(instance, provenance | roles, tuple(sizes))
 
 
 def provenance_text(output: ReductionOutput) -> str:

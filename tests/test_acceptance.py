@@ -76,7 +76,7 @@ def test_theorem2_reduction():
 
 
 def test_theorem1_reduction():
-    """60 seeded 3-DNFs (n <= 6, m <= 10) at thresholds 10, 20, 40.
+    """60 seeded 3-DNFs (n <= 6, m <= 10) at 0 and 1 cheat levels and the default.
 
     Every output must pass per-assignment equivalence, keep arity <= 4,
     and shrink n+m strictly at every recursion level.  The
@@ -90,8 +90,8 @@ def test_theorem1_reduction():
         n = rng.randint(1, 6)
         m = rng.randint(1, 10)
         psi = random_dnf(n, m, seed=rng.randrange(2**32))
-        for base_threshold in (10, 20, 40):
-            output = reduce_dnf_to_4qbf(psi, base_threshold)
+        for levels in (0, 1, None):
+            output = reduce_dnf_to_4qbf(psi, levels)
             assert all(len(c) <= 4 for c in output.instance.matrix.clauses)
             sizes = [a + b for a, b in output.recursion_trace]
             assert all(x > y for x, y in zip(sizes, sizes[1:]))
@@ -108,7 +108,7 @@ def test_theorem1_reduction():
     sweep = [5, 8, 12, 16, 20, 26, 30, 34]
     for m in sweep:
         padded = DnfFormula(base.terms + base.terms[-1:] * (m - len(base.terms)), base.num_vars)
-        output = reduce_dnf_to_4qbf(padded, 40)
+        output = reduce_dnf_to_4qbf(padded)
         counts.append(output.existential_count)
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] - counts[0] < sweep[-1] - sweep[0]
@@ -218,7 +218,7 @@ def test_end_to_end_lower_bound_pipeline():
         m = rng.randint(1, 6)
         psi = random_dnf(n, m, seed=rng.randrange(2**32))
         expected = is_dnf_valid(psi)
-        one = reduce_dnf_to_4qbf(psi, 20)
+        one = reduce_dnf_to_4qbf(psi)
         assert eval_qbf(one.instance, var_bound=80) == expected
         runs += 1
         two = reduce_dnf_to_fe_dqbf(psi, 3)

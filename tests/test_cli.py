@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from feqbf.cli import main
+from feqbf.qdimacs import parse_qdimacs
 from feqbf.solver import SolverStats
 
 TRUE_INSTANCE = "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"
@@ -30,8 +31,8 @@ class TestParser:
             (["solve"], "usage: feqbf solve [-h] [--stats-json STATS_JSON] path"),
             (
                 ["reduce"],
-                "usage: feqbf reduce [-h] --theorem {1,2} [--d D] [--base-threshold BASE_THRESHOLD] "
-                "[--out OUT] [--provenance PROVENANCE] [--negate-cnf] path",
+                "usage: feqbf reduce [-h] --theorem {1,2} [--d D] [--out OUT] "
+                "[--provenance PROVENANCE] [--negate-cnf] path",
             ),
             (["verify"], "usage: feqbf verify [-h] [--mode {general,forall_exists}] [--bound BOUND] dnf qbf"),
             (
@@ -184,9 +185,25 @@ class TestReduceCommand:
             "p dnf 6 5\n1 2 3 0\n-1 4 0\n5 6 0\n-2 -5 0\n3 -6 0\n",
         )
         out = workdir / "wide.qdimacs"
-        assert main(["reduce", dnf, "--theorem", "1", "--base-threshold", "10", "--out", str(out)]) == 0
+        assert main(["reduce", dnf, "--theorem", "1", "--out", str(out)]) == 0
         assert "existential_count=6 alternations=2" in capsys.readouterr().out
         assert main(["verify", dnf, str(out)]) == 0
+
+    @pytest.mark.parametrize("theorem", ["1", "2"])
+    def test_stdout_holds_only_the_instance(self, workdir, capsys, theorem):
+        # Without --out the instance goes to stdout and the summary to stderr,
+        # so the captured stdout is the --out file's text and solve reads it.
+        dnf = write(workdir / "s.dnf", "p dnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n")
+        out = workdir / "out.qdimacs"
+        assert main(["reduce", dnf, "--theorem", theorem, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", dnf, "--theorem", theorem]) == 0
+        piped = capsys.readouterr()
+        assert piped.out == out.read_text()
+        assert parse_qdimacs(piped.out) == parse_qdimacs(out.read_text())
+        assert piped.err.startswith("existential_count=")
+        path = write(workdir / "piped.qdimacs", piped.out)
+        assert main(["solve", path]) == main(["oracle", str(out)]) == 20
 
     def test_negate_cnf_flag(self, workdir):
         # (x1) & (-x1) is UNSAT, so its complement DNF is valid and the

@@ -856,7 +856,7 @@ def test_verify_leaves_no_reference_cycles(monkeypatch):
         assert check_equivalence(psi2, phi2, mode="forall_exists").passed
         assert gc.collect() == 0
         assert not games
-        phi1 = reduce_dnf_to_4qbf(psi1, 4).instance
+        phi1 = reduce_dnf_to_4qbf(psi1, 1).instance
         assert [len(b.vars) for b in phi1.prefix] == [10, 2, 4, 7]
         assert gc.collect() == 0
         assert check_equivalence(psi1, phi1).passed

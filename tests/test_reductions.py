@@ -9,7 +9,7 @@ import pytest
 from feqbf.formulas import DnfFormula, EXISTS, FORALL
 from feqbf.generate import random_dnf
 from feqbf.oracle import check_equivalence, eval_qbf, is_dnf_valid
-from feqbf.reductions import provenance_text, reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
+from feqbf.reductions import _gadget_size, provenance_text, reduce_dnf_to_4qbf, reduce_dnf_to_fe_dqbf
 from feqbf.qdimacs import emit_qdimacs
 from feqbf.solver import solve
 
@@ -153,7 +153,7 @@ class TestTheorem1:
     def test_single_term_base_case(self):
         # The index gadget at arity 4 with r = 1: one index variable per block.
         psi = DnfFormula((F(1),), 1)
-        output = reduce_dnf_to_4qbf(psi, 20)
+        output = reduce_dnf_to_4qbf(psi)
         assert [b.quantifier for b in output.instance.prefix] == [FORALL, EXISTS]
         assert output.instance.matrix.clauses == (F(1, -2, -3, -4), F(2), F(3), F(4))
         assert output.existential_count == 3
@@ -162,12 +162,12 @@ class TestTheorem1:
 
     def test_tautology_closes_to_true(self):
         psi = DnfFormula((F(1), F(-1)), 1)
-        output = reduce_dnf_to_4qbf(psi, 20)
+        output = reduce_dnf_to_4qbf(psi)
         assert eval_qbf(output.instance) is True
 
     def test_base_case_splits_long_clauses(self):
         psi = random_dnf(6, 4, seed=7)
-        output = reduce_dnf_to_4qbf(psi, 20)
+        output = reduce_dnf_to_4qbf(psi)
         assert all(len(c) <= 4 for c in output.instance.matrix.clauses)
         assert output.recursion_trace == ((6, 4),)
         report = check_equivalence(psi, output.instance, var_bound=80)
@@ -175,10 +175,10 @@ class TestTheorem1:
         structural_checks(output, psi, 4)
 
     def test_recursive_level_exercised(self):
-        # n + m = 6 > 4 recurses; the cheat DNF over (z1, z2, w) has size 4
-        # and lands in the base case, strictly smaller.
+        # One cheat level: the cheat DNF over (z1, z2, w) has size 4, smaller
+        # than n + m = 6, and places the gadget.
         psi = DnfFormula((F(1, -3, 5),), 5)
-        output = reduce_dnf_to_4qbf(psi, 4)
+        output = reduce_dnf_to_4qbf(psi, 1)
         assert output.recursion_trace == ((5, 1), (3, 1))
         assert all(
             earlier[0] + earlier[1] > later[0] + later[1]
@@ -197,32 +197,27 @@ class TestTheorem1:
             psi = DnfFormula(
                 (F(*(v if rng.random() < 0.5 else -v for v in vars_)),), n
             )
-            output = reduce_dnf_to_4qbf(psi, 4)
+            output = reduce_dnf_to_4qbf(psi, 1)
             assert len(output.recursion_trace) == 2
             assert check_equivalence(psi, output.instance, var_bound=40).passed
 
     def test_non_shrinking_level_places_the_gadget(self):
-        # 11 > 10, but the cheat DNF would have 13 variables + 17 terms.
+        # One level is asked for, but the cheat DNF would have 13 variables +
+        # 17 terms, more than 6 + 5.
         psi = random_dnf(6, 5, seed=11)
-        output = reduce_dnf_to_4qbf(psi, 10)
+        output = reduce_dnf_to_4qbf(psi, 1)
         assert output.recursion_trace == ((6, 5),)
         report = check_equivalence(psi, output.instance, var_bound=40)
         assert report.passed, report.summary()
         structural_checks(output, psi, 4)
 
-    @pytest.mark.parametrize(
-        "base_threshold",
-        [
-            # Level 1 cannot shrink (75, 321), so it places the gadget.
-            160,
-            # 396 = 75 + 321 makes level 1 the base case.
-            396,
-        ],
-    )
-    def test_fixed_point_ends_in_the_gadget(self, base_threshold):
+    # Level 1 cannot shrink (75, 321), so it places the gadget however many
+    # levels are asked for past it.
+    @pytest.mark.parametrize("levels", [160, 396, 1])
+    def test_fixed_point_ends_in_the_gadget(self, levels):
         psi = random_dnf(16, 1024, seed=1)
         start = time.perf_counter()
-        output = reduce_dnf_to_4qbf(psi, base_threshold)
+        output = reduce_dnf_to_4qbf(psi, levels)
         assert time.perf_counter() - start < 5.0
         assert output.recursion_trace == ((16, 1024), (75, 321))
         # Level 0's y and w, then 3 blocks of 7 index variables and 2 links each.
@@ -232,10 +227,12 @@ class TestTheorem1:
     @pytest.mark.parametrize(
         "n, m, seed, trace, existential_count",
         [
-            ((16, 64, 1, ((16, 64), (23, 49)), 19)),
-            ((16, 256, 1, ((16, 256), (41, 129)), 30)),
+            ((16, 64, 1, ((16, 64),), 12)),
+            ((16, 256, 1, ((16, 256),), 27)),
             ((16, 1024, 1, ((16, 1024), (75, 321)), 38)),
             ((20, 4096, 1, ((20, 4096), (141, 769), (75, 321)), 51)),
+            ((16, 16, 1, ((16, 16),), 9)),
+            ((24, 16384, 1, ((24, 16384), (271, 1793), (141, 769), (75, 321)), 66)),
         ],
     )
     def test_logarithmic_existentials(self, n, m, seed, trace, existential_count):
@@ -252,9 +249,9 @@ class TestTheorem1:
         # 3 blocks of r = ceil(m**(1/3)) and, for r > 4, ceil((r - 4) / 2)
         # links per block.
         for m in (1, 2, 3, 5, 9, 17, 40, 64, 100, 256, 300, 600, 1024, 1500):
-            for base_threshold in (4, 20, 100):
+            for asked in (0, 1, 2, 3, None):
                 psi = random_dnf(16, m, seed=m)
-                output = reduce_dnf_to_4qbf(psi, base_threshold)
+                output = reduce_dnf_to_4qbf(psi, asked)
                 *levels, (_, m_base) = output.recursion_trace
                 expected = 0
                 for _, m_level in levels:
@@ -264,19 +261,44 @@ class TestTheorem1:
                 while r**3 < m_base:
                     r += 1
                 expected += 3 * r + 3 * max(0, math.ceil((r - 4) / 2))
-                assert output.existential_count == expected, (m, base_threshold)
+                assert output.existential_count == expected, (m, asked)
                 assert all(len(c) <= 4 for c in output.instance.matrix.clauses)
                 structural_checks(output, psi, 4)
 
+    def test_default_has_the_fewest_existentials(self):
+        # Among 0 levels up to the fixed point, the default takes the count
+        # with the fewest existentials, the fewest levels on a tie.  Any
+        # levels value from the fixed point on gives the fixed-point output.
+        rng = random.Random(71)
+        sizes = [(16, 16), (16, 64), (16, 256), (16, 1024), (20, 4096), (24, 16384)]
+        sizes += [(rng.randint(1, 24), rng.randint(1, 1200)) for _ in range(20)]
+        for n, m in sizes:
+            psi = random_dnf(n, m, seed=1)
+            deepest = reduce_dnf_to_4qbf(psi, 10**6)
+            outputs = [reduce_dnf_to_4qbf(psi, levels) for levels in range(len(deepest.recursion_trace))]
+            assert outputs[-1] == deepest, (n, m)
+            counts = [output.existential_count for output in outputs]
+            assert reduce_dnf_to_4qbf(psi) == outputs[counts.index(min(counts))], (n, m, counts)
+
+    def test_gadget_size_matches_theorem2(self):
+        # The stopping rule's count of the gadget's existentials is the count
+        # the gadget draws.
+        for d in (3, 4, 5):
+            for m in range(1, 301):
+                psi = DnfFormula(tuple(F(1 + i % 4) for i in range(m)), 4)
+                r, existentials = _gadget_size(m, d)
+                assert (r - 1) ** (d - 1) < m <= r ** (d - 1)
+                assert existentials == reduce_dnf_to_fe_dqbf(psi, d).existential_count, (m, d)
+
     def test_recursing_outputs_match_the_source(self):
-        # At threshold 4, n = 9..12 and m = 1..4 recurse once at L = 0 or 1
+        # At one level, n = 9..12 and m = 1..4 recurse once at L = 0 or 1
         # (or place the gadget at level 0) and the gadget ends the trace.
         rng = random.Random(59)
         depths = set()
         for _ in range(40):
             n, m = rng.randint(9, 12), rng.randint(1, 4)
             psi = random_dnf(n, m, seed=rng.randrange(2**32))
-            output = reduce_dnf_to_4qbf(psi, 4)
+            output = reduce_dnf_to_4qbf(psi, 1)
             depths.add(len(output.recursion_trace))
             report = check_equivalence(psi, output.instance, var_bound=40)
             assert report.passed, report.summary()
@@ -296,7 +318,7 @@ class TestTheorem1:
                 tuple(frozenset(lit + shift if lit > 0 else lit - shift for lit in term) for term in inner.terms),
                 n,
             )
-            output = reduce_dnf_to_4qbf(psi, 4)
+            output = reduce_dnf_to_4qbf(psi, 1)
             assert output.recursion_trace == ((n, m), (13, 17))
             report = check_equivalence(psi, output.instance, var_bound=40)
             assert report.passed, report.summary()
@@ -305,34 +327,36 @@ class TestTheorem1:
         rng = random.Random(67)
         for _ in range(30):
             psi = random_dnf(rng.randint(1, 8), rng.randint(1, 12), seed=rng.randrange(2**32))
-            output = reduce_dnf_to_4qbf(psi, 20)
+            output = reduce_dnf_to_4qbf(psi, 0)
             assert len(output.recursion_trace) == 1
             assert [b.quantifier for b in output.instance.prefix] == [FORALL, EXISTS]
             result, _ = solve(output.instance)
             assert result == is_dnf_valid(psi)
 
-    def test_rejects_tiny_threshold_and_empty_source(self):
-        with pytest.raises(ValueError, match="threshold"):
-            reduce_dnf_to_4qbf(DnfFormula((F(1),), 1), 3)
+    def test_rejects_negative_levels_and_empty_source(self):
+        with pytest.raises(ValueError, match="levels"):
+            reduce_dnf_to_4qbf(DnfFormula((F(1),), 1), -1)
         with pytest.raises(ValueError, match="term"):
-            reduce_dnf_to_4qbf(DnfFormula((), 1), 20)
+            reduce_dnf_to_4qbf(DnfFormula((), 1))
 
     def test_deterministic(self):
         psi = random_dnf(5, 6, seed=77)
-        first = reduce_dnf_to_4qbf(psi, 20)
-        second = reduce_dnf_to_4qbf(psi, 20)
+        first = reduce_dnf_to_4qbf(psi)
+        second = reduce_dnf_to_4qbf(psi)
         assert emit_qdimacs(first.instance) == emit_qdimacs(second.instance)
 
 
 # SHA-256 of emit_qdimacs + provenance_text for theorem-1 outputs, each
-# ending in the index gadget at arity 4: (n, m, seed, base_threshold), the
-# recursion trace, the existential count and the digest.
+# ending in the index gadget at arity 4: (n, m, seed, levels), the recursion
+# trace, the existential count and the digest.  A levels value past the fixed
+# point pins the fixed-point output, as the positional 20 of perfbench's
+# verify workload does.  Each id ends in t and the levels value.
 THEOREM1_DIGESTS = [
     ((16, 64, 1, 72), ((16, 64), (23, 49)), 19,
      "8c92b320097eccd0208a15aaba2ad2fd2acddfb917b4416bc029a7bc429a7d01"),
-    ((12, 3, 1, 20), ((12, 3),), 6,
+    ((12, 3, 1, 0), ((12, 3),), 6,
      "04b3683f3a0391357bf856a923433972c76474cb660d8372f6db45ff56fd289d"),
-    ((14, 2, 5, 20), ((14, 2),), 6,
+    ((14, 2, 5, 0), ((14, 2),), 6,
      "453f4388360689ded923639dc038f29d7ad2702927528914090569f5f50e6677"),
     ((7, 13, 1, 20), ((7, 13),), 9,
      "e1f13b5b35360fa553eff94fd17955ac0909929a77d2f72caad5e4c5fe68735e"),
@@ -344,7 +368,7 @@ THEOREM1_DIGESTS = [
      "362bc22529a9590ed02f4ccfda8e3bbb1a7bb7b6e519d6de17200fd1affda7c5"),
     ((10, 40, 3, 60), ((10, 40),), 12,
      "d38a043d08dcba9cf6dd9d043d9919a27787d19940e97aeb8ff94397a859f59e"),
-    # One cheat level, then two: the default threshold past the fixed point.
+    # One cheat level, then two: the fixed point.
     ((16, 1024, 1, 20), ((16, 1024), (75, 321)), 38,
      "39411248a87636de7dc29e79cd57752982e090a97fd345e083efc4eaa60c83fe"),
     ((20, 4096, 1, 20), ((20, 4096), (141, 769), (75, 321)), 51,
@@ -358,8 +382,8 @@ THEOREM1_DIGESTS = [
     ids=["n{}-m{}-seed{}-t{}".format(*case) for case, *_ in THEOREM1_DIGESTS],
 )
 def test_theorem1_output_is_pinned(case, trace, existential_count, digest):
-    n, m, seed, base_threshold = case
-    output = reduce_dnf_to_4qbf(random_dnf(n, m, seed=seed), base_threshold)
+    n, m, seed, levels = case
+    output = reduce_dnf_to_4qbf(random_dnf(n, m, seed=seed), levels)
     assert output.recursion_trace == trace
     assert output.existential_count == existential_count
     text = emit_qdimacs(output.instance) + provenance_text(output)
@@ -375,7 +399,7 @@ class TestProvenance:
 
     def test_recursive_roles_are_level_tagged(self):
         psi = DnfFormula((F(1, -3, 5),), 5)
-        output = reduce_dnf_to_4qbf(psi, 4)
+        output = reduce_dnf_to_4qbf(psi, 1)
         roles = set(output.provenance.values())
         assert any(role.startswith("L0.z1") for role in roles)
         assert "L0.w" in roles
@@ -390,17 +414,17 @@ class TestProvenance:
             ),
             # One recursion level, then a base case: trace ((5, 1), (3, 1)).
             (
-                lambda: reduce_dnf_to_4qbf(DnfFormula((F(1, -3, 5),), 5), 4),
+                lambda: reduce_dnf_to_4qbf(DnfFormula((F(1, -3, 5),), 5), 1),
                 {"L0.z1[0]", "L0.z2[0]", "L0.w"},
             ),
             # Trace ((16, 64), (23, 49)): y bits, then a gadget with r = 4.
             (
-                lambda: reduce_dnf_to_4qbf(random_dnf(16, 64, seed=1), 72),
+                lambda: reduce_dnf_to_4qbf(random_dnf(16, 64, seed=1), 1),
                 {"L0.y[0]", "L0.z1[7]", "L0.w", "L1.base.y1[0]", "L1.base.y3[3]"},
             ),
             # Trace ((16, 256), (41, 129)): a gadget with r = 6 > 4 splits.
             (
-                lambda: reduce_dnf_to_4qbf(random_dnf(16, 256, seed=1), 72),
+                lambda: reduce_dnf_to_4qbf(random_dnf(16, 256, seed=1), 1),
                 {"L0.y[7]", "L1.base.y3[5]", "L1.base.split_y1", "L1.base.split_y3"},
             ),
         ],
