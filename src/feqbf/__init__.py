@@ -15,7 +15,6 @@ from .formulas import (
     DnfFormula,
     QbfInstance,
     QuantifierBlock,
-    apply_assignment_cnf,
     base_clause,
     binary_clause,
     normalize_prefix,
@@ -39,10 +38,8 @@ from .reductions import (
 )
 from .solver import (
     FalseCertificate,
-    SolverConfig,
     SolverInvariantError,
     SolverStats,
-    core_projection,
     greedy_disjoint,
     partition_groups,
     preprocess,
@@ -64,14 +61,11 @@ __all__ = [
     "QbfInstance",
     "QuantifierBlock",
     "ReductionOutput",
-    "SolverConfig",
     "SolverInvariantError",
     "SolverStats",
-    "apply_assignment_cnf",
     "base_clause",
     "binary_clause",
     "check_equivalence",
-    "core_projection",
     "emit_dnf",
     "emit_qdimacs",
     "eval_qbf",

@@ -242,11 +242,15 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
     """True iff every total assignment satisfies some term: iff the CNF of
     the negated terms is unsatisfiable, which the game decides with every
     variable existential.  An empty term negates to the empty clause, and
-    a contradictory term x & -x to a tautology."""
-    n = formula.num_vars
-    if n > var_bound:
-        raise OracleLimitError(f"{n} variables exceed the brute-force bound {var_bound}")
-    masks = clause_masks(formula.terms, {var: var - 1 for var in range(1, n + 1)})
+    a contradictory term x & -x to a tautology.  Only the variables that
+    occur in some term count against ``var_bound``: a declared variable
+    that none holds changes no term's value."""
+    variables = sorted({abs(lit) for term in formula.terms for lit in term})
+    if len(variables) > var_bound:
+        raise OracleLimitError(
+            f"{len(variables)} occurring variables exceed the brute-force bound {var_bound}"
+        )
+    masks = clause_masks(formula.terms, {var: i for i, var in enumerate(variables)})
     return not _game([(neg, pos) for pos, neg in masks], 0)
 
 

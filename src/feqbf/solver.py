@@ -15,15 +15,20 @@ which bounds the recursion.  Every k takes this search after
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root (``partition_groups``), which
 encodes each clause once with ``oracle.clause_masks``, over the universal
-bits and then the existential bits, each in sorted variable order.  A
-search node is a list of ``(core, parts, used, heaviest)`` entries, one per
-group: the core is a ``(pos, neg)`` mask over the existential bits, each
-universal part one over the universal bits, ``used`` is the union of the
-parts' variables and ``heaviest`` the size of the largest part.  The root
-has the shape of a child: its live groups, their weight and the cores it
-forced.  Each branch restricts its parent's node (``restrict_groups``) and
-weighs the result in the same pass; a group that shares no variable with
-the branch's bits passes through as it is, with its stored summary.
+bits and then the existential bits, each in sorted variable order.  The
+groups come in the order of their core masks, compared as ``(pos, neg)``
+pairs of ints.  Any fixed order is sound, since it only breaks ties between
+equally small hitting sets, and this one depends on neither the order of
+the clauses nor the order of the variables inside a block; the parts of a
+group keep the order of their clauses.  A search node is a list of
+``(core, parts, used, heaviest)`` entries, one per group: the core is a
+``(pos, neg)`` mask over the existential bits, each universal part one over
+the universal bits, ``used`` is the union of the parts' variables and
+``heaviest`` the size of the largest part.  The root has the shape of a
+child: its live groups, their weight and the cores it forced.  Each branch
+restricts its parent's node (``restrict_groups``) and weighs the result in
+the same pass; a group that shares no variable with the branch's bits
+passes through as it is, with its stored summary.
 
 A group one of whose parts is the bare core ``(0, 0)`` is forced: its core
 must hold under every universal assignment, and it subsumes the group's
@@ -45,7 +50,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Sequence
 
 from .formulas import (
@@ -56,7 +61,6 @@ from .formulas import (
     QbfInstance,
     apply_assignment_cnf,  # unused here; perfbench/tracer.py wraps solver.apply_assignment_cnf
     bound_prefix,
-    is_tautological,
     normalize_prefix,
 )
 from .oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, satisfying_sets, sets_intersect
@@ -126,18 +130,17 @@ class SolverStats:
 
 def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split a forall-exists prefix into (universal, existential) variables,
-    ignoring an outer block that ``bound_prefix`` drops."""
+    ignoring an outer block that ``bound_prefix`` drops.  The blocks left
+    must be one of the shapes (none), ``a``, ``e`` and ``a e``; an error
+    names the shape it found."""
     prefix = bound_prefix(instance)
-    quants = [b.quantifier for b in prefix]
-    if quants == []:
-        return (), ()
-    if quants == [FORALL]:
-        return prefix[0].vars, ()
-    if quants == [EXISTS]:
-        return (), prefix[0].vars
-    if quants == [FORALL, EXISTS]:
-        return prefix[0].vars, prefix[1].vars
-    raise ValueError("prefix must be one universal block followed by one existential block")
+    quants = " ".join(b.quantifier for b in prefix)
+    if quants not in ("", FORALL, EXISTS, f"{FORALL} {EXISTS}"):
+        raise ValueError(
+            f"prefix must be one universal block followed by one existential block, not {quants}"
+        )
+    blocks = {b.quantifier: b.vars for b in prefix}
+    return blocks.get(FORALL, ()), blocks.get(EXISTS, ())
 
 
 def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
@@ -145,46 +148,24 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     remains (the universal player falsifies it).  Afterwards every clause has
     a non-empty existential core, and the prefix is the one ``ae_blocks``
     reads: an outer block it ignores is dropped, so every route after it sees
-    one universal block followed by one existential block.  The common case,
-    no tautology and an existential literal in every clause, is tested over
-    all clauses in two passes that iterate in C.  Only when either fails is
-    each clause tested in turn, to drop the tautologies and name the first
-    all-universal clause left as the certificate.  An instance that loses no
-    clause and whose prefix already has that shape comes back as it is,
-    without a second run of ``QbfInstance``'s checks."""
+    one universal block followed by one existential block.  Two passes that
+    iterate in C do the work: the first keeps each clause disjoint from its
+    own negation, the second names the first kept clause with no existential
+    literal as the certificate.  An instance that loses no clause and whose
+    prefix already has that shape comes back as it is, without a second run
+    of ``QbfInstance``'s checks."""
     universal, existential = ae_blocks(instance)
     clauses = instance.matrix.clauses
+    negations = map(map, repeat(operator.neg), clauses)
+    kept = list(compress(clauses, map(frozenset.isdisjoint, clauses, negations)))
     e_lits = frozenset([*existential, *map(operator.neg, existential)])
-    no_tautology = all(map(frozenset.isdisjoint, clauses, map(map, repeat(operator.neg), clauses)))
-    if no_tautology and not any(map(e_lits.isdisjoint, clauses)):
-        kept = clauses
-    else:
-        kept = []
-        for clause in clauses:
-            if is_tautological(clause):
-                continue
-            if e_lits.isdisjoint(clause):
-                return FalseCertificate(clause)
-            kept.append(clause)
+    universal_only = next(compress(kept, map(e_lits.isdisjoint, kept)), None)
+    if universal_only is not None:
+        return FalseCertificate(universal_only)
     prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
     if len(kept) == len(clauses) and prefix == instance.prefix:
         return instance
     return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
-
-
-def core_key(core: Mask) -> list[int]:
-    """The sort key of a core: its literals in bit order, a literal on bit b
-    as 2(b + 1), plus 1 if it is negative.  Lists compare element by element
-    and a prefix first, so cores order as their literals do, by variable and
-    positive first."""
-    pos, neg = core
-    both = pos | neg
-    key = []
-    while both:
-        low = both & -both
-        key.append(2 * low.bit_length() + (neg & low > 0))
-        both ^= low
-    return key
 
 
 def partition_groups(
@@ -197,8 +178,8 @@ def partition_groups(
     bits shifted down, its universal part the low bits.  Parts are
     deduplicated in first-occurrence order.  A group holding the bare part
     ``(0, 0)``, from a purely existential clause, is forced.  The groups come
-    in core order (``core_key``): literals by variable, positive first,
-    compared as lists."""
+    in the order of their ``(pos, neg)`` core masks, which no clause order
+    changes."""
     u = len(universal)
     low = (1 << u) - 1
     bit_of = {v: i for i, v in enumerate([*sorted(universal), *sorted(existential)])}
@@ -207,7 +188,7 @@ def partition_groups(
         groups.setdefault((pos >> u, neg >> u), {})[pos & low, neg & low] = None
 
     live, forced, weight = [], [], 0
-    for core in sorted(groups, key=core_key):
+    for core in sorted(groups):
         parts = groups[core]
         if (0, 0) in parts:
             forced.append(core)
@@ -336,7 +317,7 @@ class _Search:
     """One solver run: fixed threshold, accumulated stats.  A node holds the
     live groups of the partition.  ``partition_groups`` builds the root,
     encoding each clause once with the existential bits in sorted variable
-    order and ordering the groups by core, and hands it over in the shape
+    order and ordering the groups by core mask, and hands it over in the shape
     ``restrict_groups`` gives every child.  ``sets`` maps each root core to
     its satisfying set, or is None when the existential bits are too many for
     truth tables.  The cores of the forced groups travel from parent to child

@@ -271,9 +271,12 @@ class TestIsDnfValid:
         assert is_dnf_valid(DnfFormula((), 3)) is False
 
     def test_bound(self):
-        formula = DnfFormula((F(1),), 25)
+        # Only the variables that occur in some term count: 25 of them raise,
+        # while 30 declared and 2 used do not.
+        formula = DnfFormula((F(*range(1, 26)),), 25)
         with pytest.raises(OracleLimitError):
             is_dnf_valid(formula)
+        assert is_dnf_valid(DnfFormula((F(1), F(-1)), 30)) is True
 
     def test_sparse_invalid_at_the_bound(self):
         # Every term needs x1, so x1 = False falsifies them all.

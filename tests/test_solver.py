@@ -27,7 +27,6 @@ from feqbf.solver import (
     SolverConfig,
     SolverInvariantError,
     ae_blocks,
-    core_key,
     core_projection,
     greedy_disjoint,
     leaf_bound_log2,
@@ -132,14 +131,18 @@ class TestPreprocess:
         assert preprocess(instance) == FalseCertificate(F(-2, 1))
 
     def test_rejects_wrong_prefix_shape(self):
-        exists_forall = make([(EXISTS, (1,)), (FORALL, (2,))], [F(1, 2)], 2)
-        with pytest.raises(ValueError, match="prefix"):
-            preprocess(exists_forall)
-        three_blocks = make(
-            [(FORALL, (1,)), (EXISTS, (2,)), (FORALL, (3,))], [F(1, 2, 3)], 3
+        # Each outer existential block binds a variable that the clause holds,
+        # so it is not ignored, and the error names every block left.
+        cases = (
+            ([(EXISTS, (1,)), (FORALL, (2,))], "e a"),
+            ([(EXISTS, (1,)), (FORALL, (2,)), (EXISTS, (3,))], "e a e"),
+            ([(FORALL, (1,)), (EXISTS, (2,)), (FORALL, (3,))], "a e a"),
         )
-        with pytest.raises(ValueError, match="prefix"):
-            preprocess(three_blocks)
+        for prefix, shape in cases:
+            variables = [v for _, block in prefix for v in block]
+            instance = make(prefix, [F(*variables)], len(variables))
+            with pytest.raises(ValueError, match=f"^prefix must be .* block, not {shape}$"):
+                preprocess(instance)
 
 
 def preprocess_per_clause(instance):
@@ -193,39 +196,13 @@ class TestPreprocessBulk:
         )
 
 
-def tuple_core_key(core):
-    """The sort key of a core as a list of ``(bit, sign)`` per literal: the
-    reference for ``core_key``."""
-    pos, neg = core
-    both = pos | neg
-    return [(bit, neg >> bit & 1) for bit in range(both.bit_length()) if both >> bit & 1]
-
-
-class TestCoreKey:
-    def test_orders_as_bit_sign_tuples(self):
-        rng = random.Random(29)
-        for _ in range(300):
-            cores = [(0, 0)]
-            for _ in range(rng.randint(1, 8)):
-                both = rng.getrandbits(rng.randint(1, 20))
-                neg = both & rng.getrandbits(20)
-                cores.append((both & ~neg, neg))
-            # Cores whose literals are a prefix of another core's.
-            for pos, neg in list(cores):
-                low = (1 << rng.randint(0, max(pos | neg, 1).bit_length())) - 1
-                cores.append((pos & low, neg & low))
-            for a in cores:
-                for b in cores:
-                    assert (core_key(a) < core_key(b)) == (tuple_core_key(a) < tuple_core_key(b))
-                    assert (core_key(a) == core_key(b)) == (a == b)
-
-
 class TestPartitionGroups:
     def test_mixed_polarity_cores(self):
         # existential x1 is variable 3; universals y1=1, y2=2
         matrix = CnfMatrix((F(3, 1), F(3, -2), F(-3, 1)), 3)
         live, weight, forced = partition_groups(matrix, (1, 2), (3,))
-        assert live == [((1, 0), M(F(1), F(-2)), 0b11, 1), ((0, 1), M(F(1)), 0b01, 1)]
+        # Core -x1, mask (0, 1), sorts before core x1, mask (1, 0).
+        assert live == [((0, 1), M(F(1)), 0b01, 1), ((1, 0), M(F(1), F(-2)), 0b11, 1)]
         assert (weight, forced) == (2, [])
         assert weight == group_weight(live)
 
@@ -239,16 +216,17 @@ class TestPartitionGroups:
         assert live == [((1, 0), M(F(1)), 0b01, 1)]
         assert (weight, forced) == (1, [])
 
-    def test_cores_in_literal_order_whatever_the_block_order(self):
+    def test_cores_in_mask_order_whatever_the_block_order(self):
         # Both blocks given out of order: each takes its bits in sorted
         # variable order, universals 1, 2, 3 at bits 0-2, existentials
-        # 5, 6, 7 at bits 0-2 of the core.
+        # 5, 6, 7 at bits 0-2 of the core.  The cores come in the order of
+        # their (pos, neg) masks.
         matrix = CnfMatrix((F(7, 3), F(6, 2), F(-5, 1), F(5, 6, 3), F(5, 2)), 7)
         live, weight, forced = partition_groups(matrix, (3, 1, 2), (7, 5, 6))
-        # {5}, {5, 6}, {-5}, {6}, {7}
-        cores = [(0b001, 0), (0b011, 0), (0, 0b001), (0b010, 0), (0b100, 0)]
+        # {-5}, {5}, {6}, {5, 6}, {7}
+        cores = [(0, 0b001), (0b001, 0), (0b010, 0), (0b011, 0), (0b100, 0)]
         assert [core for core, _, _, _ in live] == cores
-        assert [parts for _, parts, _, _ in live] == [M(F(2)), M(F(3)), M(F(1)), M(F(2)), M(F(3))]
+        assert [parts for _, parts, _, _ in live] == [M(F(1)), M(F(2)), M(F(2)), M(F(3)), M(F(3))]
         assert (weight, forced) == (5, [])
         assert weight == group_weight(live)
 
@@ -906,13 +884,13 @@ class TestSearchShape:
     # hitting set gave 2.
     PINNED = (
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
-        (False, 3, 6, 3, 2, 0, 1, (5, 3, 2, 0)),
+        (False, 2, 4, 3, 1, 0, 1, (5, 3, 1, 0)),
         (True, 1, 0, 0, 1, 0, 0, (1,)),
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
         (True, 1, 0, 0, 1, 0, 0, (5,)),
-        (False, 1, 3, 3, 0, 0, 1, (4, 3, 1, 0)),
-        (False, 1, 3, 3, 0, 0, 1, (8, 6, 2, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (4, 2, 1, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (8, 4, 2, 0)),
         (True, 1, 0, 0, 1, 0, 0, (2,)),
         (False, 1, 3, 3, 0, 0, 1, (5, 4, 1, 0)),
     )
@@ -953,10 +931,10 @@ class TestSearchTree:
         (False, 2, 2, 1), (True, 1, 0, 0), (True, 1, 0, 0), (True, 1, 0, 0),
         (False, 1, 3, 3), (False, 2, 5, 4), (True, 1, 0, 0), (False, 1, 2, 2),
         # theorem 2 at d = 3 (k = 14) and d = 4 (k = 12)
-        (False, 2, 4, 3), (False, 3, 6, 4), (False, 18, 30, 4), (False, 2, 4, 3),
-        (False, 2, 5, 4), (True, 18, 28, 4), (True, 21, 34, 4), (True, 19, 30, 4),
+        (False, 2, 4, 3), (False, 3, 6, 4), (False, 20, 34, 4), (False, 2, 4, 3),
+        (False, 2, 5, 4), (True, 20, 32, 4), (True, 19, 30, 4), (True, 18, 28, 4),
         # theorem 2 of random_dnf(6, 32) at d = 3: k = 18, above the table cap
-        (True, 15, 22, 3), (True, 16, 24, 3), (False, 18, 29, 4), (False, 8, 13, 4),
+        (True, 16, 24, 3), (True, 15, 22, 3), (False, 20, 33, 4), (False, 7, 11, 4),
     )
 
     @staticmethod
@@ -1000,6 +978,21 @@ class TestSearchTree:
                 result, s = solve(shuffled)
                 assert (result, s.leaves, s.branches, s.max_depth, s.weight_trace) == expected
         assert reordered == 3 * 36
+
+    def test_group_order_ignores_the_clause_order(self):
+        # Five seeded shuffles of every instance's clauses give the same
+        # cores in the same order, the same weight and the same forced
+        # cores.  Only the order of the parts inside a group may change.
+        rng = random.Random(11)
+        for instance in self.corpus():
+            universal, existential = ae_blocks(instance)
+            live, weight, forced = partition_groups(instance.matrix, universal, existential)
+            expected = ([core for core, _, _, _ in live], weight, forced)
+            for _ in range(5):
+                clauses = rng.sample(instance.matrix.clauses, len(instance.matrix.clauses))
+                shuffled = CnfMatrix(tuple(clauses), instance.matrix.num_vars)
+                live, weight, forced = partition_groups(shuffled, universal, existential)
+                assert ([core for core, _, _, _ in live], weight, forced) == expected
 
 
 class TestInvariants:
