@@ -158,8 +158,8 @@ class QbfInstance:
 
 def bound_prefix(instance: QbfInstance) -> tuple[QuantifierBlock, ...]:
     """The prefix without an outermost existential block whose variables
-    occur in no clause, such as the one ``parse_qdimacs`` binds free
-    variables in.  Such a block changes no value, so it is ignored."""
+    occur in no clause, as a file's explicit prefix line or an instance built
+    in code may bind.  Such a block changes no value, so it is ignored."""
     prefix = instance.prefix
     if len(prefix) > 1 and prefix[0].quantifier == EXISTS:
         if instance.matrix.variables.isdisjoint(prefix[0].vars):

@@ -156,9 +156,10 @@ def _emit(kind: str, num_vars: int, rows, prefix_lines=()) -> str:
 def parse_qdimacs(text: str) -> QbfInstance:
     """Parse QDIMACS text into a QbfInstance.
 
-    Variables declared in the header but missing from every prefix line are
-    bound in an outermost existential block, per the usual free-variable
-    convention; a file without prefix lines therefore reads as plain SAT.
+    Variables that occur in a clause but on no prefix line are bound in an
+    outermost existential block, per the usual free-variable convention; a
+    file without prefix lines therefore reads as plain SAT.  A variable that
+    the header counts but nothing names is bound nowhere.
     """
     blocks: list[tuple[str, list[int]]] = []
     declared: dict[int, int] = {}
@@ -176,9 +177,9 @@ def parse_qdimacs(text: str) -> QbfInstance:
         blocks.append((FORALL if line[0] == "a" else EXISTS, vars_))
 
     num_vars, clauses = _read(text, "cnf", "clauses", prefix_line)
-    free = [v for v in range(1, num_vars + 1) if v not in declared]
-    prefix = normalize_prefix([(EXISTS, free)] + blocks if free else blocks)
-    return QbfInstance(prefix, CnfMatrix(tuple(clauses), num_vars))
+    matrix = CnfMatrix(tuple(clauses), num_vars)
+    free = sorted(matrix.variables.difference(declared))
+    return QbfInstance(normalize_prefix([(EXISTS, free)] + blocks), matrix)
 
 
 def emit_qdimacs(instance: QbfInstance) -> str:

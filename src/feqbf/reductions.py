@@ -13,10 +13,12 @@ that gadget at arity d, after one universal block.  ``reduce_dnf_to_4qbf``
 reaches arity 4 with O(log m) existential variables per level: a cheat level
 selects through two universal blocks z1, z2, the index's two base-sqrt(m)
 digits, and hands a DNF that detects selector cheating to the next level
-while it is smaller; the last level is the gadget at arity 4.  The levels
-can go on at the latest to a fixed point (23, 49), (41, 129) or (75, 321)
-(variables, terms), whose gadget has 12, 21 or 27 variables; by default they
-stop at the level count with the fewest existential variables.
+while it is smaller; the last level is the gadget at arity 4.  One loop
+sizes, chooses and builds the levels.  They go on at the latest to a fixed
+point (23, 49), (41, 129) or (75, 321) (variables, terms), whose gadget has
+12, 21 or 27 variables; by default they stop at the first level that does not
+lower the existential count, which is the count with the fewest existential
+variables for every m up to 4**60 (checked from the size recurrence).
 
 Both keep the DNF's variables 1..n and draw every introduced variable from
 one counter starting at n + 1.  Each introduced variable's role goes into
@@ -27,7 +29,7 @@ sidecar lists the variables in id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count, islice
+from itertools import count, islice
 
 from .formulas import (
     EXISTS,
@@ -150,41 +152,36 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, levels: int | None = None) -> ReductionO
     levels end at the latest at a fixed point (23, 49), (41, 129) or (75,
     321), and every input reduces.
 
+    Each pass sizes the next level and builds it unless it stops there.
     ``levels`` is the number of cheat levels, ended sooner by the fixed
-    point.  By default it is the count whose output has the fewest
-    existential variables, 2L + 1 per cheat level plus the gadget's, and
-    the fewest levels on a tie.
+    point.  By default a level is built only if it lowers the existential
+    count: its 2L + 1 variables plus the next gadget's must be fewer than
+    this level's gadget.  Stopping at the first level that does not pay
+    takes the count with the fewest existentials, the fewest levels on a
+    tie.  That was checked from the size recurrence for every m up to 16,384
+    at n in {1, 24, 10**6}, and for 4**7 < m <= 4**60, where every level
+    pays up to the fixed point.
     """
     if not psi.terms:
         raise ValueError("source DNF must have at least one term")
     if levels is not None and levels < 0:
         raise ValueError("levels must be at least 0")
-    # Every level's (variables, terms) and L, known before any id is drawn.
-    sizes = [(psi.num_vars, len(psi.terms))]
-    lengths = []
-    while True:
-        n, m = sizes[-1]
-        length = ((m - 1).bit_length() + 1) // 2  # the least L with 4**L >= m
-        lengths.append(length)
-        root = 2**length  # sqrt of the padded term count
-        n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
-        if n_next + m_next >= n + m:
-            break
-        sizes.append((n_next, m_next))
-    if levels is None:
-        spent = accumulate((2 * length + 1 for length in lengths), initial=0)
-        costs = [k + _gadget_size(m, 4)[1] for k, (_, m) in zip(spent, sizes)]
-        levels = costs.index(min(costs))
-    sizes = sizes[: levels + 1]
-
     terms = psi.terms
     ids = count(psi.num_vars + 1)
     provenance: dict[int, str] = {}
     blocks = [(FORALL, range(1, psi.num_vars + 1))]
     clauses: list[Clause] = []
-    for level, length in enumerate(lengths[: len(sizes) - 1]):
-        tag = f"L{level}."
-        root = 2**length
+    trace = [(psi.num_vars, len(terms))]
+    while levels is None or len(trace) <= levels:
+        n, m = trace[-1]
+        length = ((m - 1).bit_length() + 1) // 2  # the least L with 4**L >= m
+        root = 2**length  # sqrt of the padded term count
+        n_next, m_next = 2 * length + 2 * root + 1, 1 + 2 * root * length
+        if n_next + m_next >= n + m:
+            break
+        if levels is None and 2 * length + 1 + _gadget_size(m_next, 4)[1] >= _gadget_size(m, 4)[1]:
+            break
+        tag = f"L{len(trace) - 1}."
         y = _draw(ids, 2 * length, tag + "y", provenance)
         z1 = _draw(ids, root, tag + "z1", provenance)
         z2 = _draw(ids, root, tag + "z2", provenance)
@@ -200,11 +197,12 @@ def reduce_dnf_to_4qbf(psi: DnfFormula, levels: int | None = None) -> ReductionO
             for j in range(root):
                 for lit in sorted(binary_clause(j, half), key=literal_sort_key):
                     terms.append(frozenset({selector[j], lit}))
+        trace.append((n_next, m_next))
 
-    roles, gadget = _index_gadget(terms, 4, ids, f"L{len(sizes) - 1}.base.")
+    roles, gadget = _index_gadget(terms, 4, ids, f"L{len(trace) - 1}.base.")
     prefix = normalize_prefix(blocks + [(EXISTS, roles)])
     instance = QbfInstance(prefix, CnfMatrix(tuple(clauses + gadget), next(ids) - 1))
-    return ReductionOutput(instance, provenance | roles, tuple(sizes))
+    return ReductionOutput(instance, provenance | roles, tuple(trace))
 
 
 def provenance_text(output: ReductionOutput) -> str:

@@ -250,6 +250,12 @@ def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, l
     return live, weight, forced
 
 
+def _as_float(value: int) -> float:
+    """``value`` as a float, ``math.inf`` past the float range, so that no
+    bound of a wide clause overflows."""
+    return math.inf if value > sys.float_info.max else float(value)
+
+
 def threshold(k: int, d: int) -> float:
     """Disjoint-family size threshold 2^d * d * ln(k).  The collapse needs it:
     at this size a union bound over the cores shows that one universal
@@ -258,17 +264,16 @@ def threshold(k: int, d: int) -> float:
         raise ValueError("threshold is undefined for k < 2; solve uses the threshold of k = 2")
     if d < 1:
         raise ValueError("arity must be positive")
-    return (2**d) * d * math.log(k)
+    return _as_float(2**d) * d * math.log(k)
 
 
 def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFamily | int:
     """Greedily collect pairwise variable-disjoint universal parts in input
-    order.  Success means ceil(x_threshold) of them; otherwise the variables
-    of the maximal family hit every part and come back as a hitting set: the
-    mask of their universal bits."""
+    order.  Success means at least x_threshold of them; otherwise the
+    variables of the maximal family hit every part and come back as a hitting
+    set: the mask of their universal bits."""
     if (0, 0) in parts:
         raise ValueError("greedy search is undefined on groups with an empty universal part")
-    need = math.ceil(x_threshold)
     chosen: list[Mask] = []
     used = 0
     for pos, neg in parts:
@@ -277,7 +282,7 @@ def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFami
             continue
         chosen.append((pos, neg))
         used |= variables
-        if len(chosen) >= need:
+        if len(chosen) >= x_threshold:
             return DisjointFamily(tuple(chosen))
     return used
 
@@ -401,7 +406,7 @@ class _Search:
 def leaf_bound_log2(k: int, d: int, x_threshold: float) -> float:
     """d^2 * X * k^(d-1): the log2 of the bound 2^(d^2 * X * k^(d-1)) on the
     search tree's leaf count."""
-    return d * d * x_threshold * k ** (d - 1)
+    return d * d * x_threshold * _as_float(k ** (d - 1))
 
 
 def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:

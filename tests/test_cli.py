@@ -74,9 +74,9 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("num_vars", [3, 30])
     def test_unused_free_variables_are_ignored(self, workdir, capsys, num_vars):
-        # parse_qdimacs binds the free variables 3.. in an outer existential
-        # block; they occur in no clause, so at 30 declared variables neither
-        # command counts them against the oracle's bound of 24.
+        # The header counts variables 3.., which occur nowhere, so no block
+        # binds them, and at 30 declared variables neither command counts
+        # them against the oracle's bound of 24.
         path = write(workdir / "free.qdimacs", f"p cnf {num_vars} 1\na 1 0\ne 2 0\n1 2 0\n")
         assert main(["solve", path]) == 10
         assert main(["oracle", path]) == 10
@@ -89,6 +89,16 @@ class TestSolveCommand:
 
     def test_missing_file_errors(self):
         assert main(["solve", "/nonexistent/file.qdimacs"]) == 1
+
+    def test_wide_clause_is_true(self, workdir, capsys):
+        # forall x1..x160 exists e1..e100: (x1 | ... | x159 | e1) & (e1 | e2).
+        universals = " ".join(map(str, range(1, 161)))
+        existentials = " ".join(map(str, range(161, 261)))
+        text = f"p cnf 260 2\na {universals} 0\ne {existentials} 0\n{universals[:-4]} 161 0\n161 162 0\n"
+        path = write(workdir / "wide.qdimacs", text)
+        assert main(["solve", path]) == 10
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("TRUE\n", "")
 
     def test_stats_json_written(self, workdir):
         path = write(workdir / "t.qdimacs", TRUE_INSTANCE)
@@ -205,6 +215,13 @@ class TestReduceCommand:
         path = write(workdir / "piped.qdimacs", piped.out)
         assert main(["solve", path]) == main(["oracle", str(out)]) == 20
 
+    def test_contradictory_terms_are_dropped_with_a_warning(self, workdir, capsys):
+        dnf = write(workdir / "c.dnf", "p dnf 2 3\n1 -1 0\n1 2 0\n2 -2 1 0\n")
+        out = workdir / "c.qdimacs"
+        assert main(["reduce", dnf, "--theorem", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("warning: dropped 2 contradictory term(s)\n")
+        assert main(["verify", dnf, str(out)]) == 0
+
     def test_negate_cnf_flag(self, workdir):
         # (x1) & (-x1) is UNSAT, so its complement DNF is valid and the
         # closed reduction output must be TRUE.
@@ -253,8 +270,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("mode", ["general", "forall_exists"])
     def test_unused_declared_variable_is_ignored(self, workdir, mode):
-        # The header's variable 4 is bound in an outer existential block that
-        # no clause uses; solve and oracle ignore it, and so does verify.
+        # The header counts variable 4, which occurs nowhere, so no block
+        # binds it and verify ignores it.
         dnf = write(workdir / "s.dnf", "p dnf 2 1\n1 2 0\n")
         qbf = write(workdir / "s.qdimacs", "p cnf 4 3\na 1 2 0\ne 3 0\n1 3 0\n1 -3 0\n2 0\n")
         assert main(["verify", dnf, qbf, "--mode", mode]) == 0

@@ -288,6 +288,20 @@ class TestValidationMessages:
         with pytest.raises(ValueError, match="num_vars must be non-negative"):
             CnfMatrix((), -1)
 
+    @pytest.mark.parametrize(
+        "quantifier,vars_,message",
+        [
+            ("x", (1,), "quantifier must be 'a' or 'e'"),
+            ("a", (), "quantifier block must bind at least one variable"),
+            ("e", (2, 0), "variables are positive integers"),
+            ("e", (-1,), "variables are positive integers"),
+        ],
+    )
+    def test_quantifier_block(self, quantifier, vars_, message):
+        with pytest.raises(ValueError) as caught:
+            QuantifierBlock(quantifier, vars_)
+        assert str(caught.value) == message
+
     def test_unbound_matrix_variable(self):
         with pytest.raises(ValueError) as caught:
             QbfInstance((QuantifierBlock("a", (1,)),), CnfMatrix((F(1, -2), F(3)), 3))

@@ -457,13 +457,19 @@ class TestCheckEquivalence:
 
     @pytest.mark.parametrize("mode", ["general", "forall_exists"])
     def test_outer_block_of_unused_free_variables_is_ignored(self, mode):
-        # The header declares variable 4, which no prefix line or clause names:
-        # parse_qdimacs binds it in an outer existential block, as solve reads it.
-        phi = parse_qdimacs("p cnf 4 3\na 1 2 0\ne 3 0\n1 3 0\n1 -3 0\n2 0\n")
+        # The file binds variable 4, which no clause names, in an outer
+        # existential block; solve reads past that block.
+        phi = parse_qdimacs("p cnf 4 3\ne 4 0\na 1 2 0\ne 3 0\n1 3 0\n1 -3 0\n2 0\n")
         assert [(b.quantifier, b.vars) for b in phi.prefix][0] == (EXISTS, (4,))
         assert check_equivalence(DnfFormula((F(1, 2),), 2), phi, mode=mode).passed
         report = check_equivalence(DnfFormula((F(1),), 2), phi, mode=mode)
         assert report.mismatches == ({1: True, 2: False},)
+
+    def test_existential_outer_block_leaves_the_mapping_incomplete(self):
+        psi = DnfFormula((F(1),), 1)
+        phi = make([(EXISTS, (2,)), (FORALL, (1,))], [F(1, 2)], 2)
+        with pytest.raises(ValueError, match="^variable mapping incomplete: the QBF's outermost block must be universal$"):
+            check_equivalence(psi, phi)
 
     def test_occurring_variables_over_the_bound_raise(self):
         psi = DnfFormula((F(1), F(-1)), 1)  # phi is true at both values of x1

@@ -33,11 +33,18 @@ class TestParseQdimacs:
         assert instance.matrix.clauses == (F(1),)
 
     def test_undeclared_variables_become_outer_existentials(self):
+        # Variable 3 occurs undeclared; variable 1 occurs nowhere.
         instance = parse_qdimacs("p cnf 3 1\na 2 0\n2 3 0\n")
         assert instance.prefix == (
-            QuantifierBlock("e", (1, 3)),
+            QuantifierBlock("e", (3,)),
             QuantifierBlock("a", (2,)),
         )
+        assert all(1 not in block.vars for block in instance.prefix)
+
+    def test_unused_header_variables_are_not_bound(self):
+        instance = parse_qdimacs("p cnf 100000 1\na 1 0\ne 2 0\n1 2 0\n")
+        assert sum(len(block.vars) for block in instance.prefix) == 2
+        assert instance.matrix.num_vars == 100000
 
     def test_plain_cnf_reads_as_sat(self):
         instance = parse_qdimacs("p cnf 2 2\n1 -2 0\n2 0\n")
@@ -150,6 +157,12 @@ class TestErrorMessages:
             ("p cnf 2 1\n1 x 0\n", 2, "non-integer field"),
             ("p cnf 2 1\na1 2 0\n1 0\n", 2, "non-integer field"),
             ("p cnf 2 1\nab 0\n1 0\n", 2, "non-integer field"),
+            ("p cnf 2 x\n", 1, "header counts must be integers"),
+            ("c\np cnf -1 0\n", 2, "header counts must be non-negative"),
+            ("p cnf 2 -1\n", 1, "header counts must be non-negative"),
+            # No header line at all: only a comment and a blank line.
+            ("c nothing here\n\n", 1, "missing 'p cnf' header"),
+            ("", 1, "missing 'p cnf' header"),
         ],
     )
     def test_qdimacs(self, text, line_no, message):
@@ -174,9 +187,9 @@ class TestErrorMessages:
         assert str(caught.value) == f"line 2: {message}"
 
     def test_tab_after_the_quantifier(self):
-        # Variable 2 is free, so it comes first, in the outer block.
+        # Variable 2 occurs in no clause, so no block binds it.
         instance = parse_qdimacs("p cnf 2 1\ne\t1 0\n1 0\n")
-        assert instance.prefix == (QuantifierBlock("e", (2, 1)),)
+        assert instance.prefix == (QuantifierBlock("e", (1,)),)
 
 
 def outcome(parse, text):

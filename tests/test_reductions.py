@@ -149,6 +149,54 @@ def test_theorem2_output_is_pinned(case, existential_count, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _model_length(m):
+    """The least L with 4**L >= m."""
+    length = 0
+    while 4**length < m:
+        length += 1
+    return length
+
+
+def _model_gadget(m):
+    """The arity-4 gadget's existentials: 3 blocks of r, the least r with
+    r**3 >= m (by integer bisection), and ceil((r - 4) / 2) links each."""
+    low, high = 1, 1 << (m.bit_length() // 3 + 1)
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if mid**3 >= m else (mid + 1, high)
+    return 3 * low + 3 * max(0, -((4 - low) // 2))
+
+
+def _model_sizes(n, m):
+    """(variables, terms) of every level up to the fixed point."""
+    sizes = [(n, m)]
+    while True:
+        length = _model_length(m)
+        n_next, m_next = 2 * length + 2 * 2**length + 1, 1 + 2 * 2**length * length
+        if n_next + m_next >= n + m:
+            return sizes
+        n, m = n_next, m_next
+        sizes.append((n, m))
+
+
+def _model_totals(sizes):
+    """The existential count of stopping at each level."""
+    totals, spent = [], 0
+    for _, m in sizes:
+        totals.append(spent + _model_gadget(m))
+        spent += 2 * _model_length(m) + 1
+    return totals
+
+
+def _model_stop(sizes):
+    """The first level whose next cheat level does not lower the count."""
+    totals = _model_totals(sizes)
+    level = 0
+    while level + 1 < len(sizes) and totals[level + 1] < totals[level]:
+        level += 1
+    return level
+
+
 class TestTheorem1:
     def test_single_term_base_case(self):
         # The index gadget at arity 4 with r = 1: one index variable per block.
@@ -279,6 +327,36 @@ class TestTheorem1:
             assert outputs[-1] == deepest, (n, m)
             counts = [output.existential_count for output in outputs]
             assert reduce_dnf_to_4qbf(psi) == outputs[counts.index(min(counts))], (n, m, counts)
+
+    def test_stopping_rule_is_the_fewest_existentials(self):
+        # From the size recurrence alone: stopping at the first cheat level
+        # that does not lower k picks the level count that the argmin over
+        # every count up to the fixed point picks.  n only decides whether
+        # level 0 already is the fixed point, so n = 1 and 10**6 cover both
+        # branches.
+        for n in (1, 24, 10**6):
+            for m in range(1, 16385):
+                sizes = _model_sizes(n, m)
+                totals = _model_totals(sizes)
+                assert _model_stop(sizes) == totals.index(min(totals)), (n, m)
+        # Above 4**7 terms, level 1's size depends on L0 alone.  The smallest
+        # gadget of the class 4**(L0-1) < m <= 4**L0 costs more than that
+        # level, and the later totals fall strictly to the fixed point, so
+        # both rules take every level.
+        for length in range(8, 61):
+            smallest = 4 ** (length - 1) + 1
+            sizes = _model_sizes(0, smallest)
+            totals = _model_totals(sizes)
+            assert sizes[1] == _model_sizes(0, 4**length)[1]
+            assert sum(sizes[1]) < smallest
+            assert totals[0] > totals[1]
+            assert all(earlier > later for earlier, later in zip(totals[1:], totals[2:]))
+            assert _model_stop(sizes) == len(sizes) - 1
+        # The model is the reduction's own: its default trace for n = 16.
+        for m in (1, 5, 17, 64, 300, 1024, 4096):
+            sizes = _model_sizes(16, m)
+            output = reduce_dnf_to_4qbf(random_dnf(16, m, seed=m))
+            assert output.recursion_trace == tuple(sizes[: _model_stop(sizes) + 1])
 
     def test_gadget_size_matches_theorem2(self):
         # The stopping rule's count of the gadget's existentials is the count

@@ -346,6 +346,16 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(1, 3)
 
+    def test_rejects_arity_zero(self):
+        with pytest.raises(ValueError, match="arity must be positive"):
+            threshold(2, 0)
+
+    def test_wide_clauses_reach_infinity(self):
+        # 2^d passes the float range at d = 1024, and k^(d-1) passes it at
+        # (k, d) = (100, 160); neither bound raises.
+        assert threshold(2, 1024) == math.inf
+        assert leaf_bound_log2(100, 160, threshold(100, 160)) == math.inf
+
     def test_leaf_bound_formula(self):
         # log2 of d^2 * X * k^(d-1) leaves.
         assert leaf_bound_log2(3, 2, 9.0) == 4 * 9.0 * 3
@@ -492,7 +502,22 @@ def corpus(rng, count, *, arity, max_universal=7, max_existential=5, max_clauses
     return instances
 
 
+def wide_clause_instance(k, d):
+    """forall x1..xd exists e1..ek with the clauses (x1 | ... | x(d-1) | e1)
+    and (e1 | e2): TRUE at e1, with one clause of width d."""
+    e1, e2 = d + 1, d + 2
+    clauses = [F(*range(1, d), e1), F(e1, e2)]
+    return make([(FORALL, tuple(range(1, d + 1))), (EXISTS, tuple(range(e1, d + k + 1)))], clauses, d + k)
+
+
 class TestSolve:
+    @pytest.mark.parametrize("k, d", [(100, 160), (300, 130), (40, 200), (3, 1100)])
+    def test_wide_clauses_stay_in_range(self, k, d):
+        # k^(d-1), and at d = 1100 also 2^d, pass the float range.
+        result, stats = solve(wide_clause_instance(k, d))
+        assert result is True
+        assert stats.d == d
+
     def test_single_existential_clause(self):
         instance = make([(FORALL, tuple(range(1, 6))), (EXISTS, (6,))], [F(6)], 6)
         result, stats = solve(instance)
