@@ -42,6 +42,17 @@ root also maps each core to its satisfying set, a 2^k-bit int
 their sets, and a node's SAT check ANDs its live cores' sets into it.
 Above the cap they travel as a tuple of masks, and a node hands them with
 its live cores to the oracle's game as they are.
+
+Groups whose parts are equal, in the same order, are twins: every
+restriction drops or forces them together and leaves their parts equal, and
+their greedy hitting sets are equal.  Theorem 2's index gadget makes many, as
+it pads the m terms to r^(d-1) indices by repeating the last.  The root merges
+twins into the first of them, whose core then stands for the conjunction of
+theirs: its satisfying set is the AND of theirs.  The merge needs the
+truth tables, so it runs only up to the table cap; above it twins stay
+apart.  The weight counts a merged group once.  The search already
+branches on the first of equally small hitting sets and each SAT check tests
+the same conjunction, so the merge changes no tree, only its weights.
 """
 
 from __future__ import annotations
@@ -115,7 +126,8 @@ class SolverStats:
     leaf of no kind.  The root is at depth 0: ``max_depth``
     is the depth of the deepest node, and ``weight_trace`` holds the weights
     along the first deepest root-to-leaf path, so on the search route
-    ``max_depth == len(weight_trace) - 1``."""
+    ``max_depth == len(weight_trace) - 1``.  A group merged with its twins
+    at the root weighs once."""
 
     leaves: int = 0
     sat_leaves: int = 0
@@ -335,6 +347,24 @@ class _Search:
         self.sets = sets
         self.stats = SolverStats()
 
+    def merge_twins(self, node: Node, w: int) -> tuple[Node, int]:
+        """``node`` with every live group merged into the first group whose
+        parts equal its own, in the same order, and the weight of the result,
+        which counts a merged group once.  The first twin's core stands for
+        the conjunction of theirs: its satisfying set becomes the AND of
+        theirs, so ``sets`` must not be None."""
+        first: dict[tuple[Mask, ...], Mask] = {}
+        merged = []
+        for group in node:
+            core, parts, _, heaviest = group
+            head = first.setdefault(parts, core)
+            if head == core:
+                merged.append(group)
+            else:
+                w -= heaviest
+                self.sets[head] &= self.sets[core]
+        return merged, w
+
     def decide(
         self, node: Node, w: int, forced: list[Mask], carried: Carried, path: tuple[int, ...]
     ) -> bool:
@@ -432,6 +462,8 @@ def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
         raise SolverInvariantError("universal-only clause reached the recursion")
     sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
     search = _Search(x_threshold, sets)
+    if sets is not None:
+        live, weight = search.merge_twins(live, weight)
     result = search.decide(live, weight, forced, () if sets is None else -1, ())
     stats = search.stats
     stats.d = d

@@ -20,7 +20,15 @@ from feqbf.formulas import (
 from feqbf.generate import random_dnf, random_forall_exists
 from feqbf import solver
 from feqbf.reductions import reduce_dnf_to_fe_dqbf
-from feqbf.oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, eval_qbf, satisfying_sets
+from feqbf.oracle import (
+    TABLE_BITS,
+    OracleLimitError,
+    _game,
+    clause_masks,
+    eval_qbf,
+    is_dnf_valid,
+    satisfying_sets,
+)
 from feqbf.solver import (
     DisjointFamily,
     FalseCertificate,
@@ -906,16 +914,18 @@ class TestSearchShape:
     # with no live group.  Each row's tree has no more leaves or branches
     # than the one the search built before it checked the cores at every
     # node, except the last: it has 3 branches where the first group's
-    # hitting set gave 2.
+    # hitting set gave 2.  Groups with equal universal parts merge at the
+    # root and weigh once, which lowers the weights of rows 1, 6 and 7
+    # (counted from 0).
     PINNED = (
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
-        (False, 2, 4, 3, 1, 0, 1, (5, 3, 1, 0)),
+        (False, 2, 4, 3, 1, 0, 1, (4, 2, 1, 0)),
         (True, 1, 0, 0, 1, 0, 0, (1,)),
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
         (False, 1, 1, 1, 0, 0, 1, (1, 0)),
         (True, 1, 0, 0, 1, 0, 0, (5,)),
-        (False, 1, 3, 3, 0, 0, 1, (4, 2, 1, 0)),
-        (False, 1, 3, 3, 0, 0, 1, (8, 4, 2, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (3, 2, 1, 0)),
+        (False, 1, 3, 3, 0, 0, 1, (7, 4, 2, 0)),
         (True, 1, 0, 0, 1, 0, 0, (2,)),
         (False, 1, 3, 3, 0, 0, 1, (5, 4, 1, 0)),
     )
@@ -1018,6 +1028,92 @@ class TestSearchTree:
                 shuffled = CnfMatrix(tuple(clauses), instance.matrix.num_vars)
                 live, weight, forced = partition_groups(shuffled, universal, existential)
                 assert ([core for core, _, _, _ in live], weight, forced) == expected
+
+
+def leaf_tree(result, s):
+    """``(result, leaves, branches, max_depth)`` and the three leaf kinds."""
+    return (result, s.leaves, s.branches, s.max_depth,
+            s.sat_leaves, s.collapse_leaves, s.weight0_leaves)
+
+
+def unmerged_tree(instance):
+    """The tree ``_Search.decide`` builds from the root ``partition_groups``
+    gives, with no group merged into its twin: the reference for
+    ``solve``'s."""
+    prepared = preprocess(instance)
+    universal, existential = ae_blocks(prepared)
+    k = len(existential)
+    d = max(prepared.matrix.max_arity(), 1)
+    live, weight, forced = partition_groups(prepared.matrix, universal, existential)
+    cores = [core for core, _, _, _ in live] + forced
+    sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
+    search = solver._Search(threshold(max(k, 2), d), sets)
+    result = search.decide(live, weight, forced, () if sets is None else -1, ())
+    return leaf_tree(result, search.stats)
+
+
+def root_parts(instance):
+    """The live groups' cores at the root, and their distinct parts tuples."""
+    universal, existential = ae_blocks(instance)
+    live = root_node(instance.matrix, universal, existential)
+    return [core for core, _, _, _ in live], {parts for _, parts, _, _ in live}
+
+
+class TestTwins:
+    """Live groups whose universal parts are equal, in the same order, merge
+    at the root into the first of them, and the merged group weighs once."""
+
+    @staticmethod
+    def corpus():
+        yield from TestSearchTree.corpus()
+        rng = random.Random(29)
+        for _ in range(200):
+            n, k = rng.randint(6, 10), rng.randint(3, 6)
+            yield make(
+                [(FORALL, range(1, n + 1)), (EXISTS, range(n + 1, n + k + 1))],
+                core_matrix(rng, n, k).clauses,
+                n + k,
+            )
+        for d, m in ((3, 18), (3, 24), (4, 28), (4, 32), (4, 36), (4, 40)):
+            for seed in range(1, 4):
+                yield reduce_dnf_to_fe_dqbf(random_dnf(6, m, seed=seed), d).instance
+
+    def test_trees_match_the_unmerged_search(self):
+        with_twins = 0
+        for instance in self.corpus():
+            result, s = solve(instance)
+            assert leaf_tree(result, s) == unmerged_tree(instance), emit_failure(instance)
+            cores, parts = root_parts(instance)
+            with_twins += len(parts) < len(cores)
+        # 12 of the 36 TestSearchTree instances, 20 of the 200 core matrices
+        # and all 18 theorem-2 outputs have twins.
+        assert with_twins == 50
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_index_gadget_twins_weigh_once(self, seed):
+        # Theorem 2 at d = 4 pads the 28 terms to 64 indices, so the root has
+        # 64 live groups and at most 28 distinct parts tuples, each part one
+        # source literal.
+        instance = reduce_dnf_to_fe_dqbf(random_dnf(6, 28, seed=seed), 4).instance
+        cores, parts = root_parts(instance)
+        _, s = solve(instance)
+        assert len(cores) == 64
+        assert s.weight_trace[0] == len(parts) <= 28
+
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_twins_above_the_cap(self, seed):
+        # k = 18: without truth tables the twins stay apart, so the tree is
+        # the unmerged search's and the root weighs every live group.
+        psi = random_dnf(6, 32, seed=seed)
+        instance = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        cores, parts = root_parts(instance)
+        universal, existential = ae_blocks(instance)
+        assert len(existential) == 18 > TABLE_BITS
+        assert len(parts) < len(cores)
+        result, s = solve(instance)
+        assert result == is_dnf_valid(psi)
+        assert leaf_tree(result, s) == unmerged_tree(instance)
+        assert s.weight_trace[0] == partition_groups(instance.matrix, universal, existential)[1]
 
 
 class TestInvariants:
