@@ -7,9 +7,10 @@ operation is a pure function, so values can be shared freely across threads.
 
 The constructors check their literals in bulk: ``CnfMatrix`` and
 ``DnfFormula`` test the union of their rows for 0 and for variables beyond
-``num_vars``.  ``CnfMatrix`` keeps the variables of that union as
-``variables``, the one set that ``QbfInstance`` tests against the prefix and
-that ``bound_prefix`` and the oracle read.  The rows are walked literal by
+``num_vars``.  Both keep the variables of that union as ``variables``:
+``CnfMatrix``'s is the one set that ``QbfInstance`` tests against the prefix
+and that ``bound_prefix`` and the oracle read, and ``is_dnf_valid`` reads
+``DnfFormula``'s.  The rows are walked literal by
 literal only when a test fails, to name the first offender.
 """
 
@@ -82,17 +83,19 @@ class DnfFormula:
     """Ordered disjunction of terms over variables 1..num_vars.
 
     Term positions 0..m-1 give the term numbering used by the reductions.
-    The empty term denotes the constant True.
+    The empty term denotes the constant True.  ``variables``, the variables
+    that occur in some term, is derived and takes no part in ``==``.
     """
 
     terms: tuple[Term, ...]
     num_vars: int
+    variables: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(map(frozenset, self.terms)))
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        _check_literals(self.terms, self.num_vars, "a term")
+        object.__setattr__(self, "variables", _check_literals(self.terms, self.num_vars, "a term"))
 
 
 @dataclass(frozen=True)

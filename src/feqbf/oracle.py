@@ -30,8 +30,10 @@ products.  The residual bits above those of every clause with a source
 literal, which only source-free clauses use, are projected out of the
 tables first, so a table ends at the highest bit the source parts' residuals
 use.
-When the residuals need the game, the walk plays one game per distinct set
-of residuals left.
+When the residuals need the game, a part carries instead the complement of
+the set of its residuals' ids, or 0 if one of them is the empty clause, so
+the same AND is the complement of the residuals a block leaves, and the walk
+plays one game per distinct set of them.
 psi's table is built without a walk, by whole-table operations on per-bit
 tables (``falsifying_table``), and the mismatches are the XOR of the two.
 DNF validity is decided by the game instead: a DNF is valid iff the CNF of
@@ -245,7 +247,7 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
     a contradictory term x & -x to a tautology.  Only the variables that
     occur in some term count against ``var_bound``: a declared variable
     that none holds changes no term's value."""
-    variables = sorted({abs(lit) for term in formula.terms for lit in term})
+    variables = sorted(formula.variables)
     if len(variables) > var_bound:
         raise OracleLimitError(
             f"{len(variables)} occurring variables exceed the brute-force bound {var_bound}"
@@ -397,9 +399,11 @@ def _phi_table(masks, universal: int, n: int) -> int:
     part carries the AND of its residuals' satisfying sets, and sigma wins
     iff the AND over the parts it falsifies is nonzero; the residual
     ``(0, 0)`` of a clause with only source literals has the set 0.
-    Otherwise a part carries 0 if one of its residuals is ``(0, 0)`` and -1
-    if not, and one game is played per distinct set of residuals left that
-    no part has emptied.
+    Otherwise a part carries 0 if one of its residuals is ``(0, 0)`` and
+    ``~ids`` if not, ``ids`` being the bit set of its residuals' ids, so the
+    AND over the parts sigma falsifies is the complement of the residuals
+    sigma leaves, and one game is played per distinct set of residuals left
+    that no part has emptied.
 
     On the table path, the residual bits above every bit of the clauses
     with a source literal, which only the residuals of the source-free part
@@ -414,17 +418,15 @@ def _phi_table(masks, universal: int, n: int) -> int:
     residual_ids: dict[tuple[int, int], int] = {}
     # The residuals left behind by each distinct source part, as a bit set.
     parts: dict[tuple[int, int], int] = {}
-    bearing = 0  # the bits of clauses with a source literal
+    bearing = occupied = 0  # the bits of clauses with a source literal, of all clauses
     for pos, neg in masks:
         residual = residual_ids.setdefault((pos & ~src, neg & ~src), len(residual_ids))
         source = (pos & src, neg & src)
         parts[source] = parts.get(source, 0) | 1 << residual
+        occupied |= pos | neg
         if source != (0, 0):
             bearing |= pos | neg
     residuals = list(residual_ids)
-    occupied = 0
-    for pos, neg in residuals:
-        occupied |= pos | neg
     width = max(occupied.bit_length() - n, 0)
     if not universal >> n and width <= TABLE_BITS:
         narrow = max(bearing.bit_length() - n, 0)
@@ -433,31 +435,30 @@ def _phi_table(masks, universal: int, n: int) -> int:
         carried = []
         for source, ids in parts.items():
             common = -1
-            rest = ids
-            while rest:
-                low = rest & -rest
+            while ids:
+                low = ids & -ids
                 common &= tables[low.bit_length() - 1]
-                rest ^= low
+                ids ^= low
             if source == (0, 0):
                 common = _project(common, width, narrow)
-            carried.append((source, common & chunk, ids))
+            carried.append((source, common & chunk))
         return _walk(carried, n)
     emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
     values: dict[int, bool] = {}
 
-    def game(key: int) -> bool:
-        value = values.get(key)
+    def game(ids: int) -> bool:
+        value = values.get(ids)
         if value is None:
             clauses = []
-            rest = key
+            rest = ids
             while rest:
                 low = rest & -rest
                 clauses.append(residuals[low.bit_length() - 1])
                 rest ^= low
-            value = values[key] = _game(clauses, universal, n)
+            value = values[ids] = _game(clauses, universal, n)
         return value
 
-    carried = [(source, 0 if ids & emptied else -1, ids) for source, ids in parts.items()]
+    carried = [(source, 0 if ids & emptied else ~ids) for source, ids in parts.items()]
     return _walk(carried, n, game)
 
 
@@ -474,72 +475,77 @@ def _project(table: int, width: int, narrow: int) -> int:
 
 
 def _walk(parts, n: int, decide=None) -> int:
-    """A 2^n-bit int whose bit sigma is set iff the AND of the tables of the
-    ``(source, table, ids)`` parts whose ``(pos, neg)`` source mask sigma
-    falsifies is nonzero and, with ``decide``, ``decide`` holds on the OR of
-    their ``ids``.
+    """A 2^n-bit int whose bit sigma is set iff the AND of the values of
+    the ``(source, value)`` parts whose ``(pos, neg)`` source mask sigma
+    falsifies is nonzero and, with ``decide``, ``decide`` holds on the
+    complement of that AND.
+
+    On the table path a part's value is a truth table.  On the game path it
+    is 0 for a part that leaves an emptied residual and otherwise ``~ids``,
+    the complement of the bit set of the residuals it leaves, so the AND is
+    the complement of their union: ``decide`` gets the set of residuals that
+    sigma leaves.
 
     The walk assigns the bits from n-1 down to a cut, a level that no part
     spans (has literals both below and at or above it).  The cut is the
-    highest such level up to n // 2 whose rows' tables fit ``_ROW_BITS``,
+    highest such level up to n // 2 whose rows' values fit ``_ROW_BITS``,
     or the lowest bit of any part if that is higher, below which every
-    block agrees.  A part is tested at the node of its lowest bit, where
-    all its literals are assigned, so a node carries the AND and the OR of
-    the parts falsified so far.  A node whose AND is 0 is 0 for its whole
-    block.  Without ``decide`` a node whose AND meets ``rest[b]``, the AND
-    of the tables of every part still to be tested, is 1 for its whole
-    block: whichever of those parts an assignment in the block falsifies,
-    one residual assignment lies in all their tables.  The parts below the
-    cut are falsified by the low bits alone, so the AND and the OR of the
-    parts each low assignment falsifies are built once, and a node at the
-    cut emits its rows from them, one per distinct low assignment, asking
-    ``decide`` once per row."""
-    common, key = -1, 0
-    buckets: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    block agrees; the budget counts the bits of the widest value, a table
+    or an id set.  A part is tested at the node of its lowest bit, where
+    all its literals are assigned, so a node carries the AND of the parts
+    falsified so far.  A node whose AND is 0 is 0 for its whole block.
+    Without ``decide`` a node whose AND meets ``rest[b]``, the AND of the
+    tables of every part still to be tested, is 1 for its whole block:
+    whichever of those parts an assignment in the block falsifies, one
+    residual assignment lies in all their tables.  The parts below the cut
+    are falsified by the low bits alone, so the AND of the parts each low
+    assignment falsifies is built once, and a node at the cut emits its rows
+    from them, one per distinct low assignment, asking ``decide`` once per
+    row."""
+    common = -1
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     floor = n
     spanned = 0  # bit h set iff some part has literals below h and at or above it
     widest = 0
-    for (pos, neg), table, ids in parts:
+    for (pos, neg), value in parts:
         if pos & neg:
             continue  # x and -x: no assignment falsifies it
         lits = pos | neg
         if not lits:
-            common &= table
-            key |= ids
+            common &= value
             continue
         low = (lits & -lits).bit_length() - 1
-        buckets[low].append((pos, neg, table, ids))
+        buckets[low].append((pos, neg, value))
         floor = min(floor, low)
         spanned |= (1 << lits.bit_length()) - (2 << low)
-        widest = max(widest, table.bit_length())
+        widest = max(widest, value.bit_length())
     # No part has literals below the floor, so none spans it.
     cut = n // 2
     while cut > floor and (spanned >> cut & 1 or widest << cut - floor > _ROW_BITS):
         cut -= 1
     cut = max(cut, floor)
-    # rest[b]: the AND of the tables of the parts whose lowest bit is below b.
+    # rest[b]: the AND of the values of the parts whose lowest bit is below b.
     rest = [-1]
     for bucket in buckets:
         below = rest[-1]
-        for _, _, table, _ in bucket:
-            below &= table
+        for _, _, value in bucket:
+            below &= value
         rest.append(below)
     # Row j at the cut is the block of low assignments j << floor .. (j + 1) << floor;
-    # lows[j] and keys[j] are the AND and the OR of the parts it falsifies.
+    # lows[j] is the AND of the parts it falsifies.
     count = 1 << (cut - floor)
-    lows, keys = [-1] * count, [0] * count
+    lows = [-1] * count
     for bucket in buckets[floor:cut]:
-        for pos, neg, table, ids in bucket:
+        for pos, neg, value in bucket:
             pos >>= floor
             neg >>= floor
             for j in range(count):
                 if not j & pos and j & neg == neg:
-                    lows[j] &= table
-                    keys[j] |= ids
+                    lows[j] &= value
     block = (1 << (1 << floor)) - 1
     rows = [block << (j << floor) for j in range(count)]
 
-    def node(b: int, a: int, common: int, key: int) -> int:
+    def node(b: int, a: int, common: int) -> int:
         # Bits b..n-1 of a are assigned, and so is every part whose lowest bit is b or above.
         if not common:
             return 0
@@ -550,20 +556,19 @@ def _walk(parts, n: int, decide=None) -> int:
                 return sum([row for row, low in zip(rows, lows) if common & low])
         elif b == cut:
             return sum(
-                [row for row, low, k in zip(rows, lows, keys) if common & low and decide(key | k)]
+                [row for row, low in zip(rows, lows) if common & low and decide(~(common & low))]
             )
         b -= 1
         halves = []
         for a in (a, a | 1 << b):
-            c, k = common, key
-            for pos, neg, table, ids in buckets[b]:
+            c = common
+            for pos, neg, value in buckets[b]:
                 if not a & pos and a & neg == neg:
-                    c &= table
-                    k |= ids
-            halves.append(node(b, a, c, k))
+                    c &= value
+            halves.append(node(b, a, c))
         return halves[0] | halves[1] << (1 << b)
 
     try:
-        return node(n, 0, common, key)
+        return node(n, 0, common)
     finally:
         del node  # node refers to itself: without this, each walk is a reference cycle

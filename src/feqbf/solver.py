@@ -37,22 +37,23 @@ restriction that empties the part, and weighs nothing; only the live groups
 are searched.  The forced cores travel down the search instead.
 
 When the k existential variables number at most ``oracle.TABLE_BITS``, the
-root also maps each core to its satisfying set, a 2^k-bit int
-(``oracle.satisfying_sets``).  The forced cores then travel as the AND of
-their sets, and a node's SAT check ANDs its live cores' sets into it.
-Above the cap they travel as a tuple of masks, and a node hands them with
-its live cores to the oracle's game as they are.
+table cap, the root replaces each core by its satisfying set, a 2^k-bit int
+(``oracle.satisfying_sets``), once: below the cap a core is its table from
+the root on.  The forced cores then travel as the AND of their tables, and a
+node's SAT check ANDs its live cores' tables into it.  Above the cap the
+cores stay masks, the forced ones travel as a tuple of them, and a node hands
+them with its live cores to the oracle's game as they are.  The type of
+``carried``, an int or a tuple, tells which kind of core a search holds.
 
 Groups whose parts are equal, in the same order, are twins: every
 restriction drops or forces them together and leaves their parts equal, and
 their greedy hitting sets are equal.  Theorem 2's index gadget makes many, as
-it pads the m terms to r^(d-1) indices by repeating the last.  The root merges
-twins into the first of them, whose core then stands for the conjunction of
-theirs: its satisfying set is the AND of theirs.  The merge needs the
-truth tables, so it runs only up to the table cap; above it twins stay
-apart.  The weight counts a merged group once.  The search already
-branches on the first of equally small hitting sets and each SAT check tests
-the same conjunction, so the merge changes no tree, only its weights.
+it pads the m terms to r^(d-1) indices by repeating the last.  Below the
+table cap the root merges twins into the first of them (``merge_twins``),
+whose table becomes the AND of theirs; above it twins stay apart.  The
+weight counts a merged group once.  The search already branches on the
+first of equally small hitting sets and each SAT check tests the same
+conjunction, so the merge changes no tree, only its weights.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ from .oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, satisfyin
 from .oracle import eval_qbf  # unused here; perfbench/tracer.py wraps solver.eval_qbf
 
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
-# (core, universal parts, union of the parts' variables, largest part size) per group
-Node = list[tuple[Mask, tuple[Mask, ...], int, int]]
+# (core, universal parts, union of the parts' variables, largest part size) per
+# group; the core is its satisfying set below the table cap and its mask above
+Core = int | Mask
+Node = list[tuple[Core, tuple[Mask, ...], int, int]]
 # The forced cores: the AND of their satisfying sets, or their masks above the table cap
 Carried = int | tuple[Mask, ...]
 
@@ -217,7 +220,7 @@ def partition_groups(
     return live, weight, forced
 
 
-def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, list[Mask]]:
+def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, list[Core]]:
     """The live groups of the node simplified under the assignment of the
     universal ``bits``, those in ``true_bits`` true and the others false,
     their weight, and the cores of the groups it forced.  No group of
@@ -306,28 +309,44 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(dict.fromkeys(cores)), matrix.num_vars)
 
 
-def sat_check_core(
-    cores: Sequence[Mask], sets: dict[Mask, int] | None = None, carried: Carried | None = None
-) -> bool:
-    """Satisfiability of the ``(pos, neg)``-encoded clauses ``cores``, together
-    with the clauses ``carried`` stands for.  Given ``sets``, each core's
-    satisfying set from ``oracle.satisfying_sets``, ``carried`` is the AND of
-    the other clauses' sets, and the answer is whether the AND of the cores'
-    sets with it is nonzero.  Without ``sets``, ``carried`` is a tuple of
-    masks, and the oracle's engine decides (backtracking with unit
-    propagation) with every variable existential; it recurses once per
-    branching variable, and a check that branches deeper than Python's
+def sat_check_core(cores: Sequence[Core], carried: Carried | None = None) -> bool:
+    """Satisfiability of the clauses ``cores``, together with the clauses
+    ``carried`` stands for.  When ``carried`` is an int, each core is a
+    satisfying set from ``oracle.satisfying_sets`` and ``carried`` the AND of
+    the other clauses' sets, and the answer is whether the AND of all of them
+    is nonzero.  Otherwise the cores are ``(pos, neg)`` masks, ``carried`` is
+    None or a tuple of masks, and the oracle's engine decides (backtracking
+    with unit propagation) with every variable existential; it recurses once
+    per branching variable, and a check that branches deeper than Python's
     recursion limit raises ``OracleLimitError``.  An empty clause makes it
     False."""
-    if sets is None:
-        try:
-            return _game([*cores, *(carried or ())], 0)
-        except RecursionError:
-            raise OracleLimitError(
-                "the core SAT check branches deeper than Python's recursion limit "
-                f"({sys.getrecursionlimit()})"
-            ) from None
-    return sets_intersect([-1 if carried is None else carried, *map(sets.__getitem__, cores)])
+    if isinstance(carried, int):
+        return sets_intersect([carried, *cores])
+    try:
+        return _game([*cores, *(carried or ())], 0)
+    except RecursionError:
+        raise OracleLimitError(
+            "the core SAT check branches deeper than Python's recursion limit "
+            f"({sys.getrecursionlimit()})"
+        ) from None
+
+
+def merge_twins(node: Node, tables: list[int], w: int) -> tuple[Node, int]:
+    """``node`` with each core replaced by its satisfying set in ``tables``
+    and every live group merged into the first group whose parts equal its
+    own, in the same order, and the weight of the result, which counts a
+    merged group once.  The first twin's table becomes the AND of theirs, so
+    its core stands for the conjunction of theirs."""
+    first: dict[tuple[Mask, ...], int] = {}
+    merged: Node = []
+    for table, (_, parts, used, heaviest) in zip(tables, node):
+        i = first.setdefault(parts, len(merged))
+        if i < len(merged):
+            merged[i] = (merged[i][0] & table, parts, used, heaviest)
+            w -= heaviest
+        else:
+            merged.append((table, parts, used, heaviest))
+    return merged, w
 
 
 class _Search:
@@ -335,38 +354,18 @@ class _Search:
     live groups of the partition.  ``partition_groups`` builds the root,
     encoding each clause once with the existential bits in sorted variable
     order and ordering the groups by core mask, and hands it over in the shape
-    ``restrict_groups`` gives every child.  ``sets`` maps each root core to
-    its satisfying set, or is None when the existential bits are too many for
-    truth tables.  The cores of the forced groups travel from parent to child
-    as ``carried``: the AND of their sets, or above the table cap a tuple of
-    their masks.  Each node also gets ``path``, the weights of the nodes
-    above it, from the root down."""
+    ``restrict_groups`` gives every child; below the table cap ``solve`` has
+    replaced its cores by their satisfying sets.  The cores of the forced
+    groups travel from parent to child as ``carried``: the AND of their sets,
+    or above the table cap a tuple of their masks.  Each node also gets
+    ``path``, the weights of the nodes above it, from the root down."""
 
-    def __init__(self, x_threshold: float, sets: dict[Mask, int] | None):
+    def __init__(self, x_threshold: float):
         self.x_threshold = x_threshold
-        self.sets = sets
         self.stats = SolverStats()
 
-    def merge_twins(self, node: Node, w: int) -> tuple[Node, int]:
-        """``node`` with every live group merged into the first group whose
-        parts equal its own, in the same order, and the weight of the result,
-        which counts a merged group once.  The first twin's core stands for
-        the conjunction of theirs: its satisfying set becomes the AND of
-        theirs, so ``sets`` must not be None."""
-        first: dict[tuple[Mask, ...], Mask] = {}
-        merged = []
-        for group in node:
-            core, parts, _, heaviest = group
-            head = first.setdefault(parts, core)
-            if head == core:
-                merged.append(group)
-            else:
-                w -= heaviest
-                self.sets[head] &= self.sets[core]
-        return merged, w
-
     def decide(
-        self, node: Node, w: int, forced: list[Mask], carried: Carried, path: tuple[int, ...]
+        self, node: Node, w: int, forced: list[Core], carried: Carried, path: tuple[int, ...]
     ) -> bool:
         """The value of ``node``, of weight ``w``, whose restriction forced
         the cores ``forced``; ``carried`` stands for the cores forced above
@@ -378,11 +377,11 @@ class _Search:
         if path and w >= path[-1]:
             raise SolverInvariantError("weight failed to decrease")
         for core in forced:
-            carried = carried + (core,) if self.sets is None else carried & self.sets[core]
+            carried = carried & core if isinstance(carried, int) else carried + (core,)
         path += (w,)
         # Every clause is core or part: a core model satisfies the restricted
         # matrix whatever the universals do.
-        if sat_check_core([core for core, _, _, _ in node], self.sets, carried):
+        if sat_check_core([core for core, _, _, _ in node], carried):
             return self._base_case(node, True, path)
         best = None
         for _, parts, _, _ in node:
@@ -455,16 +454,18 @@ def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
     d = max(prepared.matrix.max_arity(), 1)
     x_threshold = threshold(kk, d)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
-    # Cores never change below the root, so they are checked and their
-    # satisfying sets built once.
-    cores = [core for core, _, _, _ in live] + forced
+    # Cores never change below the root, so they are checked and, below the
+    # table cap, replaced by their satisfying sets once.
+    cores = forced + [core for core, _, _, _ in live]
     if (0, 0) in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
-    sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
-    search = _Search(x_threshold, sets)
-    if sets is not None:
-        live, weight = search.merge_twins(live, weight)
-    result = search.decide(live, weight, forced, () if sets is None else -1, ())
+    carried: Carried = ()
+    if k <= TABLE_BITS:
+        tables = satisfying_sets(cores, 0, k)
+        live, weight = merge_twins(live, tables[len(forced) :], weight)
+        forced, carried = tables[: len(forced)], -1
+    search = _Search(x_threshold)
+    result = search.decide(live, weight, forced, carried, ())
     stats = search.stats
     stats.d = d
     if stats.max_depth > d * kk ** (d - 1):

@@ -341,6 +341,7 @@ class TestMatrixVariables:
             matrix = CnfMatrix(clauses, num_vars)
             assert matrix.variables == {abs(lit) for clause in clauses for lit in clause}
             assert isinstance(matrix.variables, frozenset)
+            assert DnfFormula(clauses, num_vars).variables == matrix.variables
 
     def test_variables_take_no_part_in_equality_hash_or_repr(self):
         a = CnfMatrix((F(1, -2), F(3)), 4)
@@ -348,6 +349,7 @@ class TestMatrixVariables:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == f"CnfMatrix(clauses={a.clauses!r}, num_vars=4)"
         assert a != CnfMatrix((F(1, -2), F(3)), 5)
+        assert [f.name for f in dataclasses.fields(DnfFormula) if f.compare] == ["terms", "num_vars"]
 
     def test_replace_builds_the_set_again(self):
         matrix = CnfMatrix((F(1, -2), F(3)), 4)

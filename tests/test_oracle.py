@@ -823,6 +823,57 @@ class TestBlockWalk:
         counts = spanning, cut, kept, projected
         assert min(counts) >= 5, counts
 
+    def test_game_path_contract(self):
+        # On the game path a part's value is 0 when it empties a residual and
+        # otherwise ~ids, the complement of its residual ids.  Bit sigma must
+        # be set iff no part sigma falsifies is emptied and decide holds on
+        # the union of their ids, and decide must see only such unions.
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            parts = []
+            for _ in range(rng.randint(0, 10)):
+                pos = neg = 0
+                for bit in rng.sample(range(n), rng.randint(0, min(n, 3))):
+                    if rng.random() < 0.5:
+                        pos |= 1 << bit
+                    else:
+                        neg |= 1 << bit
+                if n and rng.random() < 0.1:
+                    bit = 1 << rng.randrange(n)
+                    pos, neg = pos | bit, neg | bit  # x and -x
+                ids = rng.getrandbits(6)
+                parts.append(((pos, neg), 0 if rng.random() < 0.1 else ~ids))
+            if rng.random() < 0.3:
+                parts.append(((0, 0), ~rng.getrandbits(6)))
+            wins = [rng.random() < 0.7 for _ in range(64)]
+            keys = []
+
+            def decide(ids):
+                keys.append(ids)
+                return wins[ids]
+
+            table = oracle._walk(parts, n, decide)
+            unions = set()
+            for sigma in range(1 << n):
+                values = [
+                    value
+                    for (pos, neg), value in parts
+                    if not pos & neg and not sigma & pos and sigma & neg == neg
+                ]
+                won = 0 not in values
+                if won:
+                    union = 0
+                    for value in values:
+                        union |= ~value
+                    unions.add(union)
+                    won = wins[union]
+                assert (table >> sigma & 1) == won, (n, parts, sigma)
+                checked += won
+            assert set(keys) <= unions, (n, parts)
+        assert checked > 1000
+
     def test_theorem_two_walk_receives_ten_bit_tables(self, monkeypatch):
         # forall 10 exists 14: the 4 split links occur only in the
         # at-least-one clauses, which have no source literal, so the walk
@@ -834,7 +885,7 @@ class TestBlockWalk:
         original = oracle._walk
 
         def recording(parts, n, decide=None):
-            lengths.extend(table.bit_length() for _, table, _ in parts)
+            lengths.extend(table.bit_length() for _, table in parts)
             return original(parts, n, decide)
 
         monkeypatch.setattr(oracle, "_walk", recording)

@@ -460,8 +460,7 @@ def random_cores(rng, k, count):
 
 class TestSatCheckCoreTables:
     def check(self, cores, k):
-        sets = dict(zip(cores, satisfying_sets(cores, 0, k)))
-        return sat_check_core(cores, sets)
+        return sat_check_core(satisfying_sets(cores, 0, k), -1)
 
     def test_matches_play_on_random_cores(self):
         rng = random.Random(53)
@@ -828,14 +827,14 @@ class TestTableCap:
     def solve_corpus(monkeypatch, k, seed, pure):
         """Solve 12 random instances with k existentials and check them
         against ``eval_qbf``; with ``pure`` each also gets 1-3 purely
-        existential clauses.  Returns ``(sets, carried)`` of every node's
-        SAT check."""
+        existential clauses.  Returns ``(tables, carried)`` of every node's
+        SAT check, ``tables`` telling whether its cores were truth tables."""
         calls = []
         original = solver.sat_check_core
 
-        def spying(cores, sets=None, carried=None):
-            calls.append((sets, carried))
-            return original(cores, sets, carried)
+        def spying(cores, carried=None):
+            calls.append((isinstance(carried, int), carried))
+            return original(cores, carried)
 
         monkeypatch.setattr(solver, "sat_check_core", spying)
         rng = random.Random(seed)
@@ -866,7 +865,7 @@ class TestTableCap:
     @pytest.mark.parametrize("k", [TABLE_BITS, TABLE_BITS + 1])
     def test_agrees_with_oracle_on_both_sides_of_the_cap(self, monkeypatch, k):
         calls = self.solve_corpus(monkeypatch, k, k, pure=False)
-        assert all((sets is not None) == (k <= TABLE_BITS) for sets, _ in calls)
+        assert all(tables == (k <= TABLE_BITS) for tables, _ in calls)
 
     def test_forced_cores_carried_above_the_cap(self, monkeypatch):
         # Purely existential clauses force their groups at the root, so every
@@ -1045,10 +1044,13 @@ def unmerged_tree(instance):
     k = len(existential)
     d = max(prepared.matrix.max_arity(), 1)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
-    cores = [core for core, _, _, _ in live] + forced
-    sets = dict(zip(cores, satisfying_sets(cores, 0, k))) if k <= TABLE_BITS else None
-    search = solver._Search(threshold(max(k, 2), d), sets)
-    result = search.decide(live, weight, forced, () if sets is None else -1, ())
+    carried = ()
+    if k <= TABLE_BITS:
+        tables = satisfying_sets(forced + [core for core, _, _, _ in live], 0, k)
+        live = [(table, *group[1:]) for table, group in zip(tables[len(forced) :], live)]
+        forced, carried = tables[: len(forced)], -1
+    search = solver._Search(threshold(max(k, 2), d))
+    result = search.decide(live, weight, forced, carried, ())
     return leaf_tree(result, search.stats)
 
 
