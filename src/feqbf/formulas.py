@@ -10,8 +10,11 @@ The constructors check their literals in bulk: ``CnfMatrix`` and
 ``num_vars``.  Both keep the variables of that union as ``variables``:
 ``CnfMatrix``'s is the one set that ``QbfInstance`` tests against the prefix
 and that ``bound_prefix`` and the oracle read, and ``is_dnf_valid`` reads
-``DnfFormula``'s.  The rows are walked literal by
-literal only when a test fails, to name the first offender.
+``DnfFormula``'s.  ``QbfInstance`` checks its prefix in bulk too: one step
+per block for the alternation of its quantifiers, then the set, count and
+largest of its variables for a second binding, the range and the matrix's
+coverage.  The rows and the prefix are walked one by one only when a test
+fails, to name the first offender.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class QuantifierBlock:
             raise ValueError(f"quantifier must be {FORALL!r} or {EXISTS!r}")
         if not self.vars:
             raise ValueError("quantifier block must bind at least one variable")
-        if any(v < 1 for v in self.vars):
+        if min(self.vars) < 1:
             raise ValueError("variables are positive integers")
 
 
@@ -138,25 +141,43 @@ class QbfInstance:
     matrix: CnfMatrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        seen: set[int] = set()
+        prefix = tuple(self.prefix)
+        object.__setattr__(self, "prefix", prefix)
+        num_vars = self.matrix.num_vars
+        bound: list[int] = []
         previous = None
-        for block in self.prefix:
+        for block in prefix:
             if block.quantifier == previous:
-                raise ValueError("adjacent prefix blocks must alternate (normalize first)")
+                _name_prefix_offender(prefix, num_vars)
             previous = block.quantifier
-            for v in block.vars:
-                if v in seen:
-                    raise ValueError(f"variable {v} bound twice in the prefix")
-                if v > self.matrix.num_vars:
-                    raise ValueError(f"prefix variable {v} exceeds declared count {self.matrix.num_vars}")
-                seen.add(v)
+            bound += block.vars
+        seen = set(bound)
+        if len(seen) < len(bound) or bound and max(bound) > num_vars:
+            _name_prefix_offender(prefix, num_vars)
         if seen.issuperset(self.matrix.variables):
             return
         for clause in self.matrix.clauses:
             for lit in clause:
                 if abs(lit) not in seen:
                     raise ValueError(f"matrix variable {abs(lit)} is not bound by the prefix")
+
+
+def _name_prefix_offender(prefix: tuple[QuantifierBlock, ...], num_vars: int) -> None:
+    """Walk ``prefix`` block by block and variable by variable, and raise for
+    the first repeated quantifier, variable bound twice or variable beyond
+    ``num_vars``."""
+    seen: set[int] = set()
+    previous = None
+    for block in prefix:
+        if block.quantifier == previous:
+            raise ValueError("adjacent prefix blocks must alternate (normalize first)")
+        previous = block.quantifier
+        for v in block.vars:
+            if v in seen:
+                raise ValueError(f"variable {v} bound twice in the prefix")
+            if v > num_vars:
+                raise ValueError(f"prefix variable {v} exceeds declared count {num_vars}")
+            seen.add(v)
 
 
 def bound_prefix(instance: QbfInstance) -> tuple[QuantifierBlock, ...]:

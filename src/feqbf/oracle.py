@@ -1,11 +1,15 @@
 """Ground-truth evaluation of QBF and DNF validity.
 
-Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``,
-the package's only such encoder.  ``eval_qbf`` and ``check_equivalence``
-encode a matrix once and play the QBF game on it (``_game``): backtracking
-with unit propagation (Davis, Logemann and Loveland, 1962).  A clause reduced
-to one existential literal forces it; one reduced to a universal literal is
-False, as the universal player falsifies it.
+Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``.
+The solver's search root encodes each clause into one int instead, universal
+part and core side by side (``solver.partition_groups``), and builds its
+cores' truth tables from ``_bit_tables`` below the table cap; above the cap
+it splits each core into the mask ``_game`` reads.  ``eval_qbf`` and
+``check_equivalence`` encode a matrix once and play the QBF game on it
+(``_game``): backtracking with unit propagation (Davis, Logemann and
+Loveland, 1962).  A clause reduced to one existential literal forces it; one
+reduced to a universal literal is False, as the universal player falsifies
+it.
 
 A purely existential clause set over at most ``TABLE_BITS`` bits is decided
 from truth tables instead: ``satisfying_sets`` maps each clause to the

@@ -18,8 +18,10 @@ each line as a whole: its integers are parsed in one ``map``, and the
 terminator, a 0 inside the line and the range of its literals are tested on
 the list (``0 in``, ``min``, ``max``).  A row is walked literal by literal
 only when the range test fails, to name the first offender.  A prefix
-line's variables, which each occur once in a file, are checked one by one
-for their range and for a second declaration.
+line's variables are checked the same way, for their range with ``min`` and
+``max`` and for a second declaration with a dict of the line's variables,
+its length and its overlap with the variables declared before; they are
+walked one by one only when a test fails.
 """
 
 from __future__ import annotations
@@ -75,17 +77,18 @@ def _parse_int_line(line_no: int, line: str) -> list[int]:
 def _bulk_rows(lines: list[str], num_vars: int) -> list[frozenset[int]] | None:
     """The rows of ``lines``, a section of row lines each ending in `` 0``, read
     in one pass, or None to hand the section to the per-line walk.  The lines
-    are joined and split at `` 0``: one piece per line means each line holds
-    no other `` 0``.  Each token is then looked up in a table of the strings
-    of the nonzero literals over 1..num_vars, which rejects anything but a
-    nonzero literal in range written as ``str`` writes it.  The table is built
-    only while it has no more entries than the section has tokens."""
-    if not all(map(str.endswith, lines, repeat(" 0"))):
+    are joined at line ends and split once at `` 0`` and a line end: one
+    piece per line, the last ending in `` 0``, means every line ends in
+    `` 0``.  Each token is then looked up in a table of the strings of the
+    nonzero literals over 1..num_vars, which rejects anything but a nonzero
+    literal in range written as ``str`` writes it, so a 0 left inside a line
+    declines too.  The table is built only while it has no more entries than
+    the section has tokens."""
+    pieces = "\n".join(lines).split(" 0\n")
+    if len(pieces) != len(lines) or not pieces[-1].endswith(" 0"):
         return None
-    pieces = " ".join(lines).split(" 0")
-    if len(pieces) != len(lines) + 1:
-        return None
-    fields = list(map(str.split, pieces[:-1]))
+    pieces[-1] = pieces[-1][:-2]
+    fields = list(map(str.split, pieces))
     if 2 * num_vars > sum(map(len, fields)):
         return None
     table = {str(lit): lit for lit in range(-num_vars, num_vars + 1)}
@@ -168,12 +171,20 @@ def parse_qdimacs(text: str) -> QbfInstance:
         if clauses:
             raise FormatError(line_no, "prefix line after the first clause")
         vars_ = _parse_int_line(line_no, line[1:])
-        for v in vars_:
-            if v < 1 or v > num_vars:
-                raise FormatError(line_no, f"variable {v} out of range 1..{num_vars}")
-            if v in declared:
-                raise FormatError(line_no, f"variable {v} already declared on line {declared[v]}")
-            declared[v] = line_no
+        fresh = dict.fromkeys(vars_, line_no)
+        if vars_ and (
+            min(vars_) < 1
+            or max(vars_) > num_vars
+            or len(fresh) < len(vars_)
+            or not declared.keys().isdisjoint(fresh)
+        ):
+            for v in vars_:
+                if v < 1 or v > num_vars:
+                    raise FormatError(line_no, f"variable {v} out of range 1..{num_vars}")
+                if v in declared:
+                    raise FormatError(line_no, f"variable {v} already declared on line {declared[v]}")
+                declared[v] = line_no
+        declared.update(fresh)
         blocks.append((FORALL if line[0] == "a" else EXISTS, vars_))
 
     num_vars, clauses = _read(text, "cnf", "clauses", prefix_line)

@@ -14,36 +14,40 @@ which bounds the recursion.  Every k takes this search after
 
 The search branches on universal variables only, so no core ever changes:
 the partition is computed once, at the root (``partition_groups``), which
-encodes each clause once with ``oracle.clause_masks``, over the universal
-bits and then the existential bits, each in sorted variable order.  The
-groups come in the order of their core masks, compared as ``(pos, neg)``
-pairs of ints.  Any fixed order is sound, since it only breaks ties between
-equally small hitting sets, and this one depends on neither the order of
-the clauses nor the order of the variables inside a block; the parts of a
-group keep the order of their clauses.  A search node is a list of
-``(core, parts, used, heaviest)`` entries, one per group: the core is a
-``(pos, neg)`` mask over the existential bits, each universal part one over
-the universal bits, ``used`` is the union of the parts' variables and
-``heaviest`` the size of the largest part.  The root has the shape of a
+encodes each clause once into one int through a table from literals to bits.
+With u universal and k existential variables, each block in sorted variable
+order, the low 2u bits hold the clause's universal part as ``pos | neg << u``
+and the bits above them its existential core as ``pos << k | neg``.  The core
+puts ``pos`` above ``neg`` so that the order of the core ints is the order of
+their ``(pos, neg)`` pairs: the groups come in that order.  Any fixed order is
+sound, since it only breaks ties between equally small hitting sets, and this
+one depends on neither the order of the clauses nor the order of the
+variables inside a block; the parts of a group keep the order of their
+clauses.  A part holds no variable in both polarities (``preprocess`` drops
+tautologies), so its bit count is its number of variables.  A search node is
+a list of ``(core, parts, used, heaviest)`` entries, one per group: the core,
+its universal parts as ints, ``used``, the OR of the parts, and
+``heaviest``, the size of the largest part.  The root has the shape of a
 child: its live groups, their weight and the cores it forced.  Each branch
 restricts its parent's node (``restrict_groups``) and weighs the result in
 the same pass; a group that shares no variable with the branch's bits
 passes through as it is, with its stored summary.
 
-A group one of whose parts is the bare core ``(0, 0)`` is forced: its core
-must hold under every universal assignment, and it subsumes the group's
+A group one of whose parts is 0, the bare core, is forced: its core must
+hold under every universal assignment, and it subsumes the group's
 other parts.  Such a group leaves the node, at the root or in the
 restriction that empties the part, and weighs nothing; only the live groups
 are searched.  The forced cores travel down the search instead.
 
 When the k existential variables number at most ``oracle.TABLE_BITS``, the
 table cap, the root replaces each core by its satisfying set, a 2^k-bit int
-(``oracle.satisfying_sets``), once: below the cap a core is its table from
-the root on.  The forced cores then travel as the AND of their tables, and a
-node's SAT check ANDs its live cores' tables into it.  Above the cap the
-cores stay masks, the forced ones travel as a tuple of them, and a node hands
-them with its live cores to the oracle's game as they are.  The type of
-``carried``, an int or a tuple, tells which kind of core a search holds.
+built from the oracle's per-bit tables, once: below the cap a core is its
+table from the root on.  The forced cores then travel as the AND of their
+tables, and a node's SAT check ANDs its live cores' tables into it.  Above
+the cap the root splits each core into its ``(pos, neg)`` mask, the forced
+ones travel as a tuple of them, and a node hands them with its live cores to
+the oracle's game as they are.  The type of ``carried``, an int or a tuple,
+tells which kind of core a search holds.
 
 Groups whose parts are equal, in the same order, are twins: every
 restriction drops or forces them together and leaves their parts equal, and
@@ -75,14 +79,16 @@ from .formulas import (
     bound_prefix,
     normalize_prefix,
 )
-from .oracle import TABLE_BITS, OracleLimitError, _game, clause_masks, satisfying_sets, sets_intersect
+from .oracle import TABLE_BITS, OracleLimitError, _bit_tables, _game, _satisfying_set, sets_intersect
 from .oracle import eval_qbf  # unused here; perfbench/tracer.py wraps solver.eval_qbf
 
 Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
-# (core, universal parts, union of the parts' variables, largest part size) per
-# group; the core is its satisfying set below the table cap and its mask above
+# A universal part is one int, pos | neg << u over the u universal bits; a core
+# is pos << k | neg over the k existential bits at the root, then its
+# satisfying set below the table cap and its (pos, neg) mask above.
 Core = int | Mask
-Node = list[tuple[Core, tuple[Mask, ...], int, int]]
+# (core, universal parts, OR of the parts, largest part size) per group
+Node = list[tuple[Core, tuple[int, ...], int, int]]
 # The forced cores: the AND of their satisfying sets, or their masks above the table cap
 Carried = int | tuple[Mask, ...]
 
@@ -101,7 +107,10 @@ class FalseCertificate:
 
 @dataclass(frozen=True)
 class DisjointFamily:
-    parts: tuple[Mask, ...]
+    """Pairwise variable-disjoint universal parts, each the int
+    ``pos | neg << u``."""
+
+    parts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -167,8 +176,8 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     iterate in C do the work: the first keeps each clause disjoint from its
     own negation, the second names the first kept clause with no existential
     literal as the certificate.  An instance that loses no clause and whose
-    prefix already has that shape comes back as it is, without a second run
-    of ``QbfInstance``'s checks."""
+    prefix ``bound_prefix`` keeps whole comes back as it is, without a second
+    run of ``QbfInstance``'s checks: ``ae_blocks`` has checked its shape."""
     universal, existential = ae_blocks(instance)
     clauses = instance.matrix.clauses
     negations = map(map, repeat(operator.neg), clauses)
@@ -177,42 +186,50 @@ def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
     universal_only = next(compress(kept, map(e_lits.isdisjoint, kept)), None)
     if universal_only is not None:
         return FalseCertificate(universal_only)
-    prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
-    if len(kept) == len(clauses) and prefix == instance.prefix:
+    if len(kept) == len(clauses) and bound_prefix(instance) is instance.prefix:
         return instance
+    prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
     return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
 
 
 def partition_groups(
     matrix: CnfMatrix, universal: Sequence[int], existential: Sequence[int]
-) -> tuple[Node, int, list[Mask]]:
+) -> tuple[Node, int, list[int]]:
     """The search root of ``matrix``, in the shape ``restrict_groups`` gives a
     child: the live groups, their weight, and the cores of the forced groups.
-    Each clause is encoded once, over the universal bits and then the
-    existential bits, each in sorted variable order: its core is the high
-    bits shifted down, its universal part the low bits.  Parts are
-    deduplicated in first-occurrence order.  A group holding the bare part
-    ``(0, 0)``, from a purely existential clause, is forced.  The groups come
-    in the order of their ``(pos, neg)`` core masks, which no clause order
-    changes."""
-    u = len(universal)
-    low = (1 << u) - 1
-    bit_of = {v: i for i, v in enumerate([*sorted(universal), *sorted(existential)])}
-    groups: dict[Mask, dict[Mask, None]] = {}
-    for pos, neg in clause_masks(matrix.clauses, bit_of):
-        groups.setdefault((pos >> u, neg >> u), {})[pos & low, neg & low] = None
+    Each clause is encoded once into one int, the sum of its literals' bits,
+    u universal and k existential variables each taking their bits in sorted
+    variable order: its universal part ``pos | neg << u`` in the low 2u bits
+    and its core ``pos << k | neg`` above them.  Parts are deduplicated in
+    first-occurrence order.  A group holding the bare part 0, from a purely
+    existential clause, is forced.  The groups come in the order of their
+    core ints, that is, of their ``(pos, neg)`` core masks, which no clause
+    order changes.  A tautological part, which ``preprocess`` drops, raises
+    ``SolverInvariantError``: its bit count is not its size."""
+    u, k = len(universal), len(existential)
+    shift = 2 * u
+    bit = {}
+    for i, v in enumerate(sorted(universal)):
+        bit[v], bit[-v] = 1 << i, 1 << (u + i)
+    for j, v in enumerate(sorted(existential)):
+        bit[v], bit[-v] = 1 << (shift + k + j), 1 << (shift + j)
+    low = (1 << shift) - 1
+    groups: dict[int, dict[int, None]] = {}
+    for clause in map(sum, map(map, repeat(bit.__getitem__), matrix.clauses)):
+        groups.setdefault(clause >> shift, {})[clause & low] = None
 
     live, forced, weight = [], [], 0
     for core in sorted(groups):
         parts = groups[core]
-        if (0, 0) in parts:
+        if 0 in parts:
             forced.append(core)
             continue
         used = heaviest = 0
-        for pos, neg in parts:
-            variables = pos | neg
-            used |= variables
-            size = variables.bit_count()
+        for part in parts:
+            if part & part >> u:
+                raise SolverInvariantError("tautological universal part reached the search")
+            used |= part
+            size = part.bit_count()
             if size > heaviest:
                 heaviest = size
         live.append((core, tuple(parts), used, heaviest))
@@ -220,42 +237,45 @@ def partition_groups(
     return live, weight, forced
 
 
-def restrict_groups(node: Node, bits: int, true_bits: int) -> tuple[Node, int, list[Core]]:
+def restrict_groups(
+    node: Node, bits: int, true_bits: int, u: int
+) -> tuple[Node, int, list[Core]]:
     """The live groups of the node simplified under the assignment of the
     universal ``bits``, those in ``true_bits`` true and the others false,
-    their weight, and the cores of the groups it forced.  No group of
-    ``node`` may hold the bare core ``(0, 0)``.  Satisfied parts are dropped,
+    their weight, and the cores of the groups it forced.  The parts are ints
+    ``pos | neg << u`` over the ``u`` universal bits, and no group of
+    ``node`` may hold the bare part 0.  Satisfied parts are dropped,
     falsified literals removed from the others, parts deduplicated in order,
     and a group left without parts dropped.  A group one of whose parts
-    becomes the bare core is forced: its core must hold whatever the other
+    becomes the bare part is forced: its core must hold whatever the other
     universals do, so it leaves the node and its other parts, which the core
     subsumes, are not restricted further.  Cores are untouched, so groups keep
-    their order.  A group whose ``used`` misses ``bits`` passes through as the
-    same entry and adds its stored ``heaviest`` to the weight; a touched group
-    gets its summary rebuilt in the pass that restricts it."""
-    false_bits = bits & ~true_bits
-    keep = ~bits
+    their order.  A group whose ``used`` misses ``bits`` in both polarities
+    passes through as the same entry and adds its stored ``heaviest`` to the
+    weight; a touched group gets its summary rebuilt in the pass that
+    restricts it."""
+    touched = bits | bits << u
+    satisfied = true_bits | (bits & ~true_bits) << u
+    keep = ~touched
     live, forced, weight = [], [], 0
     for group in node:
         core, parts, used, heaviest = group
-        if not used & bits:
+        if not used & touched:
             live.append(group)
             weight += heaviest
             continue
         kept = {}
         used = heaviest = 0
-        for pos, neg in parts:
-            if pos & true_bits or neg & false_bits:
+        for part in parts:
+            if part & satisfied:
                 continue
-            pos &= keep
-            neg &= keep
-            variables = pos | neg
-            if not variables:
+            part &= keep
+            if not part:
                 forced.append(core)
                 break
-            kept[pos, neg] = None
-            used |= variables
-            size = variables.bit_count()
+            kept[part] = None
+            used |= part
+            size = part.bit_count()
             if size > heaviest:
                 heaviest = size
         else:
@@ -282,24 +302,26 @@ def threshold(k: int, d: int) -> float:
     return _as_float(2**d) * d * math.log(k)
 
 
-def greedy_disjoint(parts: tuple[Mask, ...], x_threshold: float) -> DisjointFamily | int:
-    """Greedily collect pairwise variable-disjoint universal parts in input
-    order.  Success means at least x_threshold of them; otherwise the
-    variables of the maximal family hit every part and come back as a hitting
-    set: the mask of their universal bits."""
-    if (0, 0) in parts:
+def greedy_disjoint(parts: tuple[int, ...], x_threshold: float, u: int) -> DisjointFamily | int:
+    """Greedily collect pairwise variable-disjoint universal parts, the ints
+    ``pos | neg << u``, in input order.  Success means at least x_threshold
+    of them; otherwise the variables of the maximal family hit every part and
+    come back as a hitting set: the mask of their universal bits."""
+    if 0 in parts:
         raise ValueError("greedy search is undefined on groups with an empty universal part")
-    chosen: list[Mask] = []
+    chosen: list[int] = []
     used = 0
-    for pos, neg in parts:
-        variables = pos | neg
+    for part in parts:
+        # The low u bits hold the part's variables; the bits above, its
+        # negative literals, meet ``used`` only where the low bits do.
+        variables = part | part >> u
         if variables & used:
             continue
-        chosen.append((pos, neg))
+        chosen.append(part)
         used |= variables
         if len(chosen) >= x_threshold:
             return DisjointFamily(tuple(chosen))
-    return used
+    return used & ((1 << u) - 1)
 
 
 def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfMatrix:
@@ -337,7 +359,7 @@ def merge_twins(node: Node, tables: list[int], w: int) -> tuple[Node, int]:
     own, in the same order, and the weight of the result, which counts a
     merged group once.  The first twin's table becomes the AND of theirs, so
     its core stands for the conjunction of theirs."""
-    first: dict[tuple[Mask, ...], int] = {}
+    first: dict[tuple[int, ...], int] = {}
     merged: Node = []
     for table, (_, parts, used, heaviest) in zip(tables, node):
         i = first.setdefault(parts, len(merged))
@@ -352,16 +374,18 @@ def merge_twins(node: Node, tables: list[int], w: int) -> tuple[Node, int]:
 class _Search:
     """One solver run: fixed threshold, accumulated stats.  A node holds the
     live groups of the partition.  ``partition_groups`` builds the root,
-    encoding each clause once with the existential bits in sorted variable
-    order and ordering the groups by core mask, and hands it over in the shape
-    ``restrict_groups`` gives every child; below the table cap ``solve`` has
-    replaced its cores by their satisfying sets.  The cores of the forced
-    groups travel from parent to child as ``carried``: the AND of their sets,
-    or above the table cap a tuple of their masks.  Each node also gets
-    ``path``, the weights of the nodes above it, from the root down."""
+    encoding each clause once into one int and ordering the groups by core,
+    and hands it over in the shape ``restrict_groups`` gives every child;
+    ``solve`` has replaced its cores by their satisfying sets below the table
+    cap and by their ``(pos, neg)`` masks above it.  The parts are ints over
+    the ``u`` universal bits.  The cores of the forced groups travel from
+    parent to child as ``carried``: the AND of their sets, or above the table
+    cap a tuple of their masks.  Each node also gets ``path``, the weights of
+    the nodes above it, from the root down."""
 
-    def __init__(self, x_threshold: float):
+    def __init__(self, x_threshold: float, u: int):
         self.x_threshold = x_threshold
+        self.u = u
         self.stats = SolverStats()
 
     def decide(
@@ -385,7 +409,7 @@ class _Search:
             return self._base_case(node, True, path)
         best = None
         for _, parts, _, _ in node:
-            hitting = greedy_disjoint(parts, self.x_threshold)
+            hitting = greedy_disjoint(parts, self.x_threshold, self.u)
             if isinstance(hitting, DisjointFamily):
                 continue
             size = hitting.bit_count()
@@ -396,8 +420,9 @@ class _Search:
         if best is None:
             return self._base_case(node, False, path)
         _, hitting, parts = best
-        for pos, neg in parts:
-            if not (pos | neg) & hitting:
+        touched = hitting | hitting << self.u
+        for part in parts:
+            if not part & touched:
                 raise SolverInvariantError("hitting set misses a universal part")
         return self._branch(node, hitting, carried, path)
 
@@ -407,7 +432,7 @@ class _Search:
         true_bits = 0
         while True:
             self.stats.branches += 1
-            if not self.decide(*restrict_groups(node, hitting, true_bits), carried, path):
+            if not self.decide(*restrict_groups(node, hitting, true_bits, self.u), carried, path):
                 return False
             if true_bits == hitting:
                 return True
@@ -454,17 +479,22 @@ def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
     d = max(prepared.matrix.max_arity(), 1)
     x_threshold = threshold(kk, d)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
-    # Cores never change below the root, so they are checked and, below the
-    # table cap, replaced by their satisfying sets once.
+    # Cores never change below the root, so they are checked and replaced
+    # once: by their satisfying sets below the table cap, by their masks above.
     cores = forced + [core for core, _, _, _ in live]
-    if (0, 0) in cores:
+    if 0 in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
-    carried: Carried = ()
+    low = (1 << k) - 1
     if k <= TABLE_BITS:
-        tables = satisfying_sets(cores, 0, k)
+        bit_tables = _bit_tables(k)
+        tables = [_satisfying_set(core >> k, core & low, bit_tables) for core in cores]
         live, weight = merge_twins(live, tables[len(forced) :], weight)
         forced, carried = tables[: len(forced)], -1
-    search = _Search(x_threshold)
+    else:
+        masks = [(core >> k, core & low) for core in cores]
+        live = [(mask, *group[1:]) for mask, group in zip(masks[len(forced) :], live)]
+        forced, carried = masks[: len(forced)], ()
+    search = _Search(x_threshold, len(universal))
     result = search.decide(live, weight, forced, carried, ())
     stats = search.stats
     stats.d = d

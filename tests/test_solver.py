@@ -56,28 +56,41 @@ def make(prefix, clauses, num_vars):
     return QbfInstance(normalize_prefix(prefix), CnfMatrix(tuple(clauses), num_vars))
 
 
-def M(*clauses):
+def masks(*clauses):
     """Encode clauses as ``(pos, neg)`` masks with variable v at bit v - 1."""
     return tuple(clause_masks(clauses, {v: v - 1 for v in range(1, 64)}))
+
+
+def M(u, *clauses):
+    """Encode clauses over universals 1..u as the search's parts, the ints
+    ``pos | neg << u``, with variable v at bit v - 1."""
+    return tuple(pos | neg << u for pos, neg in masks(*clauses))
 
 
 def encode(groups, universal, existential):
     """The search node of ``groups``, a dict from each existential core to its
     universal parts, in its order, with bits in the order of the given
-    universal and existential variables."""
+    universal and existential variables: each core the int ``pos << k | neg``
+    and each part the int ``pos | neg << u``."""
+    u, k = len(universal), len(existential)
     universal_bit = {v: i for i, v in enumerate(universal)}
     existential_bit = {v: i for i, v in enumerate(existential)}
     node = []
-    for core, core_mask in zip(groups, clause_masks(groups, existential_bit)):
-        parts = tuple(clause_masks(groups[core], universal_bit))
-        node.append((core_mask, parts, *summary(parts)))
+    for core, (pos, neg) in zip(groups, clause_masks(groups, existential_bit)):
+        parts = tuple(pos | neg << u for pos, neg in clause_masks(groups[core], universal_bit))
+        node.append((pos << k | neg, parts, *summary(parts, u)))
     return node
 
 
-def group_weight(node):
+def variable_count(part, u):
+    """The number of variables of the part ``pos | neg << u``."""
+    return ((part | part >> u) & ((1 << u) - 1)).bit_count()
+
+
+def group_weight(node, u):
     """Sum over the live groups of the largest universal part, recomputed from
     the parts: the search's strictly decreasing progress measure."""
-    return sum(max((pos | neg).bit_count() for pos, neg in parts) for _, parts, _, _ in node)
+    return sum(max(variable_count(part, u) for part in parts) for _, parts, _, _ in node)
 
 
 def sigma_bits(sigma):
@@ -86,12 +99,10 @@ def sigma_bits(sigma):
     return bits, sum(1 << (v - 1) for v, value in sigma.items() if value)
 
 
-def summary(parts):
-    """``(used, heaviest)`` of a group, recomputed from its parts."""
-    return (
-        reduce(or_, (pos | neg for pos, neg in parts), 0),
-        max((pos | neg).bit_count() for pos, neg in parts),
-    )
+def summary(parts, u):
+    """``(used, heaviest)`` of a group, recomputed from its parts: their OR
+    and the largest number of variables of one part."""
+    return reduce(or_, parts, 0), max(variable_count(part, u) for part in parts)
 
 
 def threshold_instance(n):
@@ -209,34 +220,40 @@ class TestPartitionGroups:
         # existential x1 is variable 3; universals y1=1, y2=2
         matrix = CnfMatrix((F(3, 1), F(3, -2), F(-3, 1)), 3)
         live, weight, forced = partition_groups(matrix, (1, 2), (3,))
-        # Core -x1, mask (0, 1), sorts before core x1, mask (1, 0).
-        assert live == [((0, 1), M(F(1)), 0b01, 1), ((1, 0), M(F(1), F(-2)), 0b11, 1)]
+        # Core -x1, the int 0b01 for the mask (0, 1), sorts before core x1,
+        # 0b10 for (1, 0).  Part -y2 is neg bit 1, shifted up by u = 2.
+        assert live == [(0b01, M(2, F(1)), 0b0001, 1), (0b10, M(2, F(1), F(-2)), 0b1001, 1)]
+        assert M(2, F(1), F(-2)) == (0b0001, 0b1000)
         assert (weight, forced) == (2, [])
-        assert weight == group_weight(live)
+        assert weight == group_weight(live, 2)
 
     def test_purely_existential_clause_has_empty_part(self):
         matrix = CnfMatrix((F(1, 2),), 2)
-        assert partition_groups(matrix, (), (1, 2)) == ([], 0, [(0b11, 0)])
+        # The core's pos 0b11 sits above its neg 0b00.
+        assert partition_groups(matrix, (), (1, 2)) == ([], 0, [0b1100])
 
     def test_duplicate_universal_parts_collapse(self):
         matrix = CnfMatrix((F(3, 1), F(3, 1)), 3)
         live, weight, forced = partition_groups(matrix, (1, 2), (3,))
-        assert live == [((1, 0), M(F(1)), 0b01, 1)]
+        assert live == [(0b10, M(2, F(1)), 0b01, 1)]
         assert (weight, forced) == (1, [])
 
     def test_cores_in_mask_order_whatever_the_block_order(self):
         # Both blocks given out of order: each takes its bits in sorted
         # variable order, universals 1, 2, 3 at bits 0-2, existentials
-        # 5, 6, 7 at bits 0-2 of the core.  The cores come in the order of
-        # their (pos, neg) masks.
+        # 5, 6, 7 at bits 0-2 of the core's pos and neg.  The cores come in
+        # the order of their (pos, neg) masks, the order of the ints
+        # pos << 3 | neg.
         matrix = CnfMatrix((F(7, 3), F(6, 2), F(-5, 1), F(5, 6, 3), F(5, 2)), 7)
         live, weight, forced = partition_groups(matrix, (3, 1, 2), (7, 5, 6))
         # {-5}, {5}, {6}, {5, 6}, {7}
-        cores = [(0, 0b001), (0b001, 0), (0b010, 0), (0b011, 0), (0b100, 0)]
+        cores = [0b001, 0b001 << 3, 0b010 << 3, 0b011 << 3, 0b100 << 3]
         assert [core for core, _, _, _ in live] == cores
-        assert [parts for _, parts, _, _ in live] == [M(F(1)), M(F(2)), M(F(2)), M(F(3)), M(F(3))]
+        assert [parts for _, parts, _, _ in live] == [
+            M(3, F(1)), M(3, F(2)), M(3, F(2)), M(3, F(3)), M(3, F(3))
+        ]
         assert (weight, forced) == (5, [])
-        assert weight == group_weight(live)
+        assert weight == group_weight(live, 3)
 
 
 def core_matrix(rng, n, k):
@@ -265,7 +282,7 @@ class TestRestrictGroups:
             universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
             sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
             node = root_node(matrix, universal, existential)
-            restricted, weight, forced = restrict_groups(node, *sigma_bits(sigma))
+            restricted, weight, forced = restrict_groups(node, *sigma_bits(sigma), n)
             expected, _, expected_forced = partition_groups(
                 apply_assignment_cnf(matrix, sigma), universal, existential
             )
@@ -278,8 +295,8 @@ class TestRestrictGroups:
             ]
             # The groups the assignment forced, in node order.
             assert forced == [core for core, _, _, _ in node if core in expected_forced]
-            assert all((0, 0) not in parts for _, parts, _, _ in restricted)
-            assert weight == group_weight(restricted)
+            assert all(0 not in parts for _, parts, _, _ in restricted)
+            assert weight == group_weight(restricted, n)
 
     def test_weight_equals_group_weight_of_result(self):
         rng = random.Random(43)
@@ -291,9 +308,9 @@ class TestRestrictGroups:
             # Restrict twice, so that the second pass starts from restricted parts.
             for _ in range(2):
                 sigma = {v: rng.random() < 0.5 for v in rng.sample(universal, rng.randint(0, n))}
-                node, weight, _ = restrict_groups(node, *sigma_bits(sigma))
-                assert weight == group_weight(node)
-                assert all((0, 0) not in parts for _, parts, _, _ in node)
+                node, weight, _ = restrict_groups(node, *sigma_bits(sigma), n)
+                assert weight == group_weight(node, n)
+                assert all(0 not in parts for _, parts, _, _ in node)
 
     def test_summaries_follow_chains_of_restrictions(self):
         rng = random.Random(47)
@@ -302,31 +319,35 @@ class TestRestrictGroups:
             matrix = core_matrix(rng, n, k)
             universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
             node = root_node(matrix, universal, existential)
-            assert all(group[2:] == summary(group[1]) for group in node)
+            assert all(group[2:] == summary(group[1], n) for group in node)
             for _ in range(rng.randint(1, 4)):
                 hit = rng.sample(universal, rng.randint(0, min(2, n)))
                 sigma = {v: rng.random() < 0.5 for v in hit}
                 bits, true_bits = sigma_bits(sigma)
-                restricted, weight, _ = restrict_groups(node, bits, true_bits)
-                assert all(group[2:] == summary(group[1]) for group in restricted)
-                assert weight == group_weight(restricted)
-                # A group the assignment misses comes back as the same object.
-                missed = [group for group in node if not group[2] & bits]
+                restricted, weight, _ = restrict_groups(node, bits, true_bits, n)
+                assert all(group[2:] == summary(group[1], n) for group in restricted)
+                assert weight == group_weight(restricted, n)
+                # A group none of whose parts holds a variable the assignment
+                # sets comes back as the same object.
+                missed = [
+                    group for group in node
+                    if not any((part | part >> n) & bits for part in group[1])
+                ]
                 assert [g for g in restricted if any(g is group for group in missed)] == missed
                 node = restricted
 
     def test_drops_satisfied_groups_and_falsified_literals(self):
         groups = {F(5): (F(1, 2), F(-1, 3), F(3)), F(6): (F(1),)}
         node = encode(groups, (1, 2, 3), (5, 6))
-        core5, core6 = (0b01, 0), (0b10, 0)
-        assert restrict_groups(node, *sigma_bits({1: True})) == (
-            [(core5, M(F(3)), 0b100, 1)],
+        core5, core6 = 0b01 << 2, 0b10 << 2
+        assert restrict_groups(node, *sigma_bits({1: True}), 3) == (
+            [(core5, M(3, F(3)), 0b100, 1)],
             1,
             [],
         )
         # x1 false leaves core6 bare: the group is forced and leaves the node.
-        assert restrict_groups(node, *sigma_bits({1: False})) == (
-            [(core5, M(F(2), F(3)), 0b110, 1)],
+        assert restrict_groups(node, *sigma_bits({1: False}), 3) == (
+            [(core5, M(3, F(2), F(3)), 0b110, 1)],
             1,
             [core6],
         )
@@ -334,8 +355,8 @@ class TestRestrictGroups:
     def test_deduplicates_parts_in_order(self):
         # x1 false turns (1, 2) into (2), a copy of the third part.
         node = encode({F(5): (F(1, 2), F(3), F(2))}, (1, 2, 3), (5,))
-        assert restrict_groups(node, *sigma_bits({1: False})) == (
-            [((1, 0), M(F(2), F(3)), 0b110, 1)],
+        assert restrict_groups(node, *sigma_bits({1: False}), 3) == (
+            [(0b10, M(3, F(2), F(3)), 0b110, 1)],
             1,
             [],
         )
@@ -374,30 +395,37 @@ class TestThreshold:
 
 class TestGreedyDisjoint:
     def test_family_found(self):
-        parts = M(F(1, 2), F(2, 3), F(4))
-        result = greedy_disjoint(parts, 2)
+        parts = M(4, F(1, 2), F(2, 3), F(4))
+        result = greedy_disjoint(parts, 2, 4)
         assert isinstance(result, DisjointFamily)
-        assert result.parts == M(F(1, 2), F(4))
+        assert result.parts == M(4, F(1, 2), F(4))
 
     def test_hitting_set_on_failure(self):
-        parts = M(F(1, 2), F(2, 3))
-        result = greedy_disjoint(parts, 2)
+        parts = M(3, F(1, 2), F(2, 3))
+        result = greedy_disjoint(parts, 2, 3)
         assert result == 0b11  # variables 1 and 2
-        assert all((pos | neg) & result for pos, neg in parts)
+        assert all((part | part >> 3) & result for part in parts)
+
+    def test_opposite_literals_share_their_variable(self):
+        # -x1 and x1 meet in x1, and the hitting set holds the variables 1
+        # and 2 of the family -x1, -x2, with no bit of a negative literal.
+        parts = M(2, F(-1), F(1, -2), F(-2))
+        assert greedy_disjoint(parts, 3, 2) == 0b11
+        assert greedy_disjoint(parts, 2, 2) == DisjointFamily(M(2, F(-1), F(-2)))
 
     def test_single_clause_family(self):
-        result = greedy_disjoint(M(F(1)), 1)
+        result = greedy_disjoint(M(1, F(1)), 1, 1)
         assert isinstance(result, DisjointFamily)
-        assert result.parts == M(F(1))
+        assert result.parts == M(1, F(1))
 
     def test_rejects_empty_part(self):
         with pytest.raises(ValueError):
-            greedy_disjoint(M(F()), 1)
+            greedy_disjoint(M(1, F()), 1, 1)
 
     def test_fractional_threshold_uses_ceiling(self):
-        parts = M(F(1), F(2))
-        assert isinstance(greedy_disjoint(parts, 1.2), DisjointFamily)
-        assert len(greedy_disjoint(parts, 1.2).parts) == 2
+        parts = M(2, F(1), F(2))
+        assert isinstance(greedy_disjoint(parts, 1.2, 2), DisjointFamily)
+        assert len(greedy_disjoint(parts, 1.2, 2).parts) == 2
 
 
 class TestCoreProjection:
@@ -418,18 +446,18 @@ class TestCoreProjection:
 
 class TestSatCheckCore:
     def test_contradiction(self):
-        assert sat_check_core(M(F(1), F(-1))) is False
+        assert sat_check_core(masks(F(1), F(-1))) is False
 
     def test_satisfiable(self):
-        assert sat_check_core(M(F(1, 2), F(-1, 2))) is True
+        assert sat_check_core(masks(F(1, 2), F(-1, 2))) is True
 
     def test_empty_clause(self):
-        assert sat_check_core(M(F())) is False
+        assert sat_check_core(masks(F())) is False
 
     def test_early_conflict_beyond_enumeration(self):
         # 2^40 assignments are out of reach; the conflict on x1 is found at once.
         clauses = [F(v) for v in range(1, 40)] + [F(-1)]
-        assert sat_check_core(M(*clauses)) is False
+        assert sat_check_core(masks(*clauses)) is False
 
     def test_matches_brute_force_on_random_cnf(self):
         rng = random.Random(17)
@@ -441,7 +469,7 @@ class TestSatCheckCore:
                 vars_ = rng.sample(range(1, k + 1), width)
                 clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
             expected = cnf_satisfiable(clauses, range(1, k + 1))
-            assert sat_check_core(M(*clauses)) == expected
+            assert sat_check_core(masks(*clauses)) == expected
 
 
 def random_cores(rng, k, count):
@@ -488,12 +516,12 @@ class TestWeight:
         # cores {x1}={5}: parts (1,2) and (3); {-x2}={-6}: part (1)
         matrix = CnfMatrix((F(5, 1, 2), F(5, 3), F(-6, 1)), 6)
         live, weight, _ = partition_groups(matrix, (1, 2, 3), (5, 6))
-        assert weight == group_weight(live) == 3
+        assert weight == group_weight(live, 3) == 3
 
     def test_purely_existential_weighs_nothing(self):
         matrix = CnfMatrix((F(1, 2), F(-2)), 2)
         live, weight, forced = partition_groups(matrix, (), (1, 2))
-        assert weight == group_weight(live) == 0
+        assert weight == group_weight(live, 0) == 0
         assert len(forced) == 2
 
 
@@ -1029,6 +1057,71 @@ class TestSearchTree:
                 assert ([core for core, _, _, _ in live], weight, forced) == expected
 
 
+def pair_partition(matrix, universal, existential):
+    """The search root with each core, part and ``used`` a ``(pos, neg)`` or
+    variable mask, built on ``oracle.clause_masks``: the reference for
+    ``partition_groups``' ints.  Each clause is encoded over the universal
+    bits and then the existential bits, each in sorted variable order; the
+    groups come in the order of their core masks, and ``used`` is the union
+    of the parts' variables."""
+    u = len(universal)
+    low = (1 << u) - 1
+    bit_of = {v: i for i, v in enumerate([*sorted(universal), *sorted(existential)])}
+    groups = {}
+    for pos, neg in clause_masks(matrix.clauses, bit_of):
+        groups.setdefault((pos >> u, neg >> u), {})[pos & low, neg & low] = None
+    live, forced, weight = [], [], 0
+    for core in sorted(groups):
+        parts = groups[core]
+        if (0, 0) in parts:
+            forced.append(core)
+            continue
+        heaviest = max((pos | neg).bit_count() for pos, neg in parts)
+        live.append((core, tuple(parts), reduce(or_, (pos | neg for pos, neg in parts)), heaviest))
+        weight += heaviest
+    return live, weight, forced
+
+
+def decoded_root(matrix, universal, existential):
+    """``partition_groups``' root with each core int ``pos << k | neg`` and
+    each part int ``pos | neg << u`` split into its ``(pos, neg)`` mask, and
+    ``used`` into the mask of the variables of the parts."""
+    u, k = len(universal), len(existential)
+
+    def core(c):
+        return c >> k, c & ((1 << k) - 1)
+
+    def part(p):
+        return p & ((1 << u) - 1), p >> u
+
+    live, weight, forced = partition_groups(matrix, universal, existential)
+    live = [
+        (core(c), tuple(map(part, parts)), (used | used >> u) & ((1 << u) - 1), heaviest)
+        for c, parts, used, heaviest in live
+    ]
+    return live, weight, [core(c) for c in forced]
+
+
+class TestIntRoot:
+    def test_matches_the_pair_reference(self):
+        # Five seeded clause shuffles of every TestSearchTree instance, on
+        # both sides of the table cap: the cores and their order, the parts
+        # and their order, used, heaviest, the weight and the forced cores.
+        rng = random.Random(13)
+        ks, forced_seen = set(), 0
+        for instance in TestSearchTree.corpus():
+            universal, existential = ae_blocks(instance)
+            ks.add(len(existential) <= TABLE_BITS)
+            for _ in range(5):
+                clauses = rng.sample(instance.matrix.clauses, len(instance.matrix.clauses))
+                matrix = CnfMatrix(tuple(clauses), instance.matrix.num_vars)
+                expected = pair_partition(matrix, universal, existential)
+                assert decoded_root(matrix, universal, existential) == expected
+                forced_seen += bool(expected[2])
+        assert ks == {True, False}
+        assert forced_seen > 0
+
+
 def leaf_tree(result, s):
     """``(result, leaves, branches, max_depth)`` and the three leaf kinds."""
     return (result, s.leaves, s.branches, s.max_depth,
@@ -1044,12 +1137,15 @@ def unmerged_tree(instance):
     k = len(existential)
     d = max(prepared.matrix.max_arity(), 1)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
+    # Each core int pos << k | neg as its (pos, neg) mask, and below the
+    # table cap as its satisfying set.
+    cores = [(core >> k, core & ((1 << k) - 1)) for core in forced + [core for core, _, _, _ in live]]
     carried = ()
     if k <= TABLE_BITS:
-        tables = satisfying_sets(forced + [core for core, _, _, _ in live], 0, k)
-        live = [(table, *group[1:]) for table, group in zip(tables[len(forced) :], live)]
-        forced, carried = tables[: len(forced)], -1
-    search = solver._Search(threshold(max(k, 2), d))
+        cores, carried = satisfying_sets(cores, 0, k), -1
+    live = [(core, *group[1:]) for core, group in zip(cores[len(forced) :], live)]
+    forced = cores[: len(forced)]
+    search = solver._Search(threshold(max(k, 2), d), len(universal))
     result = search.decide(live, weight, forced, carried, ())
     return leaf_tree(result, search.stats)
 
@@ -1122,7 +1218,7 @@ class TestInvariants:
     def test_hitting_set_missing_a_part_raises(self, monkeypatch):
         monkeypatch.setattr(
             "feqbf.solver.greedy_disjoint",
-            lambda parts, x_threshold: 0,
+            lambda parts, x_threshold, u: 0,
         )
         # The group of core x2, whose universal parts {x1} and {-x1} need a
         # hitting set; the cores x2 and -x2 are jointly unsatisfiable, so the
@@ -1139,7 +1235,7 @@ class TestInvariants:
         # branches on x1, and the first child weighs what the root did.
         monkeypatch.setattr(
             "feqbf.solver.restrict_groups",
-            lambda node, bits, true_bits: (node, sum(group[3] for group in node), []),
+            lambda node, bits, true_bits, u: (node, sum(group[3] for group in node), []),
         )
         instance = make(
             [(FORALL, (1,)), (EXISTS, (2, 3, 4))], [F(2, 1), F(2, -1), F(-2, 1)], 4
@@ -1157,12 +1253,24 @@ class TestInvariants:
         with pytest.raises(SolverInvariantError, match="universal-only clause reached the recursion"):
             solve(instance)
 
+    def test_tautological_part_reaching_the_search_raises(self, monkeypatch):
+        # Without preprocess the clause (x1 | -x1 | e2) reaches the root with
+        # the universal part x1 | -x1, which has two bits for one variable.
+        monkeypatch.setattr("feqbf.solver.preprocess", lambda instance: instance)
+        instance = make(
+            [(FORALL, (1,)), (EXISTS, (2, 3))], [F(1, -1, 2), F(3)], 3
+        )
+        with pytest.raises(SolverInvariantError, match="tautological universal part reached the search"):
+            solve(instance)
+
     def test_hitting_set_check_survives_optimized_mode(self):
         root = Path(__file__).resolve().parents[1]
         completed = subprocess.run(
             [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
              f"{__file__}::TestInvariants::test_hitting_set_missing_a_part_raises",
-             f"{__file__}::TestInvariants::test_weight_failing_to_decrease_raises"],
+             f"{__file__}::TestInvariants::test_weight_failing_to_decrease_raises",
+             f"{__file__}::TestInvariants::test_universal_only_clause_reaching_the_search_raises",
+             f"{__file__}::TestInvariants::test_tautological_part_reaching_the_search_raises"],
             cwd=root,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True,
@@ -1170,7 +1278,7 @@ class TestInvariants:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
-        assert "2 passed" in completed.stdout
+        assert "4 passed" in completed.stdout
 
 
 def emit_failure(instance):
