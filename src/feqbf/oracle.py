@@ -2,21 +2,24 @@
 
 Clauses and terms are encoded as ``(pos, neg)`` bitmasks by ``clause_masks``.
 The solver's search root encodes each clause into one int instead, universal
-part and core side by side (``solver.partition_groups``), and builds its
-cores' truth tables from ``_bit_tables`` below the table cap; above the cap
-it splits each core into the mask ``_game`` reads.  ``eval_qbf`` and
-``check_equivalence`` encode a matrix once and play the QBF game on it
-(``_game``): backtracking with unit propagation (Davis, Logemann and
-Loveland, 1962).  A clause reduced to one existential literal forces it; one
-reduced to a universal literal is False, as the universal player falsifies
-it.
+part and core side by side (``solver.partition_groups``), and splits each
+core into its mask once.  ``eval_qbf`` and ``check_equivalence`` encode a
+matrix once and play the QBF game on it (``_game``): backtracking with unit
+propagation (Davis, Logemann and Loveland, 1962).  A clause reduced to one
+existential literal forces it; one reduced to a universal literal is False,
+as the universal player falsifies it.
 
-A purely existential clause set over at most ``TABLE_BITS`` bits is decided
-from truth tables instead: ``satisfying_sets`` maps each clause to the
-2^width-bit int of the assignments that satisfy it, and the set is
-satisfiable iff the AND of those ints is nonzero (``sets_intersect``).  The
-solver's core SAT check and ``check_equivalence`` use them below the cap and
-the game above it.
+The solver's core SAT check and ``check_equivalence`` ask one question many
+times: are these clauses, a subset of one fixed set, satisfiable together?
+``clause_values`` gives each clause of the set one int, so that the answer
+for a subset starts from the AND of their ints.  A purely existential set
+over at most ``TABLE_BITS`` bits is decided from truth tables:
+``satisfying_sets`` maps each clause to the 2^width-bit int of the
+assignments that satisfy it, and a subset is satisfiable iff the AND of
+those ints is nonzero.  Any other set gives clause i the int ``~(1 << i)``,
+so the complement of the AND is the subset's ids, and the subset is decided
+by one game per distinct id set, remembered for as long as the caller keeps
+the set's ``decide``.
 
 ``check_equivalence`` splits each clause into its part over the source
 variables, an outermost stretch of the prefix, and its residual over the
@@ -34,10 +37,11 @@ products.  The residual bits above those of every clause with a source
 literal, which only source-free clauses use, are projected out of the
 tables first, so a table ends at the highest bit the source parts' residuals
 use.
-When the residuals need the game, a part carries instead the complement of
-the set of its residuals' ids, or 0 if one of them is the empty clause, so
-the same AND is the complement of the residuals a block leaves, and the walk
-plays one game per distinct set of them.
+When the residuals need the game, a part carries the AND of their
+``~(1 << i)`` values instead, the complement of the set of its residuals'
+ids, or 0 if one of them is the empty clause, so the same AND is the
+complement of the residuals a block leaves, and the walk plays one game per
+distinct set of them.
 psi's table is built without a walk, by whole-table operations on per-bit
 tables (``falsifying_table``), and the mismatches are the XOR of the two.
 DNF validity is decided by the game instead: a DNF is valid iff the CNF of
@@ -45,12 +49,14 @@ its negated terms is unsatisfiable, and the game prunes where a table would
 not.  The tests check all of them against the unpruned evaluators in
 ``tests/oracle_helpers.py``.  A configurable variable bound refuses inputs
 with more variables to branch on than it allows: the game's time and its
-recursion depth grow with them.
+recursion depth grow with them.  A game or walk that recurses past Python's
+recursion limit raises ``OracleLimitError`` naming that limit.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 from .formulas import (
@@ -79,7 +85,15 @@ _ROW_BITS = 1 << 22
 
 
 class OracleLimitError(ValueError):
-    """Raised when an input exceeds the configured brute-force bound."""
+    """Raised when an input exceeds the configured brute-force bound, or
+    Python's recursion limit."""
+
+
+def _recursion_limit_error(what: str) -> OracleLimitError:
+    """The error for ``what``, a search that recursed past Python's limit."""
+    return OracleLimitError(
+        f"{what} recurses deeper than Python's recursion limit ({sys.getrecursionlimit()})"
+    )
 
 
 def clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
@@ -100,8 +114,13 @@ def clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
 def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
     """Evaluate a prenex QBF by game-tree search with unit propagation.
     Universal variables take the AND of both branches, existential ones the OR.
-    Only the variables that occur in some clause count against ``var_bound``."""
-    return _game(*_encode(instance.prefix, instance.matrix, 0, var_bound))
+    Only the variables that occur in some clause count against ``var_bound``.
+    The game recurses once per branching variable; one that branches deeper
+    than Python's recursion limit raises ``OracleLimitError``."""
+    try:
+        return _game(*_encode(instance.prefix, instance.matrix, 0, var_bound))
+    except RecursionError:
+        raise _recursion_limit_error("the QBF game") from None
 
 
 def _encode(prefix, matrix: CnfMatrix, n: int, var_bound: int) -> tuple[list, int]:
@@ -189,8 +208,8 @@ def satisfying_sets(masks, shift: int, width: int) -> list[int]:
     ``shift .. shift + width - 1``, as a 2^width-bit int: bit tau is set iff
     the assignment tau (bit i of tau holds bit ``shift + i``) satisfies the
     clause.  The empty clause maps to 0, and clauses are satisfiable together
-    iff the AND of their sets is nonzero (``sets_intersect``).  Clauses must
-    have no bits above the window."""
+    iff the AND of their sets is nonzero.  Clauses must have no bits above
+    the window."""
     if width > TABLE_BITS:
         raise ValueError(f"a truth table over {width} bits exceeds TABLE_BITS = {TABLE_BITS}")
     tables = _bit_tables(width)
@@ -233,15 +252,31 @@ def _bit_tables(width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(true_of), tuple(full ^ table for table in true_of)
 
 
-def sets_intersect(sets) -> bool:
-    """True iff some assignment lies in every one of the satisfying sets
-    ``sets``: their AND is nonzero.  With no sets it is True."""
-    common = -1  # every bit set
-    for satisfied in sets:
-        common &= satisfied
-        if not common:
-            return False
-    return True
+def clause_values(clauses, universal: int, shift: int, width: int):
+    """``(values, decide)``: one int per ``(pos, neg)``-encoded clause over
+    bits ``shift .. shift + width - 1``, such that clauses are satisfiable
+    together iff the AND of their values is nonzero and, with ``decide``,
+    ``decide`` holds on the complement of that AND.
+
+    With no universal bit from ``shift`` up and ``width <= TABLE_BITS`` each
+    value is the clause's satisfying set (``satisfying_sets``), and
+    ``decide`` is None.  Otherwise clause i has the value ``~(1 << i)``, or 0
+    if it is empty, so the complement of an AND without an empty clause is
+    the set of the ids ANDed in, and ``decide(ids)`` plays the game from bit
+    ``shift`` on the clauses in ``ids``, once per distinct set: the answers
+    are kept as long as ``decide`` is."""
+    if not universal >> shift and width <= TABLE_BITS:
+        return satisfying_sets(clauses, shift, width), None
+    answers: dict[int, bool] = {}
+
+    def decide(ids: int) -> bool:
+        answer = answers.get(ids)
+        if answer is None:
+            chosen = [clause for i, clause in enumerate(clauses) if ids >> i & 1]
+            answer = answers[ids] = _game(chosen, universal, shift)
+        return answer
+
+    return [~(1 << i) if pos | neg else 0 for i, (pos, neg) in enumerate(clauses)], decide
 
 
 def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
@@ -250,14 +285,18 @@ def is_dnf_valid(formula: DnfFormula, *, var_bound: int = DEFAULT_VARIABLE_BOUND
     variable existential.  An empty term negates to the empty clause, and
     a contradictory term x & -x to a tautology.  Only the variables that
     occur in some term count against ``var_bound``: a declared variable
-    that none holds changes no term's value."""
+    that none holds changes no term's value.  A game that branches deeper
+    than Python's recursion limit raises ``OracleLimitError``."""
     variables = sorted(formula.variables)
     if len(variables) > var_bound:
         raise OracleLimitError(
             f"{len(variables)} occurring variables exceed the brute-force bound {var_bound}"
         )
     masks = clause_masks(formula.terms, {var: i for i, var in enumerate(variables)})
-    return not _game([(neg, pos) for pos, neg in masks], 0)
+    try:
+        return not _game([(neg, pos) for pos, neg in masks], 0)
+    except RecursionError:
+        raise _recursion_limit_error("the DNF validity game") from None
 
 
 def falsifying_table(terms, variables) -> int:
@@ -350,7 +389,8 @@ def check_equivalence(
     (``_phi_table``).  The residual variables after all those of the clauses
     with a source literal are projected out of those tables.  ``var_bound``
     limits the source variables and, separately, the non-source variables
-    that occur in some clause.
+    that occur in some clause.  A walk or a game that recurses deeper than
+    Python's recursion limit raises ``OracleLimitError``.
     """
     if mode not in ("general", "forall_exists"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -376,7 +416,10 @@ def check_equivalence(
             raise ValueError("forall_exists mode requires prefix shape: universal x, one existential block")
     masks, universal = _encode(prefix, phi.matrix, n, var_bound)
     not_psi = falsifying_table(psi.terms, range(1, n + 1))
-    diff = _phi_table(masks, universal, n) ^ not_psi ^ ((1 << (1 << n)) - 1)
+    try:
+        diff = _phi_table(masks, universal, n) ^ not_psi ^ ((1 << (1 << n)) - 1)
+    except RecursionError:
+        raise _recursion_limit_error("the equivalence check") from None
     mismatch_count = diff.bit_count()
     mismatched: list[dict[int, bool]] = []
     while diff and len(mismatched) < MAX_MISMATCHES:
@@ -398,16 +441,13 @@ def _phi_table(masks, universal: int, n: int) -> int:
 
     Each clause splits into its source part, over bits ``0..n-1``, and its
     residual over the rest.  sigma leaves exactly the residuals of the
-    clauses whose source part it falsifies.  When no residual bit is
-    universal and the residuals span at most ``TABLE_BITS`` bits, a source
-    part carries the AND of its residuals' satisfying sets, and sigma wins
-    iff the AND over the parts it falsifies is nonzero; the residual
-    ``(0, 0)`` of a clause with only source literals has the set 0.
-    Otherwise a part carries 0 if one of its residuals is ``(0, 0)`` and
-    ``~ids`` if not, ``ids`` being the bit set of its residuals' ids, so the
-    AND over the parts sigma falsifies is the complement of the residuals
-    sigma leaves, and one game is played per distinct set of residuals left
-    that no part has emptied.
+    clauses whose source part it falsifies.  Each distinct residual gets its
+    value from ``clause_values``, and a source part carries the AND of its
+    residuals' values, so sigma wins iff the AND over the parts it falsifies
+    is nonzero and, when the residuals need the game, its ``decide`` holds
+    on the complement of that AND, the set of residuals sigma leaves: one
+    game per distinct set.  The residual ``(0, 0)`` of a clause with only
+    source literals has the value 0 on both paths.
 
     On the table path, the residual bits above every bit of the clauses
     with a source literal, which only the residuals of the source-free part
@@ -430,40 +470,23 @@ def _phi_table(masks, universal: int, n: int) -> int:
         occupied |= pos | neg
         if source != (0, 0):
             bearing |= pos | neg
-    residuals = list(residual_ids)
     width = max(occupied.bit_length() - n, 0)
-    if not universal >> n and width <= TABLE_BITS:
-        narrow = max(bearing.bit_length() - n, 0)
-        chunk = (1 << (1 << narrow)) - 1
-        tables = satisfying_sets(residuals, n, width)
-        carried = []
-        for source, ids in parts.items():
-            common = -1
-            while ids:
-                low = ids & -ids
-                common &= tables[low.bit_length() - 1]
-                ids ^= low
+    values, decide = clause_values(list(residual_ids), universal, n, width)
+    narrow = max(bearing.bit_length() - n, 0)
+    chunk = (1 << (1 << narrow)) - 1
+    carried = []
+    for source, ids in parts.items():
+        common = -1
+        while ids:
+            low = ids & -ids
+            common &= values[low.bit_length() - 1]
+            ids ^= low
+        if decide is None:
             if source == (0, 0):
                 common = _project(common, width, narrow)
-            carried.append((source, common & chunk))
-        return _walk(carried, n)
-    emptied = 1 << residual_ids[(0, 0)] if (0, 0) in residual_ids else 0
-    values: dict[int, bool] = {}
-
-    def game(ids: int) -> bool:
-        value = values.get(ids)
-        if value is None:
-            clauses = []
-            rest = ids
-            while rest:
-                low = rest & -rest
-                clauses.append(residuals[low.bit_length() - 1])
-                rest ^= low
-            value = values[ids] = _game(clauses, universal, n)
-        return value
-
-    carried = [(source, 0 if ids & emptied else ~ids) for source, ids in parts.items()]
-    return _walk(carried, n, game)
+            common &= chunk
+        carried.append((source, common))
+    return _walk(carried, n, decide)
 
 
 def _project(table: int, width: int, narrow: int) -> int:
@@ -484,11 +507,12 @@ def _walk(parts, n: int, decide=None) -> int:
     falsifies is nonzero and, with ``decide``, ``decide`` holds on the
     complement of that AND.
 
-    On the table path a part's value is a truth table.  On the game path it
-    is 0 for a part that leaves an emptied residual and otherwise ``~ids``,
-    the complement of the bit set of the residuals it leaves, so the AND is
-    the complement of their union: ``decide`` gets the set of residuals that
-    sigma leaves.
+    The values and ``decide`` follow ``clause_values``' contract.  On the
+    table path a part's value is a truth table and ``decide`` is None.  On
+    the game path it is 0 for a part that leaves an emptied residual and
+    otherwise ``~ids``, the complement of the bit set of the residuals it
+    leaves, so the AND is the complement of their union: ``decide`` gets the
+    set of residuals that sigma leaves.
 
     The walk assigns the bits from n-1 down to a cut, a level that no part
     spans (has literals both below and at or above it).  The cut is the

@@ -39,25 +39,26 @@ other parts.  Such a group leaves the node, at the root or in the
 restriction that empties the part, and weighs nothing; only the live groups
 are searched.  The forced cores travel down the search instead.
 
-When the k existential variables number at most ``oracle.TABLE_BITS``, the
-table cap, the root replaces each core by its satisfying set, a 2^k-bit int
-built from the oracle's per-bit tables, once: below the cap a core is its
-table from the root on.  The forced cores then travel as the AND of their
-tables, and a node's SAT check ANDs its live cores' tables into it.  Above
-the cap the root splits each core into its ``(pos, neg)`` mask, the forced
-ones travel as a tuple of them, and a node hands them with its live cores to
-the oracle's game as they are.  The type of ``carried``, an int or a tuple,
-tells which kind of core a search holds.
+The root replaces each core by its value from ``oracle.clause_values``,
+once, and a core is that value from then on.  When the k existential
+variables number at most ``oracle.TABLE_BITS``, the table cap, the value is
+the core's satisfying set, a 2^k-bit int; above the cap it is ``~(1 << i)``
+for the i-th core, and the oracle's ``decide`` plays the game once per
+distinct set of cores it is asked about.  Either way the forced cores travel
+down the search as the AND of their values, and a node's SAT check ANDs its
+live cores' values into it.  Below the cap the cores are satisfiable
+together iff that AND is nonzero; above it the complement of the AND is the
+set of cores that ``decide`` checks.
 
 Groups whose parts are equal, in the same order, are twins: every
 restriction drops or forces them together and leaves their parts equal, and
 their greedy hitting sets are equal.  Theorem 2's index gadget makes many, as
-it pads the m terms to r^(d-1) indices by repeating the last.  Below the
-table cap the root merges twins into the first of them (``merge_twins``),
-whose table becomes the AND of theirs; above it twins stay apart.  The
-weight counts a merged group once.  The search already branches on the
-first of equally small hitting sets and each SAT check tests the same
-conjunction, so the merge changes no tree, only its weights.
+it pads the m terms to r^(d-1) indices by repeating the last.  The root
+merges twins into the first of them (``merge_twins``), whose value becomes
+the AND of theirs, on both sides of the table cap.  The weight counts a
+merged group once.  The search already branches on the first of equally
+small hitting sets and each SAT check tests the same conjunction, so the
+merge changes no tree, only its weights.
 """
 
 from __future__ import annotations
@@ -79,18 +80,14 @@ from .formulas import (
     bound_prefix,
     normalize_prefix,
 )
-from .oracle import TABLE_BITS, OracleLimitError, _bit_tables, _game, _satisfying_set, sets_intersect
+from .oracle import OracleLimitError, clause_values
 from .oracle import eval_qbf  # unused here; perfbench/tracer.py wraps solver.eval_qbf
 
-Mask = tuple[int, int]  # (pos, neg), as oracle.clause_masks encodes a clause
 # A universal part is one int, pos | neg << u over the u universal bits; a core
-# is pos << k | neg over the k existential bits at the root, then its
-# satisfying set below the table cap and its (pos, neg) mask above.
-Core = int | Mask
+# is pos << k | neg over the k existential bits at the root, then its value
+# from oracle.clause_values.
 # (core, universal parts, OR of the parts, largest part size) per group
-Node = list[tuple[Core, tuple[int, ...], int, int]]
-# The forced cores: the AND of their satisfying sets, or their masks above the table cap
-Carried = int | tuple[Mask, ...]
+Node = list[tuple[int, tuple[int, ...], int, int]]
 
 
 class SolverInvariantError(RuntimeError):
@@ -239,7 +236,7 @@ def partition_groups(
 
 def restrict_groups(
     node: Node, bits: int, true_bits: int, u: int
-) -> tuple[Node, int, list[Core]]:
+) -> tuple[Node, int, list[int]]:
     """The live groups of the node simplified under the assignment of the
     universal ``bits``, those in ``true_bits`` true and the others false,
     their weight, and the cores of the groups it forced.  The parts are ints
@@ -331,21 +328,22 @@ def core_projection(matrix: CnfMatrix, existential_vars: frozenset[int]) -> CnfM
     return CnfMatrix(tuple(dict.fromkeys(cores)), matrix.num_vars)
 
 
-def sat_check_core(cores: Sequence[Core], carried: Carried | None = None) -> bool:
+def sat_check_core(cores: Sequence[int], carried: int = -1, decide=None) -> bool:
     """Satisfiability of the clauses ``cores``, together with the clauses
-    ``carried`` stands for.  When ``carried`` is an int, each core is a
-    satisfying set from ``oracle.satisfying_sets`` and ``carried`` the AND of
-    the other clauses' sets, and the answer is whether the AND of all of them
-    is nonzero.  Otherwise the cores are ``(pos, neg)`` masks, ``carried`` is
-    None or a tuple of masks, and the oracle's engine decides (backtracking
-    with unit propagation) with every variable existential; it recurses once
-    per branching variable, and a check that branches deeper than Python's
-    recursion limit raises ``OracleLimitError``.  An empty clause makes it
-    False."""
-    if isinstance(carried, int):
-        return sets_intersect([carried, *cores])
+    ``carried`` stands for: each core is its value from
+    ``oracle.clause_values`` and ``carried`` the AND of the others' values.
+    They are satisfiable iff the AND of all of them is nonzero and, with
+    ``decide``, ``decide`` holds on its complement, the set of their ids.
+    ``decide`` plays the oracle's game (backtracking with unit propagation)
+    with every variable existential; it recurses once per branching
+    variable, and a check that branches deeper than Python's recursion limit
+    raises ``OracleLimitError``.  An empty clause makes it False."""
+    for core in cores:
+        carried &= core
+    if decide is None or not carried:
+        return carried != 0
     try:
-        return _game([*cores, *(carried or ())], 0)
+        return decide(~carried)
     except RecursionError:
         raise OracleLimitError(
             "the core SAT check branches deeper than Python's recursion limit "
@@ -353,21 +351,21 @@ def sat_check_core(cores: Sequence[Core], carried: Carried | None = None) -> boo
         ) from None
 
 
-def merge_twins(node: Node, tables: list[int], w: int) -> tuple[Node, int]:
-    """``node`` with each core replaced by its satisfying set in ``tables``
-    and every live group merged into the first group whose parts equal its
-    own, in the same order, and the weight of the result, which counts a
-    merged group once.  The first twin's table becomes the AND of theirs, so
-    its core stands for the conjunction of theirs."""
+def merge_twins(node: Node, values: list[int], w: int) -> tuple[Node, int]:
+    """``node`` with each core replaced by its value in ``values`` and every
+    live group merged into the first group whose parts equal its own, in the
+    same order, and the weight of the result, which counts a merged group
+    once.  The first twin's value becomes the AND of theirs, so its core
+    stands for the conjunction of theirs."""
     first: dict[tuple[int, ...], int] = {}
     merged: Node = []
-    for table, (_, parts, used, heaviest) in zip(tables, node):
+    for value, (_, parts, used, heaviest) in zip(values, node):
         i = first.setdefault(parts, len(merged))
         if i < len(merged):
-            merged[i] = (merged[i][0] & table, parts, used, heaviest)
+            merged[i] = (merged[i][0] & value, parts, used, heaviest)
             w -= heaviest
         else:
-            merged.append((table, parts, used, heaviest))
+            merged.append((value, parts, used, heaviest))
     return merged, w
 
 
@@ -376,20 +374,21 @@ class _Search:
     live groups of the partition.  ``partition_groups`` builds the root,
     encoding each clause once into one int and ordering the groups by core,
     and hands it over in the shape ``restrict_groups`` gives every child;
-    ``solve`` has replaced its cores by their satisfying sets below the table
-    cap and by their ``(pos, neg)`` masks above it.  The parts are ints over
-    the ``u`` universal bits.  The cores of the forced groups travel from
-    parent to child as ``carried``: the AND of their sets, or above the table
-    cap a tuple of their masks.  Each node also gets ``path``, the weights of
-    the nodes above it, from the root down."""
+    ``solve`` has replaced its cores by their values from
+    ``oracle.clause_values``, whose ``decide`` is ``game``.  The parts are
+    ints over the ``u`` universal bits.  The cores of the forced groups
+    travel from parent to child as ``carried``, the AND of their values.
+    Each node also gets ``path``, the weights of the nodes above it, from the
+    root down."""
 
-    def __init__(self, x_threshold: float, u: int):
+    def __init__(self, x_threshold: float, u: int, game):
         self.x_threshold = x_threshold
         self.u = u
+        self.game = game
         self.stats = SolverStats()
 
     def decide(
-        self, node: Node, w: int, forced: list[Core], carried: Carried, path: tuple[int, ...]
+        self, node: Node, w: int, forced: list[int], carried: int, path: tuple[int, ...]
     ) -> bool:
         """The value of ``node``, of weight ``w``, whose restriction forced
         the cores ``forced``; ``carried`` stands for the cores forced above
@@ -401,11 +400,11 @@ class _Search:
         if path and w >= path[-1]:
             raise SolverInvariantError("weight failed to decrease")
         for core in forced:
-            carried = carried & core if isinstance(carried, int) else carried + (core,)
+            carried &= core
         path += (w,)
         # Every clause is core or part: a core model satisfies the restricted
         # matrix whatever the universals do.
-        if sat_check_core([core for core, _, _, _ in node], carried):
+        if sat_check_core([core for core, _, _, _ in node], carried, self.game):
             return self._base_case(node, True, path)
         best = None
         for _, parts, _, _ in node:
@@ -426,7 +425,7 @@ class _Search:
                 raise SolverInvariantError("hitting set misses a universal part")
         return self._branch(node, hitting, carried, path)
 
-    def _branch(self, node: Node, hitting: int, carried: Carried, path: tuple[int, ...]) -> bool:
+    def _branch(self, node: Node, hitting: int, carried: int, path: tuple[int, ...]) -> bool:
         # The assignments to the hitting bits, as submasks of ``hitting`` in
         # increasing order: the lowest bit, the smallest variable, flips first.
         true_bits = 0
@@ -479,23 +478,16 @@ def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
     d = max(prepared.matrix.max_arity(), 1)
     x_threshold = threshold(kk, d)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
-    # Cores never change below the root, so they are checked and replaced
-    # once: by their satisfying sets below the table cap, by their masks above.
+    # Cores never change below the root, so they are checked and replaced by
+    # their values once.
     cores = forced + [core for core, _, _, _ in live]
     if 0 in cores:
         raise SolverInvariantError("universal-only clause reached the recursion")
     low = (1 << k) - 1
-    if k <= TABLE_BITS:
-        bit_tables = _bit_tables(k)
-        tables = [_satisfying_set(core >> k, core & low, bit_tables) for core in cores]
-        live, weight = merge_twins(live, tables[len(forced) :], weight)
-        forced, carried = tables[: len(forced)], -1
-    else:
-        masks = [(core >> k, core & low) for core in cores]
-        live = [(mask, *group[1:]) for mask, group in zip(masks[len(forced) :], live)]
-        forced, carried = masks[: len(forced)], ()
-    search = _Search(x_threshold, len(universal))
-    result = search.decide(live, weight, forced, carried, ())
+    values, game = clause_values([(core >> k, core & low) for core in cores], 0, 0, k)
+    live, weight = merge_twins(live, values[len(forced) :], weight)
+    search = _Search(x_threshold, len(universal), game)
+    result = search.decide(live, weight, values[: len(forced)], -1, ())
     stats = search.stats
     stats.d = d
     if stats.max_depth > d * kk ** (d - 1):

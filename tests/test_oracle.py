@@ -216,6 +216,49 @@ class TestGame:
         assert oracle._game([(0, 0), (0b11, 0)], 0b1, 0) is False
 
 
+class TestRecursionLimit:
+    def test_games_deeper_than_the_limit_name_their_cause(self):
+        # forall 1 exists 2..301: (1 | 2) and (1+i | 151+i) for i = 1..150.
+        # Each game branches once per pair, past the recursion limit of 120:
+        # eval_qbf's, check_equivalence's on the game path (301 variables,
+        # past TABLE_BITS), and is_dnf_valid's on the negation of the pairs.
+        script = (
+            "import sys\n"
+            "from feqbf.formulas import CnfMatrix, DnfFormula, QbfInstance, normalize_prefix\n"
+            "from feqbf.oracle import OracleLimitError, check_equivalence, eval_qbf, is_dnf_valid\n"
+            "P = 150\n"
+            "pairs = [frozenset((1 + i, 1 + P + i)) for i in range(1, P + 1)]\n"
+            "prefix = normalize_prefix([('a', (1,)), ('e', range(2, 2 * P + 2))])\n"
+            "phi = QbfInstance(prefix, CnfMatrix((frozenset((1, 2)), *pairs), 2 * P + 1))\n"
+            "negated = DnfFormula(tuple(frozenset(-v for v in c) for c in pairs), 2 * P + 1)\n"
+            "psi = DnfFormula((frozenset((1,)),), 1)\n"
+            "sys.setrecursionlimit(120)\n"
+            "for check in (lambda: eval_qbf(phi, var_bound=400),\n"
+            "              lambda: check_equivalence(psi, phi, var_bound=400),\n"
+            "              lambda: is_dnf_valid(negated, var_bound=400)):\n"
+            "    try:\n"
+            "        check()\n"
+            "    except OracleLimitError as exc:\n"
+            "        print(exc)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        lines = completed.stdout.splitlines()
+        assert [line.split(" recurses")[0] for line in lines] == [
+            "the QBF game",
+            "the equivalence check",
+            "the DNF validity game",
+        ]
+        assert all(line.endswith("recursion limit (120)") for line in lines), lines
+
+
 class TestSatisfyingSets:
     def test_matches_clause_evaluation(self):
         # Each bit of each set against the clause evaluated under that
@@ -240,12 +283,6 @@ class TestSatisfyingSets:
 
     def test_tautology_is_every_assignment(self):
         assert oracle.satisfying_sets([(0b1, 0b1)], 0, 5) == [(1 << 32) - 1]
-
-    def test_sets_intersect(self):
-        assert oracle.sets_intersect([]) is True
-        assert oracle.sets_intersect([0]) is False
-        assert oracle.sets_intersect([0b0110, 0b1100]) is True
-        assert oracle.sets_intersect([0b0110, 0b1001]) is False
 
     def test_width_above_the_cap_raises(self):
         with pytest.raises(ValueError, match="TABLE_BITS"):

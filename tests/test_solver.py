@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
@@ -18,13 +18,14 @@ from feqbf.formulas import (
     normalize_prefix,
 )
 from feqbf.generate import random_dnf, random_forall_exists
-from feqbf import solver
+from feqbf import oracle, solver
 from feqbf.reductions import reduce_dnf_to_fe_dqbf
 from feqbf.oracle import (
     TABLE_BITS,
     OracleLimitError,
     _game,
     clause_masks,
+    clause_values,
     eval_qbf,
     is_dnf_valid,
     satisfying_sets,
@@ -444,20 +445,28 @@ class TestCoreProjection:
         assert core_projection(matrix, frozenset({1, 2})).clauses == (F(1, 2),)
 
 
+def game_check(*clauses):
+    """``sat_check_core`` on ``clauses`` through the game: their values from
+    ``clause_values`` over a window wider than the table cap, and its
+    ``decide``."""
+    values, decide = clause_values(masks(*clauses), 0, 0, 63)
+    return sat_check_core(values, -1, decide)
+
+
 class TestSatCheckCore:
     def test_contradiction(self):
-        assert sat_check_core(masks(F(1), F(-1))) is False
+        assert game_check(F(1), F(-1)) is False
 
     def test_satisfiable(self):
-        assert sat_check_core(masks(F(1, 2), F(-1, 2))) is True
+        assert game_check(F(1, 2), F(-1, 2)) is True
 
     def test_empty_clause(self):
-        assert sat_check_core(masks(F())) is False
+        assert game_check(F()) is False
 
     def test_early_conflict_beyond_enumeration(self):
         # 2^40 assignments are out of reach; the conflict on x1 is found at once.
         clauses = [F(v) for v in range(1, 40)] + [F(-1)]
-        assert sat_check_core(masks(*clauses)) is False
+        assert game_check(*clauses) is False
 
     def test_matches_brute_force_on_random_cnf(self):
         rng = random.Random(17)
@@ -469,7 +478,7 @@ class TestSatCheckCore:
                 vars_ = rng.sample(range(1, k + 1), width)
                 clauses.append(F(*(v if rng.random() < 0.5 else -v for v in vars_)))
             expected = cnf_satisfiable(clauses, range(1, k + 1))
-            assert sat_check_core(masks(*clauses)) == expected
+            assert game_check(*clauses) == expected
 
 
 def random_cores(rng, k, count):
@@ -856,13 +865,14 @@ class TestTableCap:
         """Solve 12 random instances with k existentials and check them
         against ``eval_qbf``; with ``pure`` each also gets 1-3 purely
         existential clauses.  Returns ``(tables, carried)`` of every node's
-        SAT check, ``tables`` telling whether its cores were truth tables."""
+        SAT check, ``tables`` telling whether its cores were truth tables,
+        that is, whether it had no ``decide``."""
         calls = []
         original = solver.sat_check_core
 
-        def spying(cores, carried=None):
-            calls.append((isinstance(carried, int), carried))
-            return original(cores, carried)
+        def spying(cores, carried=-1, decide=None):
+            calls.append((decide is None, carried))
+            return original(cores, carried, decide)
 
         monkeypatch.setattr(solver, "sat_check_core", spying)
         rng = random.Random(seed)
@@ -897,9 +907,10 @@ class TestTableCap:
 
     def test_forced_cores_carried_above_the_cap(self, monkeypatch):
         # Purely existential clauses force their groups at the root, so every
-        # node's SAT check gets the tuple of their masks.
+        # node's SAT check gets the AND of their values, which leaves out
+        # their ids.
         calls = self.solve_corpus(monkeypatch, TABLE_BITS + 1, 5, pure=True)
-        assert all(isinstance(carried, tuple) and carried for _, carried in calls)
+        assert all(carried != -1 for _, carried in calls)
 
     def test_core_check_deeper_than_the_limit_names_its_cause(self):
         # forall 1 exists 2..301: (1 | 2) and (1+i | 151+i) for i = 1..150.  TRUE,
@@ -1137,16 +1148,12 @@ def unmerged_tree(instance):
     k = len(existential)
     d = max(prepared.matrix.max_arity(), 1)
     live, weight, forced = partition_groups(prepared.matrix, universal, existential)
-    # Each core int pos << k | neg as its (pos, neg) mask, and below the
-    # table cap as its satisfying set.
+    # Each core int pos << k | neg as its (pos, neg) mask, and that as its value.
     cores = [(core >> k, core & ((1 << k) - 1)) for core in forced + [core for core, _, _, _ in live]]
-    carried = ()
-    if k <= TABLE_BITS:
-        cores, carried = satisfying_sets(cores, 0, k), -1
-    live = [(core, *group[1:]) for core, group in zip(cores[len(forced) :], live)]
-    forced = cores[: len(forced)]
-    search = solver._Search(threshold(max(k, 2), d), len(universal))
-    result = search.decide(live, weight, forced, carried, ())
+    values, decide = clause_values(cores, 0, 0, k)
+    live = [(value, *group[1:]) for value, group in zip(values[len(forced) :], live)]
+    search = solver._Search(threshold(max(k, 2), d), len(universal), decide)
+    result = search.decide(live, weight, values[: len(forced)], -1, ())
     return leaf_tree(result, search.stats)
 
 
@@ -1200,8 +1207,8 @@ class TestTwins:
 
     @pytest.mark.parametrize("seed", range(1, 13))
     def test_twins_above_the_cap(self, seed):
-        # k = 18: without truth tables the twins stay apart, so the tree is
-        # the unmerged search's and the root weighs every live group.
+        # k = 18: the twins merge above the table cap too, so the tree is the
+        # unmerged search's and the root weighs each distinct parts tuple once.
         psi = random_dnf(6, 32, seed=seed)
         instance = reduce_dnf_to_fe_dqbf(psi, 3).instance
         cores, parts = root_parts(instance)
@@ -1211,7 +1218,39 @@ class TestTwins:
         result, s = solve(instance)
         assert result == is_dnf_valid(psi)
         assert leaf_tree(result, s) == unmerged_tree(instance)
-        assert s.weight_trace[0] == partition_groups(instance.matrix, universal, existential)[1]
+        live, unmerged, _ = partition_groups(instance.matrix, universal, existential)
+        merged = {group[1]: group[3] for group in live}  # parts tuple -> heaviest
+        assert s.weight_trace[0] == sum(merged.values()) < unmerged
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_one_game_per_distinct_core_set_above_the_cap(self, monkeypatch, seed):
+        # Theorem 2 of a negated random 3-CNF at (14, 60, 3) has k = 26.  A
+        # node whose cores do not decide at once hands the set of their ids
+        # to the game, and each distinct set is played once.
+        psi = random_dnf(14, 60, seed=seed)
+        instance = reduce_dnf_to_fe_dqbf(psi, 3).instance
+        assert len(ae_blocks(instance)[1]) == 26 > TABLE_BITS
+        expected, reference = is_dnf_valid(psi), unmerged_tree(instance)
+        checked, games = [], []
+        original_check, original_game = solver.sat_check_core, oracle._game
+
+        def spying(cores, carried=-1, decide=None):
+            common = reduce(and_, cores, carried)
+            if common:
+                checked.append(~common)
+            return original_check(cores, carried, decide)
+
+        def counting(clauses, universal, index):
+            if index == 0:
+                games.append(clauses)
+            return original_game(clauses, universal, index)
+
+        monkeypatch.setattr(solver, "sat_check_core", spying)
+        monkeypatch.setattr(oracle, "_game", counting)
+        result, s = solve(instance)
+        assert result == expected
+        assert leaf_tree(result, s) == reference
+        assert len(games) == len(set(checked)) < len(checked)
 
 
 class TestInvariants:
