@@ -77,9 +77,6 @@ class CnfMatrix:
             raise ValueError("num_vars must be non-negative")
         object.__setattr__(self, "variables", _check_literals(self.clauses, self.num_vars, "a clause"))
 
-    def max_arity(self) -> int:
-        return max(map(len, self.clauses), default=0)
-
 
 @dataclass(frozen=True)
 class DnfFormula:

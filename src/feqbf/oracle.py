@@ -5,9 +5,10 @@ The solver's search root encodes each clause into one int instead, universal
 part and core side by side (``solver.partition_groups``), and splits each
 core into its mask once.  ``eval_qbf`` and ``check_equivalence`` encode a
 matrix once and play the QBF game on it (``_game``): backtracking with unit
-propagation (Davis, Logemann and Loveland, 1962).  A clause reduced to one
-existential literal forces it; one reduced to a universal literal is False,
-as the universal player falsifies it.
+propagation and pure literals (Davis, Logemann and Loveland, 1962).  A clause
+reduced to one existential literal forces it; one reduced to a universal
+literal is False, as the universal player falsifies it.  A variable that
+occurs in one polarity only is set at once, by its player, to its best value.
 
 The solver's core SAT check and ``check_equivalence`` ask one question many
 times: are these clauses, a subset of one fixed set, satisfiable together?
@@ -112,11 +113,12 @@ def clause_masks(clauses, bit_of: dict[int, int]) -> list[tuple[int, int]]:
 
 
 def eval_qbf(instance: QbfInstance, *, var_bound: int = DEFAULT_VARIABLE_BOUND) -> bool:
-    """Evaluate a prenex QBF by game-tree search with unit propagation.
-    Universal variables take the AND of both branches, existential ones the OR.
-    Only the variables that occur in some clause count against ``var_bound``.
-    The game recurses once per branching variable; one that branches deeper
-    than Python's recursion limit raises ``OracleLimitError``."""
+    """Evaluate a prenex QBF by game-tree search with unit propagation and
+    pure literals.  Universal variables take the AND of both branches,
+    existential ones the OR.  Only the variables that occur in some clause
+    count against ``var_bound``.  The game recurses once per branching
+    variable; one that branches deeper than Python's recursion limit raises
+    ``OracleLimitError``."""
     try:
         return _game(*_encode(instance.prefix, instance.matrix, 0, var_bound))
     except RecursionError:
@@ -149,26 +151,42 @@ def _game(clauses: list[tuple[int, int]], universal: int, index: int = 0) -> boo
     Unit clauses are propagated first.  A unit's value is forced in the whole
     subtree whatever its depth in the prefix: the existential player must make
     it true, and the universal player makes it false and wins.  A tautology
-    over one variable, x | -x, is not a unit; branching on x drops it."""
+    over one variable, x | -x, is not a unit; branching on x drops it.  When
+    no unit is left, every variable that occurs in one polarity only, a pure
+    literal, is assigned at once, again whatever its depth: the existential
+    player makes its literal true and the universal player makes it false,
+    since the other value only helps the opponent.  Then the units are
+    propagated again, and the game branches only where neither rule
+    applies."""
     while True:
         if not clauses:
             return True
-        occupied = true_units = false_units = 0
+        positive = negative = true_units = false_units = 0
         for pos, neg in clauses:
+            positive |= pos
+            negative |= neg
             lits = pos | neg
-            occupied |= lits
             if not lits & (lits - 1) and not pos & neg:
                 true_units |= pos
                 false_units |= neg
         units = true_units | false_units
-        if not units:
+        if units:
+            if units & universal:
+                return False
+            # Units x and -x together leave an emptied clause, hence None.
+            clauses = _assign_bits(clauses, units, true_units)
+            if clauses is None:
+                return False
+            continue
+        pure = positive ^ negative
+        if not pure:
             break
-        if units & universal:
-            return False
-        # Units x and -x together leave an emptied clause, hence None.
-        clauses = _assign_bits(clauses, units, true_units)
+        # A pure universal literal can empty a clause that holds nothing else.
+        true_bits = pure & (positive & ~universal | negative & universal)
+        clauses = _assign_bits(clauses, pure, true_bits)
         if clauses is None:
             return False
+    occupied = positive | negative
     if not occupied:
         return False  # every clause left is empty
     while not (occupied >> index) & 1:

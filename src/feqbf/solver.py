@@ -23,8 +23,9 @@ their ``(pos, neg)`` pairs: the groups come in that order.  Any fixed order is
 sound, since it only breaks ties between equally small hitting sets, and this
 one depends on neither the order of the clauses nor the order of the
 variables inside a block; the parts of a group keep the order of their
-clauses.  A part holds no variable in both polarities (``preprocess`` drops
-tautologies), so its bit count is its number of variables.  A search node is
+clauses.  The root drops every tautology, a clause whose part or core holds a
+variable in both polarities, so a part's bit count is its number of
+variables, and the largest bit count of a clause left is d.  A search node is
 a list of ``(core, parts, used, heaviest)`` entries, one per group: the core,
 its universal parts as ints, ``used``, the OR of the parts, and
 ``heaviest``, the size of the largest part.  The root has the shape of a
@@ -125,15 +126,15 @@ class SolverConfig:
 @dataclass
 class SolverStats:
     """Run statistics.  ``route`` names what decided the run:
-    ``false_certificate`` or ``search``.  ``d`` is the arity of the matrix
-    left by ``preprocess`` (at least 1), or 0 when a false certificate
-    decided the run.  The search leaves come in three kinds, which sum to
-    ``leaves``: ``sat_leaves`` are TRUE, their cores jointly satisfiable;
-    ``collapse_leaves`` are FALSE with live groups left, each of which holds
-    a large disjoint family; ``weight0_leaves`` are FALSE with no live group,
-    every group left forced to its core.  A false certificate counts one
-    leaf of no kind.  The root is at depth 0: ``max_depth``
-    is the depth of the deepest node, and ``weight_trace`` holds the weights
+    ``false_certificate`` or ``search``.  ``d`` is the arity of the clauses
+    the search root keeps, every tautology dropped (at least 1), or 0 when a
+    false certificate decided the run.  The search leaves come in three
+    kinds, which sum to ``leaves``: ``sat_leaves`` are TRUE, their cores
+    jointly satisfiable; ``collapse_leaves`` are FALSE with live groups
+    left, each of which holds a large disjoint family; ``weight0_leaves``
+    are FALSE with no live group, every group left forced to its core.  A
+    false certificate counts one leaf of no kind.  The root is at depth 0:
+    ``max_depth`` is the depth of the deepest node, and ``weight_trace`` holds the weights
     along the first deepest root-to-leaf path, so on the search route
     ``max_depth == len(weight_trace) - 1``.  A group merged with its twins
     at the root weighs once."""
@@ -165,44 +166,45 @@ def ae_blocks(instance: QbfInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def preprocess(instance: QbfInstance) -> QbfInstance | FalseCertificate:
-    """Drop tautological clauses; report False if an all-universal clause
-    remains (the universal player falsifies it).  Afterwards every clause has
-    a non-empty existential core, and the prefix is the one ``ae_blocks``
-    reads: an outer block it ignores is dropped, so every route after it sees
-    one universal block followed by one existential block.  Two passes that
-    iterate in C do the work: the first keeps each clause disjoint from its
-    own negation, the second names the first kept clause with no existential
-    literal as the certificate.  An instance that loses no clause and whose
-    prefix ``bound_prefix`` keeps whole comes back as it is, without a second
-    run of ``QbfInstance``'s checks: ``ae_blocks`` has checked its shape."""
+    """Report False if a clause is all-universal and not a tautology: the
+    universal player falsifies it.  The certificate is the first such clause
+    in clause order, found by one pass that iterates in C over the clauses
+    with no existential literal, and a tautology test on those alone.  The
+    matrix is kept as it is, tautologies included (``partition_groups`` drops
+    them), and the prefix becomes the one ``ae_blocks`` reads: an outer block
+    it ignores is dropped, so every route after it sees one universal block
+    followed by one existential block.  An instance whose prefix
+    ``bound_prefix`` keeps whole comes back as it is, without a second run of
+    ``QbfInstance``'s checks: ``ae_blocks`` has checked its shape."""
     universal, existential = ae_blocks(instance)
     clauses = instance.matrix.clauses
-    negations = map(map, repeat(operator.neg), clauses)
-    kept = list(compress(clauses, map(frozenset.isdisjoint, clauses, negations)))
     e_lits = frozenset([*existential, *map(operator.neg, existential)])
-    universal_only = next(compress(kept, map(e_lits.isdisjoint, kept)), None)
-    if universal_only is not None:
-        return FalseCertificate(universal_only)
-    if len(kept) == len(clauses) and bound_prefix(instance) is instance.prefix:
+    for clause in compress(clauses, map(e_lits.isdisjoint, clauses)):
+        if clause.isdisjoint(map(operator.neg, clause)):
+            return FalseCertificate(clause)
+    if bound_prefix(instance) is instance.prefix:
         return instance
     prefix = normalize_prefix([(FORALL, universal), (EXISTS, existential)])
-    return QbfInstance(prefix, CnfMatrix(tuple(kept), instance.matrix.num_vars))
+    return QbfInstance(prefix, instance.matrix)
 
 
 def partition_groups(
     matrix: CnfMatrix, universal: Sequence[int], existential: Sequence[int]
-) -> tuple[Node, int, list[int]]:
+) -> tuple[Node, int, list[int], int]:
     """The search root of ``matrix``, in the shape ``restrict_groups`` gives a
-    child: the live groups, their weight, and the cores of the forced groups.
-    Each clause is encoded once into one int, the sum of its literals' bits,
-    u universal and k existential variables each taking their bits in sorted
-    variable order: its universal part ``pos | neg << u`` in the low 2u bits
-    and its core ``pos << k | neg`` above them.  Parts are deduplicated in
-    first-occurrence order.  A group holding the bare part 0, from a purely
-    existential clause, is forced.  The groups come in the order of their
-    core ints, that is, of their ``(pos, neg)`` core masks, which no clause
-    order changes.  A tautological part, which ``preprocess`` drops, raises
-    ``SolverInvariantError``: its bit count is not its size."""
+    child: the live groups, their weight, and the cores of the forced groups;
+    and d, the arity of the clauses it keeps (at least 1).  Each clause is
+    encoded once into one int, the sum of its literals' bits, u universal and
+    k existential variables each taking their bits in sorted variable order:
+    its universal part ``pos | neg << u`` in the low 2u bits and its core
+    ``pos << k | neg`` above them.  A tautology, whose part or core holds a
+    variable in both polarities (``part & part >> u`` or ``core & core >>
+    k``), is dropped, so a kept part's bit count is its size.  d is the
+    largest bit count of a kept clause, the forced groups' included.  Parts
+    are deduplicated in first-occurrence order.  A group holding the bare
+    part 0, from a purely existential clause, is forced.  The groups come in
+    the order of their core ints, that is, of their ``(pos, neg)`` core
+    masks, which no clause order changes."""
     u, k = len(universal), len(existential)
     shift = 2 * u
     bit = {}
@@ -215,23 +217,34 @@ def partition_groups(
     for clause in map(sum, map(map, repeat(bit.__getitem__), matrix.clauses)):
         groups.setdefault(clause >> shift, {})[clause & low] = None
 
-    live, forced, weight = [], [], 0
+    live, forced, weight, d = [], [], 0, 1
     for core in sorted(groups):
+        if core & core >> k:
+            continue  # every clause of the group is a tautology
         parts = groups[core]
-        if 0 in parts:
-            forced.append(core)
-            continue
         used = heaviest = 0
+        tautologies = False
         for part in parts:
             if part & part >> u:
-                raise SolverInvariantError("tautological universal part reached the search")
+                tautologies = True
+                continue
             used |= part
             size = part.bit_count()
             if size > heaviest:
                 heaviest = size
+        if tautologies:
+            parts = [part for part in parts if not part & part >> u]
+            if not parts:
+                continue
+        size = core.bit_count() + heaviest
+        if size > d:
+            d = size
+        if 0 in parts:
+            forced.append(core)
+            continue
         live.append((core, tuple(parts), used, heaviest))
         weight += heaviest
-    return live, weight, forced
+    return live, weight, forced, d
 
 
 def restrict_groups(
@@ -334,10 +347,11 @@ def sat_check_core(cores: Sequence[int], carried: int = -1, decide=None) -> bool
     ``oracle.clause_values`` and ``carried`` the AND of the others' values.
     They are satisfiable iff the AND of all of them is nonzero and, with
     ``decide``, ``decide`` holds on its complement, the set of their ids.
-    ``decide`` plays the oracle's game (backtracking with unit propagation)
-    with every variable existential; it recurses once per branching
-    variable, and a check that branches deeper than Python's recursion limit
-    raises ``OracleLimitError``.  An empty clause makes it False."""
+    ``decide`` plays the oracle's game (backtracking with unit propagation
+    and pure literals) with every variable existential; it recurses once per
+    branching variable, and a check that branches deeper than Python's
+    recursion limit raises ``OracleLimitError``.  An empty clause makes it
+    False."""
     for core in cores:
         carried &= core
     if decide is None or not carried:
@@ -475,9 +489,8 @@ def solve(instance: QbfInstance) -> tuple[bool, SolverStats]:
     universal, existential = ae_blocks(prepared)
     k = len(existential)
     kk = max(k, 2)
-    d = max(prepared.matrix.max_arity(), 1)
+    live, weight, forced, d = partition_groups(prepared.matrix, universal, existential)
     x_threshold = threshold(kk, d)
-    live, weight, forced = partition_groups(prepared.matrix, universal, existential)
     # Cores never change below the root, so they are checked and replaced by
     # their values once.
     cores = forced + [core for core, _, _, _ in live]

@@ -180,7 +180,7 @@ def test_solver_instrumentation():
             searched += 1
         _, existential = ae_blocks(instance)
         k = len(existential)
-        d = max(instance.matrix.max_arity(), 1)
+        d = max(map(len, instance.matrix.clauses), default=1)
         assert stats.max_depth <= d * k ** (d - 1)
         inspected += 1
 

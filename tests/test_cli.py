@@ -114,7 +114,7 @@ class TestSolveCommand:
         assert report["wall_time_ms"] >= 0
 
     def test_stats_report_arity_after_preprocess(self, workdir):
-        # The width-6 tautology is dropped by preprocess, leaving arity 2.
+        # The search root drops the width-6 tautology, leaving arity 2.
         text = "p cnf 6 2\na 1 2 3 4 0\ne 5 6 0\n1 -1 2 3 4 5 0\n1 5 0\n"
         path = write(workdir / "t.qdimacs", text)
         stats = workdir / "stats.json"
@@ -148,11 +148,12 @@ class TestOracleCommand:
             assert main(["solve", path]) == main(["oracle", path])
 
     def test_recursion_too_deep_errors(self, workdir, capsys):
-        # The game recurses once per variable it branches on: one per clause
-        # (i, n + i).  A low recursion limit makes a small input too deep.
+        # The game recurses once per variable it branches on: one per pair
+        # (i | n + i) & (-i | -(n + i)), which leaves no unit and no pure
+        # literal.  A low recursion limit makes a small input too deep.
         n = 400
-        clauses = "".join(f"{i} {n + i} 0\n" for i in range(1, n + 1))
-        path = write(workdir / "deep.qdimacs", f"p cnf {2 * n} {n}\n{clauses}")
+        clauses = "".join(f"{i} {n + i} 0\n{-i} {-(n + i)} 0\n" for i in range(1, n + 1))
+        path = write(workdir / "deep.qdimacs", f"p cnf {2 * n} {2 * n}\n{clauses}")
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(300)
         try:

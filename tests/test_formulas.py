@@ -19,7 +19,6 @@ from feqbf.formulas import (
     normalize_prefix,
     split_clause_to_arity,
 )
-from feqbf.solver import preprocess
 from oracle_helpers import all_assignments, clause_falsifiers, literal_true
 
 
@@ -356,14 +355,6 @@ class TestMatrixVariables:
         replaced = dataclasses.replace(matrix, clauses=(F(-4), F(4, 2)))
         assert replaced.variables == {2, 4}
         assert dataclasses.replace(matrix, clauses=()).variables == frozenset()
-
-    def test_preprocess_drops_a_variable_that_occurs_only_in_a_tautology(self):
-        prefix = (QuantifierBlock("a", (1, 2)), QuantifierBlock("e", (3,)))
-        instance = QbfInstance(prefix, CnfMatrix((F(1, 3), F(2, -2, 3)), 3))
-        assert instance.matrix.variables == {1, 2, 3}
-        reduced = preprocess(instance)
-        assert reduced.matrix.clauses == (F(1, 3),)
-        assert reduced.matrix.variables == {1, 3}
 
 
 class TestBoundPrefix:

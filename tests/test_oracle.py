@@ -215,19 +215,40 @@ class TestGame:
         assert oracle._game([(0, 0), (0b1, 0)], 0, 0) is False
         assert oracle._game([(0, 0), (0b11, 0)], 0b1, 0) is False
 
+    def test_pure_literals_decide_without_branching(self, monkeypatch):
+        # Bit i is variable i + 1.  forall 1 exists 2..301 with (1 | 2) and
+        # (1+i | 151+i): universal 1 is pure and set false, 2 becomes a unit,
+        # and every other variable is pure.  forall 1 2 exists 3 with
+        # (1 | 2 | 3) and (-3 | 1): 1 and 2 are pure and set false, which
+        # leaves the units 3 and -3.  Neither game branches.
+        calls = []
+        original = oracle._game
+
+        def counting(clauses, universal, index=0):
+            calls.append(index)
+            return original(clauses, universal, index)
+
+        monkeypatch.setattr(oracle, "_game", counting)
+        pairs = [(1 << i | 1 << (150 + i), 0) for i in range(1, 151)]
+        assert oracle._game([(0b11, 0), *pairs], 0b1) is True
+        assert oracle._game([(0b111, 0), (0b001, 0b100)], 0b011) is False
+        assert calls == [0, 0]
+
 
 class TestRecursionLimit:
     def test_games_deeper_than_the_limit_name_their_cause(self):
-        # forall 1 exists 2..301: (1 | 2) and (1+i | 151+i) for i = 1..150.
-        # Each game branches once per pair, past the recursion limit of 120:
-        # eval_qbf's, check_equivalence's on the game path (301 variables,
-        # past TABLE_BITS), and is_dnf_valid's on the negation of the pairs.
+        # forall 1 exists 2..301: (1 | 2), and (1+i | 151+i) and
+        # (-(1+i) | -(151+i)) for i = 1..150, pairs that leave no unit and no
+        # pure literal.  Each game branches once per pair, past the recursion
+        # limit of 120: eval_qbf's, check_equivalence's on the game path (301
+        # variables, past TABLE_BITS), and is_dnf_valid's on the negation of
+        # the pairs.
         script = (
             "import sys\n"
             "from feqbf.formulas import CnfMatrix, DnfFormula, QbfInstance, normalize_prefix\n"
             "from feqbf.oracle import OracleLimitError, check_equivalence, eval_qbf, is_dnf_valid\n"
             "P = 150\n"
-            "pairs = [frozenset((1 + i, 1 + P + i)) for i in range(1, P + 1)]\n"
+            "pairs = [frozenset((s * (1 + i), s * (1 + P + i))) for i in range(1, P + 1) for s in (1, -1)]\n"
             "prefix = normalize_prefix([('a', (1,)), ('e', range(2, 2 * P + 2))])\n"
             "phi = QbfInstance(prefix, CnfMatrix((frozenset((1, 2)), *pairs), 2 * P + 1))\n"
             "negated = DnfFormula(tuple(frozenset(-v for v in c) for c in pairs), 2 * P + 1)\n"

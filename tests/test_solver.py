@@ -15,6 +15,7 @@ from feqbf.formulas import (
     FORALL,
     QbfInstance,
     apply_assignment_cnf,
+    is_tautological,
     normalize_prefix,
 )
 from feqbf.generate import random_dnf, random_forall_exists
@@ -115,11 +116,12 @@ def threshold_instance(n):
 
 
 class TestPreprocess:
-    def test_tautology_removed(self):
-        instance = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, -1, 3), F(3, 1)], 3)
-        result = preprocess(instance)
-        assert isinstance(result, QbfInstance)
-        assert result.matrix.clauses == (F(3, 1),)
+    def test_tautologies_are_kept(self):
+        # The search root drops them (TestPartitionGroups).
+        instance = make(
+            [(FORALL, (1, 2)), (EXISTS, (3, 4))], [F(1, -1, 3), F(3, -3, 1), F(4, -4), F(3, 1)], 4
+        )
+        assert preprocess(instance) is instance
 
     def test_universal_only_clause_certifies_false(self):
         instance = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, 2), F(3)], 3)
@@ -137,12 +139,6 @@ class TestPreprocess:
         result = preprocess(instance)
         assert result.prefix == normalize_prefix([(FORALL, (1,)), (EXISTS, (2,))])
         assert result.matrix == instance.matrix
-
-    def test_tautology_with_an_existential_literal_removed(self):
-        instance = make(
-            [(FORALL, (1, 2)), (EXISTS, (3, 4))], [F(3, -3, 1), F(4, -4), F(1, 4)], 4
-        )
-        assert preprocess(instance).matrix.clauses == (F(1, 4),)
 
     def test_certificate_skips_an_earlier_universal_tautology(self):
         instance = make(
@@ -167,39 +163,44 @@ class TestPreprocess:
 
 def preprocess_per_clause(instance):
     """``preprocess`` as one test per clause, the reference for its bulk
-    passes: drop each tautology, and certify the first all-universal clause
-    left."""
+    pass: certify the first all-universal clause that is not a tautology,
+    and otherwise keep every clause."""
     universal, existential = ae_blocks(instance)
-    kept = []
     for clause in instance.matrix.clauses:
-        if len(set(map(abs, clause))) < len(clause):
-            continue
-        if set(existential).isdisjoint(map(abs, clause)):
+        tautology = len(set(map(abs, clause))) < len(clause)
+        if not tautology and set(existential).isdisjoint(map(abs, clause)):
             return FalseCertificate(clause)
-        kept.append(clause)
-    return make([(FORALL, universal), (EXISTS, existential)], kept, instance.matrix.num_vars)
+    clauses = instance.matrix.clauses
+    return make([(FORALL, universal), (EXISTS, existential)], clauses, instance.matrix.num_vars)
+
+
+def tautology_instances():
+    """2,000 seeded forall-exists instances over at most 7 variables, about
+    one clause in five a tautology, and some clauses all-universal."""
+    rng = random.Random(29)
+    for _ in range(2000):
+        n, k = rng.randint(1, 4), rng.randint(0, 3)
+        universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
+        clauses = []
+        for _ in range(rng.randint(0, 6)):
+            pool = rng.choice([universal, range(1, n + k + 1)])
+            chosen = rng.sample(pool, rng.randint(1, len(pool)))
+            lits = {v if rng.random() < 0.5 else -v for v in chosen}
+            if rng.random() < 0.2:
+                v = rng.choice(pool)
+                lits |= {v, -v}
+            clauses.append(frozenset(lits))
+        yield make([(FORALL, universal), (EXISTS, existential)], clauses, n + k)
 
 
 class TestPreprocessBulk:
     def test_matches_the_per_clause_reference(self):
-        rng = random.Random(29)
         seen = set()
-        for _ in range(2000):
-            n, k = rng.randint(1, 4), rng.randint(0, 3)
-            universal, existential = range(1, n + 1), range(n + 1, n + k + 1)
-            clauses = []
-            for _ in range(rng.randint(0, 6)):
-                pool = rng.choice([universal, range(1, n + k + 1)])
-                chosen = rng.sample(pool, rng.randint(1, len(pool)))
-                lits = {v if rng.random() < 0.5 else -v for v in chosen}
-                if rng.random() < 0.2:
-                    v = rng.choice(pool)
-                    lits |= {v, -v}
-                clauses.append(frozenset(lits))
-            instance = make([(FORALL, universal), (EXISTS, existential)], clauses, n + k)
+        for instance in tautology_instances():
+            clauses = instance.matrix.clauses
             expected = preprocess_per_clause(instance)
             assert preprocess(instance) == expected, clauses
-            e_set = set(existential)
+            e_set = set(ae_blocks(instance)[1])
             for clause in clauses:
                 tautology = len(set(map(abs, clause))) < len(clause)
                 seen.add((tautology, e_set.isdisjoint(map(abs, clause))))
@@ -211,33 +212,31 @@ class TestPreprocessBulk:
 
     def test_tautological_all_universal_clause_is_no_certificate(self):
         instance = make([(FORALL, (1, 2)), (EXISTS, (3,))], [F(1, -1, 2), F(2, 3)], 3)
-        assert preprocess(instance) == make(
-            [(FORALL, (1, 2)), (EXISTS, (3,))], [F(2, 3)], 3
-        )
+        assert preprocess(instance) is instance
 
 
 class TestPartitionGroups:
     def test_mixed_polarity_cores(self):
         # existential x1 is variable 3; universals y1=1, y2=2
         matrix = CnfMatrix((F(3, 1), F(3, -2), F(-3, 1)), 3)
-        live, weight, forced = partition_groups(matrix, (1, 2), (3,))
+        live, weight, forced, d = partition_groups(matrix, (1, 2), (3,))
         # Core -x1, the int 0b01 for the mask (0, 1), sorts before core x1,
         # 0b10 for (1, 0).  Part -y2 is neg bit 1, shifted up by u = 2.
         assert live == [(0b01, M(2, F(1)), 0b0001, 1), (0b10, M(2, F(1), F(-2)), 0b1001, 1)]
         assert M(2, F(1), F(-2)) == (0b0001, 0b1000)
-        assert (weight, forced) == (2, [])
+        assert (weight, forced, d) == (2, [], 2)
         assert weight == group_weight(live, 2)
 
     def test_purely_existential_clause_has_empty_part(self):
         matrix = CnfMatrix((F(1, 2),), 2)
         # The core's pos 0b11 sits above its neg 0b00.
-        assert partition_groups(matrix, (), (1, 2)) == ([], 0, [0b1100])
+        assert partition_groups(matrix, (), (1, 2)) == ([], 0, [0b1100], 2)
 
     def test_duplicate_universal_parts_collapse(self):
         matrix = CnfMatrix((F(3, 1), F(3, 1)), 3)
-        live, weight, forced = partition_groups(matrix, (1, 2), (3,))
+        live, weight, forced, d = partition_groups(matrix, (1, 2), (3,))
         assert live == [(0b10, M(2, F(1)), 0b01, 1)]
-        assert (weight, forced) == (1, [])
+        assert (weight, forced, d) == (1, [], 2)
 
     def test_cores_in_mask_order_whatever_the_block_order(self):
         # Both blocks given out of order: each takes its bits in sorted
@@ -246,15 +245,52 @@ class TestPartitionGroups:
         # the order of their (pos, neg) masks, the order of the ints
         # pos << 3 | neg.
         matrix = CnfMatrix((F(7, 3), F(6, 2), F(-5, 1), F(5, 6, 3), F(5, 2)), 7)
-        live, weight, forced = partition_groups(matrix, (3, 1, 2), (7, 5, 6))
+        live, weight, forced, d = partition_groups(matrix, (3, 1, 2), (7, 5, 6))
         # {-5}, {5}, {6}, {5, 6}, {7}
         cores = [0b001, 0b001 << 3, 0b010 << 3, 0b011 << 3, 0b100 << 3]
         assert [core for core, _, _, _ in live] == cores
         assert [parts for _, parts, _, _ in live] == [
             M(3, F(1)), M(3, F(2)), M(3, F(2)), M(3, F(3)), M(3, F(3))
         ]
-        assert (weight, forced) == (5, [])
+        assert (weight, forced, d) == (5, [], 3)
         assert weight == group_weight(live, 3)
+
+    def test_tautology_removed(self):
+        # The universal part x1 | -x1 has two bits for one variable.
+        matrix = CnfMatrix((F(1, -1, 3), F(3, 1)), 3)
+        root = partition_groups(matrix, (1, 2), (3,))
+        assert root == ([(0b10, M(2, F(1)), 0b01, 1)], 1, [], 2)
+        assert root == partition_groups(CnfMatrix((F(3, 1),), 3), (1, 2), (3,))
+
+    def test_tautology_with_an_existential_literal_removed(self):
+        # The cores x3 | -x3 and x4 | -x4 each have two bits for one variable,
+        # and so does the core, not the part, of the first clause.
+        matrix = CnfMatrix((F(3, -3, 1), F(4, -4), F(1, 4)), 4)
+        root = partition_groups(matrix, (1, 2), (3, 4))
+        assert root == ([(0b10 << 2, M(2, F(1)), 0b01, 1)], 1, [], 2)
+        assert root == partition_groups(CnfMatrix((F(1, 4),), 4), (1, 2), (3, 4))
+
+    def test_a_variable_that_occurs_only_in_a_tautology_is_dropped(self):
+        # Universal 2 occurs only in (2 | -2 | 3): no part holds it.
+        matrix = CnfMatrix((F(1, 3), F(2, -2, 3)), 3)
+        assert matrix.variables == {1, 2, 3}
+        live, weight, forced, d = partition_groups(matrix, (1, 2), (3,))
+        assert live == [(0b10, M(2, F(1)), 0b01, 1)]
+        assert (weight, forced, d) == (1, [], 2)
+
+    def test_drops_exactly_the_tautologies(self):
+        # The root of a matrix is that of the matrix without its tautologies:
+        # groups, parts, order, weight, forced cores and d.
+        dropped = 0
+        for instance in tautology_instances():
+            universal, existential = ae_blocks(instance)
+            clauses = instance.matrix.clauses
+            kept = tuple(clause for clause in clauses if not is_tautological(clause))
+            without = CnfMatrix(kept, instance.matrix.num_vars)
+            root = partition_groups(instance.matrix, universal, existential)
+            assert root == partition_groups(without, universal, existential), clauses
+            dropped += len(kept) < len(clauses)
+        assert dropped > 500
 
 
 def core_matrix(rng, n, k):
@@ -284,7 +320,7 @@ class TestRestrictGroups:
             sigma = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
             node = root_node(matrix, universal, existential)
             restricted, weight, forced = restrict_groups(node, *sigma_bits(sigma), n)
-            expected, _, expected_forced = partition_groups(
+            expected, _, expected_forced, _ = partition_groups(
                 apply_assignment_cnf(matrix, sigma), universal, existential
             )
             # Same live groups with the same parts in the same order; the
@@ -524,12 +560,12 @@ class TestWeight:
     def test_sums_group_maxima(self):
         # cores {x1}={5}: parts (1,2) and (3); {-x2}={-6}: part (1)
         matrix = CnfMatrix((F(5, 1, 2), F(5, 3), F(-6, 1)), 6)
-        live, weight, _ = partition_groups(matrix, (1, 2, 3), (5, 6))
+        live, weight, _, _ = partition_groups(matrix, (1, 2, 3), (5, 6))
         assert weight == group_weight(live, 3) == 3
 
     def test_purely_existential_weighs_nothing(self):
         matrix = CnfMatrix((F(1, 2), F(-2)), 2)
-        live, weight, forced = partition_groups(matrix, (), (1, 2))
+        live, weight, forced, _ = partition_groups(matrix, (), (1, 2))
         assert weight == group_weight(live, 0) == 0
         assert len(forced) == 2
 
@@ -639,7 +675,7 @@ class TestSolve:
         assert eval_qbf(instance) is False
 
     def test_small_k_takes_the_search(self):
-        # k = 0 (a tautology, dropped by preprocess), k = 1 and k = 2 all
+        # k = 0 (a tautology, dropped at the root), k = 1 and k = 2 all
         # reach the search, with the threshold of k = 2.
         instances = (
             make([(FORALL, (1, 2))], [F(1, -1)], 2),
@@ -677,6 +713,35 @@ class TestSolve:
             assert result == qbf_eval_reference(instance), emit_failure(instance)
             leaves += stats.leaves
         assert leaves > 60
+
+    def test_arity_counts_the_forced_groups(self):
+        # forall x1 x2 exists e1 e2: (e1), (e1 | x1 | x2), (e2 | x1) and a
+        # width-5 tautology.  The widest clause left sits in the group (e1),
+        # which its bare core forces: the live groups alone give arity 2.
+        instance = make(
+            [(FORALL, (1, 2)), (EXISTS, (3, 4))],
+            [F(3), F(3, 1, 2), F(4, 1), F(1, -1, 2, 3, 4)],
+            4,
+        )
+        live, _, forced, d = partition_groups(instance.matrix, (1, 2), (3, 4))
+        assert max(core.bit_count() + heaviest for core, _, _, heaviest in live) == 2
+        assert (len(forced), d) == (1, 3)
+        result, stats = solve(instance)
+        assert (result, stats.route, stats.d) == (eval_qbf(instance), "search", 3)
+
+    def test_arity_is_that_of_the_clauses_left(self):
+        searched = wider = 0
+        for instance in tautology_instances():
+            _, stats = solve(instance)
+            if stats.route != "search":
+                continue
+            clauses = instance.matrix.clauses
+            arities = [len(clause) for clause in clauses if not is_tautological(clause)]
+            assert stats.d == max(arities, default=1), clauses
+            searched += 1
+            wider += any(len(clause) > stats.d for clause in clauses)
+        # Many searched instances, and in some a tautology is wider than d.
+        assert searched > 500 and wider > 50
 
     def test_empty_matrix_is_true(self):
         instance = make([(FORALL, (1,)), (EXISTS, (2, 3, 4))], [], 4)
@@ -913,16 +978,19 @@ class TestTableCap:
         assert all(carried != -1 for _, carried in calls)
 
     def test_core_check_deeper_than_the_limit_names_its_cause(self):
-        # forall 1 exists 2..301: (1 | 2) and (1+i | 151+i) for i = 1..150.  TRUE,
-        # above the table cap, and the root's core check branches once per pair,
-        # past the recursion limit of 120.
+        # forall 1 exists 2..301: (1 | 2), and (1+i | 151+i) and
+        # (-(1+i) | -(151+i)) for i = 1..150, pairs that leave no unit and no
+        # pure literal.  TRUE, above the table cap, and the root's core check
+        # branches once per pair, past the recursion limit of 120.
         script = (
             "import sys\n"
             "from feqbf.formulas import CnfMatrix, QbfInstance, normalize_prefix\n"
             "from feqbf.oracle import OracleLimitError\n"
             "from feqbf.solver import solve\n"
             "P = 150\n"
-            "clauses = [frozenset((1, 2))] + [frozenset((1 + i, 1 + P + i)) for i in range(1, P + 1)]\n"
+            "clauses = [frozenset((1, 2))] + [\n"
+            "    frozenset((s * (1 + i), s * (1 + P + i))) for i in range(1, P + 1) for s in (1, -1)\n"
+            "]\n"
             "prefix = normalize_prefix([('a', (1,)), ('e', range(2, 2 * P + 2))])\n"
             "instance = QbfInstance(prefix, CnfMatrix(tuple(clauses), 2 * P + 1))\n"
             "sys.setrecursionlimit(120)\n"
@@ -1059,13 +1127,13 @@ class TestSearchTree:
         rng = random.Random(11)
         for instance in self.corpus():
             universal, existential = ae_blocks(instance)
-            live, weight, forced = partition_groups(instance.matrix, universal, existential)
-            expected = ([core for core, _, _, _ in live], weight, forced)
+            live, weight, forced, d = partition_groups(instance.matrix, universal, existential)
+            expected = ([core for core, _, _, _ in live], weight, forced, d)
             for _ in range(5):
                 clauses = rng.sample(instance.matrix.clauses, len(instance.matrix.clauses))
                 shuffled = CnfMatrix(tuple(clauses), instance.matrix.num_vars)
-                live, weight, forced = partition_groups(shuffled, universal, existential)
-                assert ([core for core, _, _, _ in live], weight, forced) == expected
+                live, weight, forced, d = partition_groups(shuffled, universal, existential)
+                assert ([core for core, _, _, _ in live], weight, forced, d) == expected
 
 
 def pair_partition(matrix, universal, existential):
@@ -1105,7 +1173,7 @@ def decoded_root(matrix, universal, existential):
     def part(p):
         return p & ((1 << u) - 1), p >> u
 
-    live, weight, forced = partition_groups(matrix, universal, existential)
+    live, weight, forced, _ = partition_groups(matrix, universal, existential)
     live = [
         (core(c), tuple(map(part, parts)), (used | used >> u) & ((1 << u) - 1), heaviest)
         for c, parts, used, heaviest in live
@@ -1141,13 +1209,12 @@ def leaf_tree(result, s):
 
 def unmerged_tree(instance):
     """The tree ``_Search.decide`` builds from the root ``partition_groups``
-    gives, with no group merged into its twin: the reference for
-    ``solve``'s."""
+    gives, and the d it reads, with no group merged into its twin: the
+    reference for ``solve``'s."""
     prepared = preprocess(instance)
     universal, existential = ae_blocks(prepared)
     k = len(existential)
-    d = max(prepared.matrix.max_arity(), 1)
-    live, weight, forced = partition_groups(prepared.matrix, universal, existential)
+    live, weight, forced, d = partition_groups(prepared.matrix, universal, existential)
     # Each core int pos << k | neg as its (pos, neg) mask, and that as its value.
     cores = [(core >> k, core & ((1 << k) - 1)) for core in forced + [core for core, _, _, _ in live]]
     values, decide = clause_values(cores, 0, 0, k)
@@ -1218,7 +1285,7 @@ class TestTwins:
         result, s = solve(instance)
         assert result == is_dnf_valid(psi)
         assert leaf_tree(result, s) == unmerged_tree(instance)
-        live, unmerged, _ = partition_groups(instance.matrix, universal, existential)
+        live, unmerged, _, _ = partition_groups(instance.matrix, universal, existential)
         merged = {group[1]: group[3] for group in live}  # parts tuple -> heaviest
         assert s.weight_trace[0] == sum(merged.values()) < unmerged
 
@@ -1292,15 +1359,19 @@ class TestInvariants:
         with pytest.raises(SolverInvariantError, match="universal-only clause reached the recursion"):
             solve(instance)
 
-    def test_tautological_part_reaching_the_search_raises(self, monkeypatch):
+    def test_tautology_reaching_the_root_is_dropped(self, monkeypatch):
         # Without preprocess the clause (x1 | -x1 | e2) reaches the root with
-        # the universal part x1 | -x1, which has two bits for one variable.
+        # the universal part x1 | -x1, which has two bits for one variable:
+        # the root drops it, not preprocess.
         monkeypatch.setattr("feqbf.solver.preprocess", lambda instance: instance)
         instance = make(
-            [(FORALL, (1,)), (EXISTS, (2, 3))], [F(1, -1, 2), F(3)], 3
+            [(FORALL, (1,)), (EXISTS, (2, 3))], [F(1, -1, 2), F(3), F(-2, 1)], 3
         )
-        with pytest.raises(SolverInvariantError, match="tautological universal part reached the search"):
-            solve(instance)
+        live, weight, forced, d = partition_groups(instance.matrix, (1,), (2, 3))
+        assert live == [(0b001, M(1, F(1)), 0b1, 1)]
+        assert (weight, forced, d) == (1, [0b10 << 2], 2)
+        result, stats = solve(instance)
+        assert (result, stats.route, stats.d) == (eval_qbf(instance), "search", 2)
 
     def test_hitting_set_check_survives_optimized_mode(self):
         root = Path(__file__).resolve().parents[1]
@@ -1309,7 +1380,7 @@ class TestInvariants:
              f"{__file__}::TestInvariants::test_hitting_set_missing_a_part_raises",
              f"{__file__}::TestInvariants::test_weight_failing_to_decrease_raises",
              f"{__file__}::TestInvariants::test_universal_only_clause_reaching_the_search_raises",
-             f"{__file__}::TestInvariants::test_tautological_part_reaching_the_search_raises"],
+             f"{__file__}::TestInvariants::test_tautology_reaching_the_root_is_dropped"],
             cwd=root,
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True,
